@@ -12,6 +12,8 @@ import argparse
 import json
 import sys
 import traceback
+from contextlib import contextmanager
+from dataclasses import MISSING, fields
 from pathlib import Path
 
 import numpy as np
@@ -21,7 +23,8 @@ from . import data as data_mod
 from .model import (CheckpointError, ModelConfig, init_model, load_checkpoint,
                     mask_trajectory, save_checkpoint)
 from .tensor import TensorError
-from .training import TrainConfig, TrainingError, evaluate, train
+from .training import (LOSS_VARIANTS, TrainConfig, TrainingError,
+                       check_compatible, evaluate, train)
 
 __all__ = ["main", "entrypoint"]
 
@@ -34,10 +37,23 @@ class UsageError(ValueError):
     pass
 
 
-MODEL_KEYS = ("layers", "hidden", "k", "alpha", "ff_hidden", "heads")
-TRAIN_KEYS = ("epochs", "batch_size", "lr", "lr_min", "weight_decay",
-              "beta1", "beta2", "eps", "clip_norm", "loss_variant")
+# ModelConfig/TrainConfig fields that come from the dataset or from --seed;
+# every other field is a config key. The dataclasses hold all defaults.
+DERIVED_KEYS = ("in_channels", "coord_channels", "out_channels", "seed")
+MODEL_KEYS = tuple(f.name for f in fields(ModelConfig) if f.name not in DERIVED_KEYS)
+TRAIN_KEYS = tuple(f.name for f in fields(TrainConfig) if f.name not in DERIVED_KEYS)
 OTHER_KEYS = ("seed", "data", "out")
+FILE_ONLY_KEYS = ("beta1", "beta2", "eps")  # config-file keys with no flag
+
+# Field annotations are strings (postponed evaluation); each maps to the
+# converter used for both flags and config-file values.
+FIELD_TYPES = {"int": int, "float": float, "str": str, "int | None": int}
+# Flag help where the field name alone does not say it.
+FLAG_HELP = {"k": "neighbor patch size", "layers": "block count L",
+             "hidden": "hidden width C", "alpha": "mask sharpness",
+             "ff_hidden": "feed-forward width (2C when unset)",
+             "heads": "attention heads", "lr": "peak learning rate",
+             "lr_min": "final learning rate"}
 
 
 def _load_config_file(path) -> dict:
@@ -67,6 +83,15 @@ def _resolved(args, keys) -> dict:
     return cfg
 
 
+@contextmanager
+def _running():
+    """Numeric failures inside are runtime failures (exit 1), not usage errors."""
+    try:
+        yield
+    except (TensorError, TrainingError) as exc:
+        raise RuntimeError(f"run failed: {exc}") from exc
+
+
 def _write_sidecar(csv_path: Path, config: dict) -> None:
     side = csv_path.with_suffix(csv_path.suffix + ".config.json")
     with open(side, "w", encoding="utf-8") as fh:
@@ -74,45 +99,30 @@ def _write_sidecar(csv_path: Path, config: dict) -> None:
         fh.write("\n")
 
 
-def _read_dataset(path) -> data_mod.Dataset:
-    p = Path(path)
-    if not (p / "manifest.json").exists():
-        raise UsageError(f"dataset not found at {p}")
-    return data_mod.read_dataset(p)
+def _build(cls, cfg: dict, **fixed):
+    """`cls` from the config keys in `cfg`; the dataclass supplies the rest."""
+    kwargs = dict(fixed)
+    try:
+        for f in fields(cls):
+            if f.name in cfg and f.name not in fixed:
+                value = cfg[f.name]
+                kwargs[f.name] = None if value is None else FIELD_TYPES[f.type](value)
+        return cls(**kwargs)
+    except (TypeError, ValueError, TrainingError) as exc:
+        raise UsageError(str(exc)) from exc
 
 
 def _model_config(ds: data_mod.Dataset, cfg: dict, seed: int) -> ModelConfig:
-    return ModelConfig(
-        in_channels=ds.inputs.shape[2],
-        coord_channels=ds.geometry.coords.shape[1],
-        out_channels=ds.outputs.shape[2],
-        k=int(cfg.get("k", 8)),
-        layers=int(cfg.get("layers", 8)),
-        hidden=int(cfg.get("hidden", 128)),
-        alpha=float(cfg.get("alpha", 10.0)),
-        ff_hidden=cfg.get("ff_hidden"),
-        heads=int(cfg.get("heads", 1)),
-        seed=seed,
-    )
+    mcfg = _build(ModelConfig, cfg, in_channels=ds.inputs.shape[2],
+                  coord_channels=ds.geometry.coords.shape[1],
+                  out_channels=ds.outputs.shape[2], seed=seed)
+    check_compatible(mcfg, ds)
+    return mcfg
 
 
-def _train_config(cfg: dict, seed: int, default_epochs: int = 50) -> TrainConfig:
-    try:
-        return TrainConfig(
-            epochs=int(cfg.get("epochs", default_epochs)),
-            batch_size=int(cfg.get("batch_size", 8)),
-            lr=float(cfg.get("lr", 1e-3)),
-            lr_min=float(cfg.get("lr_min", 1e-5)),
-            weight_decay=float(cfg.get("weight_decay", 1e-4)),
-            beta1=float(cfg.get("beta1", 0.9)),
-            beta2=float(cfg.get("beta2", 0.999)),
-            eps=float(cfg.get("eps", 1e-8)),
-            clip_norm=float(cfg.get("clip_norm", 1.0)),
-            seed=seed,
-            loss_variant=str(cfg.get("loss_variant", "squared-ratio")),
-        )
-    except TrainingError as exc:
-        raise UsageError(str(exc)) from exc
+def _train_config(args) -> TrainConfig:
+    cfg = {"epochs": args.default_epochs, **_resolved(args, TRAIN_KEYS)}
+    return _build(TrainConfig, cfg, seed=args.seed)
 
 
 # ---------------------------------------------------------------------------
@@ -131,13 +141,14 @@ def cmd_generate(args) -> int:
 
 
 def cmd_train(args) -> int:
-    ds = _read_dataset(args.data)
+    ds = data_mod.read_dataset(args.data)
     mcfg = _model_config(ds, _resolved(args, MODEL_KEYS), args.seed)
-    tcfg = _train_config(_resolved(args, TRAIN_KEYS), args.seed)
+    tcfg = _train_config(args)
     out = Path(args.out)
     out.mkdir(parents=True, exist_ok=True)
     model = init_model(mcfg)
-    report = train(model, ds, tcfg, checkpoint_path=out / "best.la2c")
+    with _running():
+        report = train(model, ds, tcfg, checkpoint_path=out / "best.la2c")
     csv_path = out / "report.csv"
     report.write_csv(csv_path)
     save_checkpoint(model, out / "final.la2c")
@@ -149,82 +160,59 @@ def cmd_train(args) -> int:
 
 
 def cmd_eval(args) -> int:
-    ds = _read_dataset(args.data)
+    ds = data_mod.read_dataset(args.data)
     model = load_checkpoint(args.checkpoint)
-    metrics = evaluate(model, ds, args.split)
+    check_compatible(model.config, ds)
+    if args.split != "all" and len(getattr(ds, f"{args.split}_indices")) == 0:
+        raise UsageError(f"dataset has an empty {args.split} split")
+    with _running():
+        metrics = evaluate(model, ds, args.split)
     print(f"{args.split} rel L2: {metrics['rel_l2']:.6f} over {metrics['n']} samples "
           f"(normalized-space {metrics['rel_l2_normalized']:.6f})")
     return EXIT_OK
 
 
-def cmd_ablate_window(args) -> int:
-    ds = _read_dataset(args.data)
-    k_values = args.k_values
-    if any(k > ds.geometry.m for k in k_values):
-        raise UsageError(f"window size exceeds M={ds.geometry.m}")
+def _sweep(args, name: str, columns: tuple[str, ...], runs: list[dict]) -> int:
+    """Train once per run (model config overrides plus label keys), after
+    validating every run's config, and write ``<name>.csv`` with a sidecar.
+    A row holds each of `columns` from the run or its model config."""
+    ds = data_mod.read_dataset(args.data)
+    base = _resolved(args, MODEL_KEYS)
+    tcfg = _train_config(args)
+    configs = [_model_config(ds, {**base, **run}, args.seed) for run in runs]
     out = Path(args.out)
     out.mkdir(parents=True, exist_ok=True)
     rows = []
-    for k in k_values:
-        cfg = dict(_resolved(args, MODEL_KEYS), k=k)
-        mcfg = _model_config(ds, cfg, args.seed)
-        tcfg = _train_config(_resolved(args, TRAIN_KEYS), args.seed,
-                             default_epochs=10)
-        model = init_model(mcfg)
-        report = train(model, ds, tcfg)
-        rows.append((k, report.test_rel_l2[-1],
-                     float(np.mean(report.epoch_seconds))))
-        print(f"K={k}: test rel L2 {rows[-1][1]:.6f}, "
-              f"epoch {rows[-1][2]:.3f}s")
-    csv_path = out / "ablate_window.csv"
+    for run, mcfg in zip(runs, configs):
+        with _running():
+            report = train(init_model(mcfg), ds, tcfg)
+        labels = [str({**mcfg.to_dict(), **run}[c]) for c in columns]
+        err, sec = report.test_rel_l2[-1], float(np.mean(report.epoch_seconds))
+        rows.append(",".join(labels) + f",{err!r},{sec:.6f}")
+        print(" ".join(f"{c}={v}" for c, v in zip(columns, labels))
+              + f": test rel L2 {err:.6f}, epoch {sec:.3f}s")
+    csv_path = out / f"{name}.csv"
     with open(csv_path, "w", encoding="utf-8") as fh:
-        fh.write("k,test_rel_l2,epoch_seconds\n")
-        for k, err, sec in rows:
-            fh.write(f"{k},{err!r},{sec:.6f}\n")
-    _write_sidecar(csv_path, {"k_values": list(k_values),
-                              "model": _resolved(args, MODEL_KEYS),
-                              "train": _resolved(args, TRAIN_KEYS),
-                              "seed": args.seed, "data": str(args.data)})
+        fh.write(",".join(columns) + ",test_rel_l2,epoch_seconds\n")
+        fh.writelines(row + "\n" for row in rows)
+    _write_sidecar(csv_path, {
+        "data": str(args.data),
+        "runs": [{"model": mcfg.to_dict(), "train": tcfg.to_dict()}
+                 for mcfg in configs]})
     return EXIT_OK
+
+
+def cmd_ablate_window(args) -> int:
+    return _sweep(args, "ablate_window", ("k",),
+                  [{"k": k} for k in args.k_values])
 
 
 def cmd_scale_study(args) -> int:
-    ds = _read_dataset(args.data)
     if not args.widths and not args.depths:
         raise UsageError("need --widths and/or --depths")
-    out = Path(args.out)
-    out.mkdir(parents=True, exist_ok=True)
-    base_model = _resolved(args, MODEL_KEYS)
-    rows = []
-
-    def run(sweep, layers, hidden):
-        cfg = dict(base_model, layers=layers, hidden=hidden)
-        mcfg = _model_config(ds, cfg, args.seed)
-        tcfg = _train_config(_resolved(args, TRAIN_KEYS), args.seed,
-                             default_epochs=10)
-        model = init_model(mcfg)
-        report = train(model, ds, tcfg)
-        rows.append((sweep, layers, hidden, report.test_rel_l2[-1],
-                     float(np.mean(report.epoch_seconds))))
-        print(f"{sweep} L={layers} C={hidden}: test rel L2 {rows[-1][3]:.6f}")
-
-    fixed_layers = int(base_model.get("layers", 4))
-    fixed_hidden = int(base_model.get("hidden", 64))
-    for width in args.widths or []:
-        run("width", fixed_layers, width)
-    for depth in args.depths or []:
-        run("depth", depth, fixed_hidden)
-
-    csv_path = out / "scale_study.csv"
-    with open(csv_path, "w", encoding="utf-8") as fh:
-        fh.write("sweep,layers,hidden,test_rel_l2,epoch_seconds\n")
-        for sweep, layers, hidden, err, sec in rows:
-            fh.write(f"{sweep},{layers},{hidden},{err!r},{sec:.6f}\n")
-    _write_sidecar(csv_path, {"widths": args.widths, "depths": args.depths,
-                              "model": base_model,
-                              "train": _resolved(args, TRAIN_KEYS),
-                              "seed": args.seed, "data": str(args.data)})
-    return EXIT_OK
+    runs = [{"sweep": "width", "hidden": w} for w in args.widths or []]
+    runs += [{"sweep": "depth", "layers": d} for d in args.depths or []]
+    return _sweep(args, "scale_study", ("sweep", "layers", "hidden"), runs)
 
 
 def cmd_bench(args) -> int:
@@ -279,28 +267,29 @@ def _int_list(text: str) -> list[int]:
         raise argparse.ArgumentTypeError(f"not a comma-separated int list: {text}") from exc
 
 
-def _add_config_flags(p: argparse.ArgumentParser, *, model=True, training=True):
+def _run_parser(sub, name: str, text: str, func, *, epochs: int):
+    """A command that trains on --data and writes to --out. Its config flags
+    come from the ModelConfig/TrainConfig fields (all but FILE_ONLY_KEYS);
+    `epochs` is the command's fallback epoch count."""
+    p = sub.add_parser(name, help=text)
+    p.add_argument("--data", required=True)
+    p.add_argument("--out", required=True)
     p.add_argument("--config", default=None, help="JSON run config; flags override it")
     p.add_argument("--seed", type=int, default=0, help="RNG seed")
-    if model:
-        g = p.add_argument_group("model")
-        g.add_argument("--layers", type=int, default=None, help="block count L (default 8)")
-        g.add_argument("--hidden", type=int, default=None, help="hidden width C (default 128)")
-        g.add_argument("-K", "--k", type=int, default=None, help="neighbor patch size (default 8)")
-        g.add_argument("--alpha", type=float, default=None, help="mask sharpness (default 10)")
-        g.add_argument("--ff-hidden", dest="ff_hidden", type=int, default=None,
-                       help="feed-forward width (default 2C)")
-        g.add_argument("--heads", type=int, default=None, help="attention heads (default 1)")
-    if training:
-        g = p.add_argument_group("training")
-        g.add_argument("--epochs", type=int, default=None, help="training epochs")
-        g.add_argument("--batch-size", dest="batch_size", type=int, default=None)
-        g.add_argument("--lr", type=float, default=None, help="peak learning rate (default 1e-3)")
-        g.add_argument("--lr-min", dest="lr_min", type=float, default=None)
-        g.add_argument("--weight-decay", dest="weight_decay", type=float, default=None)
-        g.add_argument("--clip-norm", dest="clip_norm", type=float, default=None)
-        g.add_argument("--loss-variant", dest="loss_variant",
-                       choices=("squared-ratio", "root-ratio"), default=None)
+    for title, cls, keys in (("model", ModelConfig, MODEL_KEYS),
+                             ("training", TrainConfig, TRAIN_KEYS)):
+        g = p.add_argument_group(title)
+        for f in fields(cls):
+            if f.name not in keys or f.name in FILE_ONLY_KEYS:
+                continue
+            names = ["-K", "--k"] if f.name == "k" else ["--" + f.name.replace("_", "-")]
+            default = epochs if f.default is MISSING else f.default
+            g.add_argument(*names, dest=f.name, type=FIELD_TYPES[f.type], default=None,
+                           choices=LOSS_VARIANTS if f.name == "loss_variant" else None,
+                           help=FLAG_HELP.get(f.name, f.name.replace("_", " ")) + (
+                               "" if default is None else f" (default {default})"))
+    p.set_defaults(func=func, needs_config=True, default_epochs=epochs)
+    return p
 
 
 def build_parser() -> argparse.ArgumentParser:
@@ -317,35 +306,26 @@ def build_parser() -> argparse.ArgumentParser:
     p.add_argument("--points", type=int, default=512, help="pointcloud size (>= 16)")
     p.add_argument("--seed", type=int, default=0)
     p.add_argument("--out", required=True)
-    p.set_defaults(func=cmd_generate, needs_config=False)
+    p.set_defaults(func=cmd_generate)
 
-    p = sub.add_parser("train", help="train a model on a dataset directory")
-    p.add_argument("--data", required=True)
-    p.add_argument("--out", required=True)
-    _add_config_flags(p)
-    p.set_defaults(func=cmd_train, needs_config=True)
+    _run_parser(sub, "train", "train a model on a dataset directory", cmd_train,
+                epochs=50)
 
     p = sub.add_parser("eval", help="evaluate a checkpoint")
     p.add_argument("--data", required=True)
     p.add_argument("--checkpoint", required=True)
     p.add_argument("--split", choices=("train", "test", "all"), default="test")
-    p.set_defaults(func=cmd_eval, needs_config=False)
+    p.set_defaults(func=cmd_eval)
 
-    p = sub.add_parser("ablate-window", help="train once per window size K")
-    p.add_argument("--data", required=True)
-    p.add_argument("--out", required=True)
+    p = _run_parser(sub, "ablate-window", "train once per window size K",
+                    cmd_ablate_window, epochs=10)
     p.add_argument("--k-values", dest="k_values", type=_int_list,
                    default=[4, 8, 16, 32])
-    _add_config_flags(p)
-    p.set_defaults(func=cmd_ablate_window, needs_config=True)
 
-    p = sub.add_parser("scale-study", help="train across widths and/or depths")
-    p.add_argument("--data", required=True)
-    p.add_argument("--out", required=True)
+    p = _run_parser(sub, "scale-study", "train across widths and/or depths",
+                    cmd_scale_study, epochs=10)
     p.add_argument("--widths", type=_int_list, default=None)
     p.add_argument("--depths", type=_int_list, default=None)
-    _add_config_flags(p)
-    p.set_defaults(func=cmd_scale_study, needs_config=True)
 
     p = sub.add_parser("bench", help="time attention kinds over sizes")
     p.add_argument("--out", required=True)
@@ -360,11 +340,11 @@ def build_parser() -> argparse.ArgumentParser:
     p.add_argument("--repeats", type=int, default=5)
     p.add_argument("--memory-cap", dest="memory_cap", type=int, default=2048,
                    help="working-array cap in MiB")
-    p.set_defaults(func=cmd_bench, needs_config=False)
+    p.set_defaults(func=cmd_bench)
 
     p = sub.add_parser("dump-mask", help="print per-layer mask fractions")
     p.add_argument("--checkpoint", required=True)
-    p.set_defaults(func=cmd_dump_mask, needs_config=False)
+    p.set_defaults(func=cmd_dump_mask)
 
     return parser
 
@@ -379,10 +359,8 @@ def main(argv=None) -> int:
         if getattr(args, "needs_config", False):
             args.file_config = _load_config_file(args.config) if args.config else {}
         return args.func(args)
-    except (UsageError, TrainingError) as exc:
-        print(f"error: {exc}", file=sys.stderr)
-        return EXIT_USAGE
-    except (TensorError, CheckpointError, data_mod.FormatError) as exc:
+    except (UsageError, TrainingError, TensorError, CheckpointError,
+            data_mod.FormatError) as exc:
         print(f"error: {exc}", file=sys.stderr)
         return EXIT_USAGE
     except Exception as exc:  # noqa: BLE001 - last-resort runtime failure

@@ -357,10 +357,40 @@ def read_dataset(path) -> Dataset:
     manifest_path = path / "manifest.json"
     if not manifest_path.exists():
         raise FormatError(f"{path}: missing manifest.json")
-    with open(manifest_path, encoding="utf-8") as fh:
-        manifest = json.load(fh)
+    try:
+        with open(manifest_path, encoding="utf-8") as fh:
+            manifest = json.load(fh)
+    except ValueError as exc:
+        raise FormatError(f"{manifest_path}: not valid JSON: {exc}") from exc
     geometry = PointSet(Tensor(read_tensor_file(path / "geometry.la2t")))
     inputs = Tensor(read_tensor_file(path / "inputs.la2t"))
     outputs = Tensor(read_tensor_file(path / "outputs.la2t"))
-    return Dataset(geometry=geometry, inputs=inputs, outputs=outputs,
-                   manifest=manifest)
+    ds = Dataset(geometry=geometry, inputs=inputs, outputs=outputs,
+                 manifest=manifest)
+    _check_manifest(ds, manifest_path)
+    return ds
+
+
+def _check_manifest(ds: Dataset, where) -> None:
+    """Both splits index [0, N), train is non-empty, stats match the channels."""
+    man = ds.manifest
+    if not isinstance(man, dict):
+        raise FormatError(f"{where}: manifest must be a JSON object")
+    for key in ("train_indices", "test_indices"):
+        idx = man.get(key)
+        if not isinstance(idx, list) or not all(
+                type(i) is int and 0 <= i < ds.n for i in idx):
+            raise FormatError(
+                f"{where}: {key} must be a list of integers in [0, {ds.n})")
+    if not man["train_indices"]:
+        raise FormatError(f"{where}: train_indices is empty")
+    stats = man.get("stats")
+    if not isinstance(stats, dict):
+        raise FormatError(f"{where}: missing stats")
+    c_in, c_out = ds.inputs.shape[2], ds.outputs.shape[2]
+    for key, c in (("input_mean", c_in), ("input_std", c_in),
+                   ("output_mean", c_out), ("output_std", c_out)):
+        vals = stats.get(key)
+        if not isinstance(vals, list) or len(vals) != c \
+                or not all(type(v) in (int, float) for v in vals):
+            raise FormatError(f"{where}: stats.{key} must be a list of {c} numbers")

@@ -42,7 +42,7 @@ class ModelConfig:
     in_channels: int          # C_f, input function channels
     coord_channels: int       # C_s
     out_channels: int         # C_u
-    k: int                    # neighbor patch size
+    k: int = 8                # neighbor patch size
     layers: int = 8
     hidden: int = 128
     alpha: float = 10.0
@@ -204,19 +204,26 @@ def load_checkpoint(path) -> OperatorModel:
 
     m = init_model(cfg)
     slots = dict(m.named_parameters())
-    if set(slots) != {e["name"] for e in entries}:
+    names = [e["name"] for e in entries]
+    if len(names) != len(slots) or set(slots) != set(names):
         raise CheckpointError("checkpoint parameter names do not match config")
-    base = 16 + hlen
+    base = end = 16 + hlen
     for e in entries:
         t = slots[e["name"]]
         shape = tuple(e["shape"])
         if shape != t.shape:
             raise CheckpointError(
                 f"parameter {e['name']} has shape {shape}, expected {t.shape}")
-        start = base + e["offset"]
+        # save_checkpoint stores the blobs back to back in header order.
+        start = end
+        if e["offset"] != start - base:
+            raise CheckpointError(
+                f"parameter {e['name']} overlaps or leaves a gap before its blob")
         end = start + t.size * 8
         if end > len(blob):
             raise CheckpointError("truncated checkpoint data")
         t.data = np.frombuffer(blob[start:end], dtype="<f8").reshape(shape).astype(
             np.float64)
+    if end != len(blob):
+        raise CheckpointError(f"{len(blob) - end} bytes trail the last parameter")
     return m

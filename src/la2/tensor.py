@@ -36,10 +36,7 @@ __all__ = [
     "mul",
     "div",
     "scale",
-    "neg",
-    "abs_",
     "reduce_sum",
-    "reduce_mean",
     "l1_lastdim",
     "l2_lastdim",
     "concat_lastdim",
@@ -105,9 +102,6 @@ class Tensor:
 
     def __matmul__(self, other: "Tensor") -> "Tensor":
         return matmul(self, other)
-
-    def __neg__(self) -> "Tensor":
-        return neg(self)
 
 
 def tensor_new(shape: Sequence[int], values: Sequence[float],
@@ -408,17 +402,6 @@ def gelu(x: Tensor) -> Tensor:
     return _result(xd * phi, (x,), rule)
 
 
-def neg(x: Tensor) -> Tensor:
-    _check_tensor(x, "x")
-    return _result(-x.data, (x,), lambda g: (-g,))
-
-
-def abs_(x: Tensor) -> Tensor:
-    _check_tensor(x, "x")
-    sign = np.sign(x.data)
-    return _result(np.abs(x.data), (x,), lambda g: (g * sign,))
-
-
 def scale(x: Tensor, c: float) -> Tensor:
     """Multiply by a python scalar constant."""
     _check_tensor(x, "x")
@@ -494,28 +477,6 @@ def reduce_sum(x: Tensor, axis: int | None = None, keepdims: bool = False) -> Te
             if not keepdims:
                 g = np.expand_dims(g, ax)
             return (np.broadcast_to(g, shape).copy(),)
-
-    return _result(out, (x,), rule)
-
-
-def reduce_mean(x: Tensor, axis: int | None = None, keepdims: bool = False) -> Tensor:
-    _check_tensor(x, "x")
-    shape = x.shape
-    if axis is None:
-        n = x.size
-        out = x.data.mean()
-
-        def rule(g):
-            return (np.broadcast_to(g / n, shape).copy(),)
-    else:
-        ax = _norm_axis(axis, x.ndim)
-        n = shape[ax]
-        out = x.data.mean(axis=ax, keepdims=keepdims)
-
-        def rule(g):
-            if not keepdims:
-                g = np.expand_dims(g, ax)
-            return (np.broadcast_to(g / n, shape).copy(),)
 
     return _result(out, (x,), rule)
 

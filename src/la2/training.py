@@ -17,7 +17,8 @@ import numpy as np
 
 from . import data as data_mod
 from .geometry import knn_indices_accelerated
-from .model import OperatorModel, forward, mask_trajectory, save_checkpoint
+from .model import (ModelConfig, OperatorModel, forward, mask_trajectory,
+                    save_checkpoint)
 from .tensor import (
     GradTape,
     Tensor,
@@ -32,8 +33,8 @@ from .tensor import (
 )
 
 __all__ = ["TrainConfig", "TrainReport", "TrainingError", "relative_l2_loss",
-           "AdamState", "adam_step", "clip_gradients", "cosine_lr", "train",
-           "evaluate"]
+           "AdamState", "adam_step", "clip_gradients", "cosine_lr",
+           "check_compatible", "train", "evaluate"]
 
 LOSS_VARIANTS = ("squared-ratio", "root-ratio")
 
@@ -176,8 +177,8 @@ def cosine_lr(epoch: int, total_epochs: int, lr: float, lr_min: float) -> float:
     return lr_min + 0.5 * (lr - lr_min) * (1.0 + math.cos(math.pi * frac))
 
 
-def _check_compat(m: OperatorModel, ds: data_mod.Dataset) -> None:
-    cfg = m.config
+def check_compatible(cfg: ModelConfig, ds: data_mod.Dataset) -> None:
+    """Raise TrainingError unless a model with `cfg` can run on `ds`."""
     if ds.inputs.shape[2] != cfg.in_channels \
             or ds.outputs.shape[2] != cfg.out_channels \
             or ds.geometry.coords.shape[1] != cfg.coord_channels:
@@ -195,7 +196,7 @@ def evaluate(m: OperatorModel, ds: data_mod.Dataset, split: str = "test") -> dic
     Also reports the metric in normalized space (the space the model is
     trained in), useful as a scale-free baseline.
     """
-    _check_compat(m, ds)
+    check_compatible(m.config, ds)
     if split == "train":
         indices = ds.train_indices
     elif split == "test":
@@ -239,7 +240,7 @@ def train(m: OperatorModel, ds: data_mod.Dataset, cfg: TrainConfig,
     the per-layer mask fractions are logged every epoch; the best checkpoint
     (lowest test metric) is written to `checkpoint_path` when given.
     """
-    _check_compat(m, ds)
+    check_compatible(m.config, ds)
     train_idx = ds.train_indices
     if len(train_idx) == 0:
         raise TrainingError("dataset has an empty train split")

@@ -1,12 +1,17 @@
 """CLI surface: file outputs, reproducibility, exit codes."""
 
 import json
+import re
+from dataclasses import MISSING, fields
 
 import numpy as np
 import pytest
 
-from la2.cli import EXIT_OK, EXIT_USAGE, main
-from la2.model import load_checkpoint
+import la2.cli
+from la2.cli import EXIT_OK, EXIT_RUNTIME, EXIT_USAGE, main
+from la2.model import ModelConfig, init_model, load_checkpoint, save_checkpoint
+from la2.tensor import TensorError
+from la2.training import TrainConfig, TrainingError
 
 
 @pytest.fixture(scope="module")
@@ -22,6 +27,21 @@ def run_train(dataset_dir, out, extra=()):
     return main(["train", "--data", str(dataset_dir), "--out", str(out),
                  "--layers", "2", "--hidden", "8", "-K", "4",
                  "--epochs", "2", "--batch-size", "4", "--seed", "3", *extra])
+
+
+def tiny_checkpoint(path):
+    save_checkpoint(init_model(ModelConfig(1, 2, 1, k=4, layers=1, hidden=8)), path)
+    return path
+
+
+def sidecar_runs(csv_path):
+    """(layers, hidden, k) per run; asserts each run config is fully resolved."""
+    side = json.loads(csv_path.with_name(csv_path.name + ".config.json").read_text())
+    for run in side["runs"]:
+        assert set(run["model"]) == {f.name for f in fields(ModelConfig)}
+        assert set(run["train"]) == {f.name for f in fields(TrainConfig)}
+    return [(r["model"]["layers"], r["model"]["hidden"], r["model"]["k"])
+            for r in side["runs"]]
 
 
 class TestGenerate:
@@ -95,6 +115,62 @@ class TestTrain:
         assert rc == EXIT_USAGE
         assert "unknown config key" in capsys.readouterr().err
 
+    @pytest.mark.parametrize("command, epochs", [
+        ("train", 50), ("ablate-window", 10), ("scale-study", 10)])
+    def test_help_defaults_match_dataclasses(self, capsys, command, epochs):
+        assert main([command, "--help"]) == EXIT_OK
+        text = " ".join(capsys.readouterr().out.split())
+        groups = text.split(" model: ", 1)[1]  # the model and training flags
+        defaults = {f.name.replace("_", "-"): f.default
+                    for cls in (ModelConfig, TrainConfig) for f in fields(cls)}
+        shown = {}
+        for chunk in re.split(r" (?=--?[a-zA-Z])", groups):
+            m = re.match(r"--([a-z-]+) \S+ [^(]*\(default ([^)]+)\)", chunk)
+            if m:
+                shown[m[1]] = m[2]
+        flags = re.findall(r"--([a-z-]+)", groups)
+        assert {"layers", "hidden", "k", "lr", "epochs"} <= set(flags)
+        expected = {flag: str(epochs if defaults[flag] is MISSING else defaults[flag])
+                    for flag in flags if defaults[flag] is not None}
+        assert shown == expected
+
+    @pytest.mark.parametrize("case", ["odd-hidden", "config-file-value",
+                                      "k-exceeds-m", "channel-mismatch",
+                                      "empty-split"])
+    def test_bad_input_exits_usage(self, dataset_dir, tmp_path, case):
+        if case in ("odd-hidden", "k-exceeds-m"):
+            flag = ["--hidden", "7"] if case == "odd-hidden" else ["-K", "999"]
+            rc = run_train(dataset_dir, tmp_path / "o", flag)
+        elif case == "config-file-value":
+            cfg = tmp_path / "cfg.json"
+            cfg.write_text(json.dumps({"alpha": "sharp"}))
+            rc = run_train(dataset_dir, tmp_path / "o", ["--config", str(cfg)])
+        else:  # a 1-sample pointcloud has 2 input channels and no test split
+            data = tmp_path / "d"
+            task = (["pointcloud", "--points", "32"] if case == "channel-mismatch"
+                    else ["darcy", "--grid", "8"])
+            assert main(["generate", "--task", *task, "--n", "1",
+                         "--out", str(data)]) == EXIT_OK
+            rc = main(["eval", "--data", str(data), "--checkpoint",
+                       str(tiny_checkpoint(tmp_path / "m.la2c"))])
+        assert rc == EXIT_USAGE
+
+    @pytest.mark.parametrize("target, error", [("train", TrainingError),
+                                               ("evaluate", TensorError)])
+    def test_numeric_failure_exits_runtime(self, dataset_dir, tmp_path,
+                                           monkeypatch, capsys, target, error):
+        def diverge(*args, **kwargs):
+            raise error("non-finite values")
+
+        monkeypatch.setattr(la2.cli, target, diverge)
+        if target == "train":
+            rc = run_train(dataset_dir, tmp_path / "run")
+        else:
+            rc = main(["eval", "--data", str(dataset_dir), "--checkpoint",
+                       str(tiny_checkpoint(tmp_path / "m.la2c"))])
+        assert rc == EXIT_RUNTIME
+        assert "non-finite values" in capsys.readouterr().err
+
     def test_reproducible_reports(self, dataset_dir, tmp_path):
         a, b = tmp_path / "a", tmp_path / "b"
         run_train(dataset_dir, a)
@@ -137,7 +213,7 @@ class TestSweeps:
         lines = (out / "ablate_window.csv").read_text().splitlines()
         assert lines[0] == "k,test_rel_l2,epoch_seconds"
         assert [line.split(",")[0] for line in lines[1:]] == ["2", "4"]
-        assert (out / "ablate_window.csv.config.json").exists()
+        assert sidecar_runs(out / "ablate_window.csv") == [(2, 8, 2), (2, 8, 4)]
 
     def test_ablate_window_k_too_large(self, dataset_dir, tmp_path):
         rc = main(["ablate-window", "--data", str(dataset_dir), "--out",
@@ -153,8 +229,33 @@ class TestSweeps:
         assert rc == EXIT_OK
         lines = (out / "scale_study.csv").read_text().splitlines()
         assert lines[0] == "sweep,layers,hidden,test_rel_l2,epoch_seconds"
-        kinds = [line.split(",")[0] for line in lines[1:]]
-        assert kinds == ["width", "width", "depth", "depth"]
+        labels = [line.split(",")[:3] for line in lines[1:]]
+        assert labels == [["width", "2", "8"], ["width", "2", "12"],
+                          ["depth", "1", "8"], ["depth", "2", "8"]]
+        assert sidecar_runs(out / "scale_study.csv") == [
+            (2, 8, 4), (2, 12, 4), (1, 8, 4), (2, 8, 4)]
+
+    def test_scale_study_defaults_from_model_config(self, dataset_dir, tmp_path):
+        out = tmp_path / "scale"
+        rc = main(["scale-study", "--data", str(dataset_dir), "--out", str(out),
+                   "--widths", "8", "--depths", "1", "-K", "4", "--epochs", "1",
+                   "--batch-size", "4"])
+        assert rc == EXIT_OK
+        lines = (out / "scale_study.csv").read_text().splitlines()
+        assert [line.split(",")[:3] for line in lines[1:]] == [
+            ["width", "8", "8"], ["depth", "1", "128"]]
+        assert sidecar_runs(out / "scale_study.csv") == [(8, 8, 4), (1, 128, 4)]
+
+    def test_scale_study_validates_before_training(self, dataset_dir, tmp_path,
+                                                   monkeypatch):
+        calls = []
+        monkeypatch.setattr(la2.cli, "train", lambda *args: calls.append(args))
+        out = tmp_path / "scale"
+        rc = main(["scale-study", "--data", str(dataset_dir), "--out", str(out),
+                   "--widths", "8,13", "--layers", "2", "-K", "4", "--epochs", "1"])
+        assert rc == EXIT_USAGE
+        assert calls == []
+        assert not (out / "scale_study.csv").exists()
 
     def test_scale_study_needs_lists(self, dataset_dir, tmp_path):
         rc = main(["scale-study", "--data", str(dataset_dir), "--out",

@@ -193,3 +193,23 @@ class TestFileFormat:
             manifest = json.load(fh)
         assert manifest["task"] == "darcy"
         assert "stats" in manifest and "train_indices" in manifest
+
+    @pytest.mark.parametrize("corrupt", [
+        lambda m: "{not json",
+        lambda m: json.dumps({k: v for k, v in m.items() if k != "test_indices"}),
+        lambda m: json.dumps({**m, "train_indices": [0, 1.5]}),
+        lambda m: json.dumps({**m, "train_indices": [0, 1, 999]}),
+        lambda m: json.dumps({**m, "test_indices": [-1]}),
+        lambda m: json.dumps({**m, "train_indices": []}),
+        lambda m: json.dumps({**m, "stats": {k: v for k, v in m["stats"].items()
+                                             if k != "output_std"}}),
+        lambda m: json.dumps({**m, "stats": {**m["stats"], "input_mean": [0.0, 1.0]}}),
+    ], ids=["invalid-json", "missing-split", "non-integer-index", "index-past-n",
+            "negative-index", "empty-train", "missing-stats-key",
+            "stats-length-mismatch"])
+    def test_malformed_manifest(self, tmp_path, corrupt):
+        D.write_dataset(D.generate_darcy(n=5, g=8, seed=4), tmp_path / "dset")
+        path = tmp_path / "dset" / "manifest.json"
+        path.write_text(corrupt(json.loads(path.read_text())))
+        with pytest.raises(D.FormatError):
+            D.read_dataset(tmp_path / "dset")

@@ -1,5 +1,8 @@
 """Operator composition, seeding, equivariance, checkpoint round-trips."""
 
+import json
+import struct
+
 import numpy as np
 import pytest
 
@@ -199,5 +202,27 @@ class TestCheckpoint:
         save_checkpoint(m, path)
         blob = path.read_bytes()
         path.write_bytes(blob[:len(blob) // 2])
+        with pytest.raises(CheckpointError):
+            load_checkpoint(path)
+
+    @pytest.mark.parametrize("damage", ["overlap", "gap", "trailing"])
+    def test_rejects_non_contiguous_layout(self, tmp_path, damage):
+        path = tmp_path / "model.la2c"
+        save_checkpoint(init_model(tiny_config()), path)
+        blob = path.read_bytes()
+        (hlen,) = struct.unpack("<Q", blob[8:16])
+        header = json.loads(blob[16:16 + hlen])
+        data = blob[16 + hlen:]
+        if damage == "overlap":
+            header["params"][1]["offset"] -= 8
+        elif damage == "gap":
+            cut = header["params"][1]["offset"]
+            for e in header["params"][1:]:
+                e["offset"] += 8
+            data = data[:cut] + bytes(8) + data[cut:]
+        else:
+            data += bytes(8)
+        head = json.dumps(header).encode()
+        path.write_bytes(blob[:8] + struct.pack("<Q", len(head)) + head + data)
         with pytest.raises(CheckpointError):
             load_checkpoint(path)

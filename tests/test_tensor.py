@@ -187,10 +187,9 @@ class TestElementwise:
         with pytest.raises(TensorError):
             T.mul(big, big)
 
-    @pytest.mark.parametrize("op", ["sigmoid", "gelu", "neg", "abs_"])
+    @pytest.mark.parametrize("op", ["sigmoid", "gelu"])
     def test_unary_gradients(self, rng, op):
         x = leaf(None, rng, (3, 4))
-        x.data[np.abs(x.data) < 0.05] += 0.1  # keep abs away from its kink
         r = Tensor(rng.uniform(-1, 1, (3, 4)))
         fn = getattr(T, op)
         gradcheck(lambda: T.reduce_sum(T.mul(fn(x), r)), [x])
@@ -217,19 +216,10 @@ class TestReduce:
     def test_sum_of_ones(self):
         assert T.reduce_sum(Tensor(np.ones((3, 3)))).data == pytest.approx(9.0)
 
-    def test_mean_gradient_is_uniform(self, rng):
-        x = leaf(None, rng, (6,))
-        with GradTape() as tape:
-            loss = T.reduce_mean(x)
-            backward(loss, tape)
-        assert x.grad == pytest.approx(np.full(6, 1.0 / 6.0), abs=1e-15)
-        gradcheck(lambda: T.reduce_mean(x), [x])
-
     def test_axis_reductions(self, rng):
         x = Tensor(rng.uniform(-1, 1, (2, 3, 4)))
         assert T.reduce_sum(x, axis=1).shape == (2, 4)
         assert T.reduce_sum(x, axis=-1, keepdims=True).shape == (2, 3, 1)
-        assert T.reduce_mean(x, axis=0).data == pytest.approx(x.data.mean(axis=0))
 
     def test_invalid_axis(self):
         with pytest.raises(TensorError):
