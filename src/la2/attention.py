@@ -38,9 +38,8 @@ from .tensor import (
     transpose,
 )
 
-__all__ = ["SoftMaskParams", "GlaLayerParams", "soft_mask",
-           "weighted_knn_features", "global_attention", "local_attention",
-           "gla", "la2_layer"]
+__all__ = ["SoftMaskParams", "GlaLayerParams", "soft_mask", "global_attention",
+           "local_attention", "gla", "la2_layer"]
 
 # Rows whose l1 mass (or interaction denominator) falls below this are left
 # unscaled to avoid 0/0 at initialization.
@@ -78,14 +77,6 @@ def soft_mask(p: SoftMaskParams, k: int) -> Tensor:
     thresh = add(scale(frac, k - 1.0), Tensor(np.ones(1)))
     arg = scale(sub(reshape(thresh, (1,)), ranks), p.alpha)
     return sigmoid(arg)
-
-
-def weighted_knn_features(h_knn: Tensor, w: Tensor) -> Tensor:
-    """Scale neighbor features by rank weight: out[a,b,c] = h_knn[a,b,c]*w[b]."""
-    if h_knn.ndim != 3 or w.ndim != 1 or w.shape[0] != h_knn.shape[1]:
-        raise TensorError(
-            f"weighted_knn_features needs [M,K,C] and [K], got {h_knn.shape}, {w.shape}")
-    return mul(h_knn, reshape(w, (w.shape[0], 1)))
 
 
 @dataclass
@@ -216,34 +207,39 @@ def global_attention(h_bar: Tensor, p: GlaLayerParams) -> Tensor:
     return _concat_all(outs)
 
 
-def local_attention(h_bar: Tensor, h_knn_w: Tensor, p: GlaLayerParams) -> Tensor:
-    """Per-patch softmax attention over the K weighted neighbors, O(M*K*d)."""
-    if h_knn_w.ndim != 3 or h_knn_w.shape[0] != h_bar.shape[0]:
-        raise TensorError(
-            f"local attention needs aligned [M,C] and [M,K,C], got {h_bar.shape}, {h_knn_w.shape}")
-    m, kk = h_knn_w.shape[0], h_knn_w.shape[1]
-    q = add(matmul(h_bar, p.w_ql), p.b_ql)           # [M, d]
-    k = matmul(h_knn_w, p.w_kl)                      # [M, K, d], no bias
-    v = matmul(h_knn_w, p.w_vl)
+def local_attention(h_bar: Tensor, knn: KnnIndex, w: Tensor,
+                    p: GlaLayerParams) -> Tensor:
+    """Per-patch softmax attention over the K rank-weighted neighbors, O(M*K*d).
+
+    Neighbor b of point a enters as w[b] * h_bar[idx[a, b]]. This relies on
+    w_kl and w_vl carrying no bias: its key is w[b] * (h_bar W_kl)[idx[a, b]]
+    (its value likewise), so projection precedes the gather and w scales the
+    [M, K] scores and attention weights instead of [M, K, d] rows.
+    """
+    if h_bar.ndim != 2 or knn.m != h_bar.shape[0] or w.shape != (knn.k,):
+        raise TensorError(f"local attention needs [M,C], [M,K] index, [K] weights, "
+                          f"got {h_bar.shape}, {knn.idx.shape}, {w.shape}")
+    m, kk = knn.m, knn.k
+    q = add(matmul(h_bar, p.w_ql), p.b_ql)                  # [M, d]
+    k = gather_rows(matmul(h_bar, p.w_kl), knn.idx)         # [M, K, d]
+    v = gather_rows(matmul(h_bar, p.w_vl), knn.idx)
 
     dh = p.branch // p.heads
+    w_scores = scale(w, 1.0 / math.sqrt(dh))
     outs = []
     for qh, kh, vh in zip(_heads(q, p.heads), _heads(k, p.heads), _heads(v, p.heads)):
         qr = reshape(qh, (m, 1, dh))
-        scores = scale(reduce_sum(mul(kh, qr), axis=-1), 1.0 / math.sqrt(dh))
-        att = softmax_lastdim(scores)                # [M, K]
-        att3 = reshape(att, (m, kk, 1))
+        scores = mul(reduce_sum(mul(kh, qr), axis=-1), w_scores)
+        att = softmax_lastdim(scores)                       # [M, K]
+        att3 = reshape(mul(att, w), (m, kk, 1))
         outs.append(reduce_sum(mul(vh, att3), axis=1))
     return _concat_all(outs)
 
 
 def gla(h_bar: Tensor, knn: KnnIndex, p: GlaLayerParams) -> Tensor:
     """Fuse both branches: Linear(Concat(global, local)) back to width C."""
-    h_knn = gather_rows(h_bar, knn.idx)
-    w = soft_mask(p.mask, knn.k)
-    h_knn_w = weighted_knn_features(h_knn, w)
     g = global_attention(h_bar, p)
-    l = local_attention(h_bar, h_knn_w, p)
+    l = local_attention(h_bar, knn, soft_mask(p.mask, knn.k), p)
     return add(matmul(concat_lastdim(g, l), p.w_out), p.b_out)
 
 

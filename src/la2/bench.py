@@ -14,9 +14,9 @@ from typing import Callable
 import numpy as np
 
 from .attention import (GlaLayerParams, global_attention, local_attention,
-                        soft_mask, weighted_knn_features)
+                        soft_mask)
 from .geometry import PointSet, knn_indices_accelerated
-from .tensor import Tensor, TensorError, gather_rows
+from .tensor import Tensor, TensorError
 
 __all__ = ["time_median", "bench_global", "bench_local", "bench_pairwise",
            "full_pairwise_attention", "fit_power_law", "check_memory_cap"]
@@ -56,7 +56,7 @@ def bench_global(m: int, hidden: int, repeats: int = 5,
 
 def bench_local(m: int, k: int, hidden: int, repeats: int = 5,
                 cap: int = DEFAULT_MEMORY_CAP) -> float:
-    """Median forward time of the local pipeline (gather, mask, attention)."""
+    """Median forward time of the local pipeline (mask, gather, attention)."""
     check_memory_cap(m * k * hidden * 8 * 3, cap)
     rng = np.random.default_rng(m * 31 + k)
     p = _layer_params(rng, hidden)
@@ -64,12 +64,8 @@ def bench_local(m: int, k: int, hidden: int, repeats: int = 5,
     pts = PointSet(Tensor(rng.uniform(0.0, 1.0, size=(m, 2))))
     knn = knn_indices_accelerated(pts, k)
 
-    def run():
-        h_knn = gather_rows(h, knn.idx)
-        w = soft_mask(p.mask, k)
-        return local_attention(h, weighted_knn_features(h_knn, w), p)
-
-    return time_median(run, repeats)
+    return time_median(lambda: local_attention(h, knn, soft_mask(p.mask, k), p),
+                       repeats)
 
 
 def full_pairwise_attention(h: np.ndarray, w_q: np.ndarray, w_k: np.ndarray,

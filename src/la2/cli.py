@@ -42,7 +42,6 @@ class UsageError(ValueError):
 DERIVED_KEYS = ("in_channels", "coord_channels", "out_channels", "seed")
 MODEL_KEYS = tuple(f.name for f in fields(ModelConfig) if f.name not in DERIVED_KEYS)
 TRAIN_KEYS = tuple(f.name for f in fields(TrainConfig) if f.name not in DERIVED_KEYS)
-OTHER_KEYS = ("seed", "data", "out")
 FILE_ONLY_KEYS = ("beta1", "beta2", "eps")  # config-file keys with no flag
 
 # Field annotations are strings (postponed evaluation); each maps to the
@@ -66,7 +65,7 @@ def _load_config_file(path) -> dict:
         raise UsageError(f"config {path} is not valid JSON: {exc}") from exc
     if not isinstance(cfg, dict):
         raise UsageError(f"config {path} must be a JSON object")
-    known = set(MODEL_KEYS) | set(TRAIN_KEYS) | set(OTHER_KEYS)
+    known = set(MODEL_KEYS) | set(TRAIN_KEYS)
     unknown = sorted(set(cfg) - known)
     if unknown:
         raise UsageError(f"unknown config keys: {', '.join(unknown)}")

@@ -16,6 +16,7 @@ from __future__ import annotations
 from typing import Callable, Sequence
 
 import numpy as np
+from scipy.sparse import csr_matrix
 from scipy.special import erf as _erf
 
 __all__ = [
@@ -269,8 +270,9 @@ def reshape(a: Tensor, shape: Sequence[int]) -> Tensor:
 def gather_rows(h: Tensor, idx: np.ndarray) -> Tensor:
     """Gather neighbor rows: out[a, b, :] = h[idx[a, b], :].
 
-    `h` is [M, C], `idx` an integer [M, K]; the backward rule scatter-adds, so
-    rows referenced multiple times accumulate their incoming gradients.
+    `h` is [M, C], `idx` an integer [M, K]. The backward rule scatter-adds g
+    as S^T g with S[j, idx.flat[j]] = 1: each row sums its incoming gradients
+    in ascending flat index, the order (so also the bits) of ``np.add.at``.
     """
     _check_tensor(h, "h")
     idx = np.asarray(idx)
@@ -282,12 +284,12 @@ def gather_rows(h: Tensor, idx: np.ndarray) -> Tensor:
     if idx.size and (idx.min() < 0 or idx.max() >= m):
         raise TensorError(f"gather_rows index out of range [0, {m})")
     hd = h.data
-    flat_idx = idx.reshape(-1)
+    n = idx.size
 
     def rule(g):
-        gh = np.zeros_like(hd)
-        np.add.at(gh, flat_idx, g.reshape(-1, hd.shape[1]))
-        return (gh,)
+        scatter = csr_matrix((np.ones(n), idx.reshape(-1), np.arange(n + 1)),
+                             shape=(n, m))
+        return (scatter.T @ g.reshape(n, hd.shape[1]),)
 
     return _result(hd[idx], (h,), rule)
 

@@ -16,7 +16,7 @@ from dataclasses import dataclass, field, asdict
 import numpy as np
 
 from . import data as data_mod
-from .geometry import knn_indices_accelerated
+from .geometry import KnnIndex, knn_indices_accelerated
 from .model import (ModelConfig, OperatorModel, forward, mask_trajectory,
                     save_checkpoint)
 from .tensor import (
@@ -190,11 +190,13 @@ def check_compatible(cfg: ModelConfig, ds: data_mod.Dataset) -> None:
         raise TrainingError(f"patch size {cfg.k} exceeds {ds.geometry.m} points")
 
 
-def evaluate(m: OperatorModel, ds: data_mod.Dataset, split: str = "test") -> dict:
+def evaluate(m: OperatorModel, ds: data_mod.Dataset, split: str = "test",
+             knn: KnnIndex | None = None) -> dict:
     """Mean and per-sample root-ratio relative L2 on de-normalized fields.
 
     Also reports the metric in normalized space (the space the model is
-    trained in), useful as a scale-free baseline.
+    trained in), useful as a scale-free baseline. `knn`, the geometry's
+    K-neighbor index, is built when not given.
     """
     check_compatible(m.config, ds)
     if split == "train":
@@ -207,9 +209,14 @@ def evaluate(m: OperatorModel, ds: data_mod.Dataset, split: str = "test") -> dic
         indices = np.asarray(split, dtype=np.int64)
     if len(indices) == 0:
         raise TrainingError(f"split {split!r} selects no samples")
+    if knn is None:
+        knn = knn_indices_accelerated(ds.geometry, m.config.k)
+    elif (knn.m, knn.k) != (ds.geometry.m, m.config.k):
+        raise TrainingError(
+            f"KNN index is {knn.m} points x {knn.k} neighbors, model and dataset "
+            f"need {ds.geometry.m} x {m.config.k}")
 
     stats = ds.stats
-    knn = knn_indices_accelerated(ds.geometry, m.config.k)
     per_sample = []
     per_sample_norm = []
     for i in indices:
@@ -287,7 +294,7 @@ def train(m: OperatorModel, ds: data_mod.Dataset, cfg: TrainConfig,
             epoch_loss += batch_loss
             n_seen += len(batch)
 
-        metrics = evaluate(m, ds, "test" if len(ds.test_indices) else "train")
+        metrics = evaluate(m, ds, "test" if len(ds.test_indices) else "train", knn)
         report.train_loss.append(epoch_loss / n_seen)
         report.test_rel_l2.append(metrics["rel_l2"])
         report.mask_sigma.append(mask_trajectory(m))

@@ -7,11 +7,9 @@ import pytest
 
 from conftest import assert_mask_monotone, gradcheck
 from la2.attention import (GlaLayerParams, SoftMaskParams, gla, global_attention,
-                           la2_layer, local_attention, soft_mask,
-                           weighted_knn_features)
-from la2.geometry import PointSet, knn_indices, relabel_knn
-from la2.tensor import (GradTape, Tensor, TensorError, backward, gather_rows,
-                        mul, reduce_sum)
+                           la2_layer, local_attention, soft_mask)
+from la2.geometry import KnnIndex, PointSet, knn_indices, relabel_knn
+from la2.tensor import Tensor, TensorError, mul, reduce_sum
 
 
 def sig(v):
@@ -78,29 +76,6 @@ class TestSoftMask:
             SoftMaskParams(s=Tensor([0.0]), alpha=0.0)
         with pytest.raises(TensorError):
             soft_mask(make_mask(), 0)
-
-
-class TestWeightedKnnFeatures:
-    def test_identity_mask(self, rng):
-        h = Tensor(rng.standard_normal((4, 3, 5)))
-        out = weighted_knn_features(h, Tensor(np.ones(3)))
-        assert np.array_equal(out.data, h.data)
-
-    def test_zero_second_neighbor(self, rng):
-        h = Tensor(rng.standard_normal((4, 2, 5)))
-        out = weighted_knn_features(h, Tensor([1.0, 0.0]))
-        assert np.array_equal(out.data[:, 0], h.data[:, 0])
-        assert np.array_equal(out.data[:, 1], np.zeros((4, 5)))
-
-    def test_k_mismatch(self, rng):
-        with pytest.raises(TensorError):
-            weighted_knn_features(Tensor(np.ones((4, 3, 5))), Tensor(np.ones(2)))
-
-    def test_gradients(self, rng):
-        h = Tensor(rng.uniform(-2, 2, (3, 4, 2)), requires_grad=True)
-        w = Tensor(rng.uniform(0.1, 1.0, 4), requires_grad=True)
-        r = Tensor(rng.uniform(-1, 1, (3, 4, 2)))
-        gradcheck(lambda: reduce_sum(mul(weighted_knn_features(h, w), r)), [h, w])
 
 
 def dense_global_reference(h, p):
@@ -186,64 +161,99 @@ class TestGlobalAttention:
         gradcheck(lambda: reduce_sum(mul(global_attention(h, p), r)), wrt)
 
 
+def dense_local_reference(h, idx, w, p):
+    """Plain-numpy local branch in the gather -> mask -> project order."""
+    h_knn = h[idx] * w[None, :, None]                    # [M, K, C]
+    q = h @ p.w_ql.data + p.b_ql.data
+    k = h_knn @ p.w_kl.data
+    v = h_knn @ p.w_vl.data
+    dh = q.shape[1] // p.heads
+    outs = []
+    for i in range(p.heads):
+        sl = slice(i * dh, (i + 1) * dh)
+        scores = np.einsum("md,mkd->mk", q[:, sl], k[:, :, sl]) / math.sqrt(dh)
+        e = np.exp(scores - scores.max(axis=1, keepdims=True))
+        att = e / e.sum(axis=1, keepdims=True)
+        outs.append(np.einsum("mk,mkd->md", att, v[:, :, sl]))
+    return np.concatenate(outs, axis=1)
+
+
 class TestLocalAttention:
     def test_hand_example(self):
-        # d=1 patch of two neighbors: scores [1,-1] -> 0.8808*2 + 0.1192*4.
+        # d=1; point 0's patch is rows [1, 2] and [-1, 4]: keys [1, -1],
+        # values [2, 4], query 1, so the scores are [1, -1].
         rng = np.random.default_rng(0)
         p = make_params(rng, 2)
         p.w_ql.data[:] = 0.0
         p.b_ql.data[:] = [1.0]
         p.w_kl.data[:] = [[1.0], [0.0]]
         p.w_vl.data[:] = [[0.0], [1.0]]
-        h_knn = Tensor(np.array([[[1.0, 2.0], [-1.0, 4.0]]]))
-        out = local_attention(Tensor(np.zeros((1, 2))), h_knn, p)
+        h = Tensor(np.array([[1.0, 2.0], [-1.0, 4.0]]))
+        knn = KnnIndex(np.array([[0, 1], [1, 0]]))
+        out = local_attention(h, knn, Tensor(np.ones(2)), p)
         e1, em1 = math.exp(1.0), math.exp(-1.0)
         expect = (e1 * 2.0 + em1 * 4.0) / (e1 + em1)
-        assert out.data.ravel() == pytest.approx([expect], abs=1e-12)
-        assert out.data.ravel() == pytest.approx([2.238406], abs=1e-6)
+        assert out.data[0] == pytest.approx([expect], abs=1e-12)
+        assert out.data[0] == pytest.approx([2.238406], abs=1e-6)
+
+    @pytest.mark.parametrize("heads", [1, 2])
+    def test_matches_dense_reference(self, rng, heads):
+        p = make_params(rng, 8, heads=heads)
+        knn = random_knn(rng, 12, 4)
+        h = rng.standard_normal((12, 8))
+        w = soft_mask(make_mask(0.3, alpha=2.0), 4).data
+        out = local_attention(Tensor(h), knn, Tensor(w), p).data
+        ref = dense_local_reference(h, knn.idx, w, p)
+        assert np.abs(out - ref).max() <= 1e-12 * np.abs(ref).max()
 
     def test_single_neighbor_passthrough(self, rng):
         p = make_params(rng, 6)
         h = Tensor(rng.standard_normal((5, 6)))
-        h_knn = Tensor(rng.standard_normal((5, 1, 6)))
-        out = local_attention(h, h_knn, p).data
-        v = h_knn.data.reshape(5, 6) @ p.w_vl.data
+        knn = KnnIndex(np.arange(5)[:, None])
+        out = local_attention(h, knn, Tensor(np.ones(1)), p).data
+        v = h.data @ p.w_vl.data
         assert np.abs(out - v).max() < 1e-14
 
     def test_identical_neighbors_average_to_value(self, rng):
         p = make_params(rng, 6)
-        h = Tensor(rng.standard_normal((4, 6)))
-        row = rng.standard_normal((4, 1, 6))
-        h_knn = Tensor(np.repeat(row, 3, axis=1))
-        out = local_attention(h, h_knn, p).data
-        v0 = row.reshape(4, 6) @ p.w_vl.data
+        h = Tensor(np.tile(rng.standard_normal(6), (4, 1)))
+        knn = random_knn(rng, 4, 3)
+        out = local_attention(h, knn, Tensor(np.ones(3)), p).data
+        v0 = h.data @ p.w_vl.data
         assert np.abs(out - v0).max() < 1e-12
 
     def test_zeroed_neighbor_cannot_influence(self, rng):
-        # With mask [1, 0, ...] the non-self neighbors project to zero keys
-        # and values (no bias on that path), so changing them does nothing.
+        # With mask [1, 0, 0] a point's output depends on its own row only:
+        # zero-weighted neighbors score exactly 0 and add exactly 0 to the
+        # output, whatever their features.
         p = make_params(rng, 6)
-        h = Tensor(rng.standard_normal((5, 6)))
-        base = rng.standard_normal((5, 3, 6))
+        knn = random_knn(rng, 5, 3)
+        base = rng.standard_normal((5, 6))
         w = Tensor(np.array([1.0, 0.0, 0.0]))
-        out1 = local_attention(h, weighted_knn_features(Tensor(base), w), p).data
-        tampered = base.copy()
-        tampered[:, 1:, :] = rng.standard_normal((5, 2, 6)) * 100.0
-        out2 = local_attention(h, weighted_knn_features(Tensor(tampered), w), p).data
-        assert np.abs(out1 - out2).max() < 1e-12
+        out1 = local_attention(Tensor(base), knn, w, p).data
+        for a in range(5):
+            tampered = rng.standard_normal((5, 6)) * 100.0
+            tampered[a] = base[a]
+            out2 = local_attention(Tensor(tampered), knn, w, p).data
+            assert np.array_equal(out1[a], out2[a])
 
     def test_shape_mismatch(self, rng):
         p = make_params(rng, 6)
+        knn = random_knn(rng, 5, 2)
         with pytest.raises(TensorError):
-            local_attention(Tensor(np.ones((4, 6))), Tensor(np.ones((5, 2, 6))), p)
+            local_attention(Tensor(np.ones((4, 6))), knn, Tensor(np.ones(2)), p)
+        with pytest.raises(TensorError):
+            local_attention(Tensor(np.ones((5, 6))), knn, Tensor(np.ones(3)), p)
 
     def test_gradients(self, rng):
-        p = make_params(rng, 4)
-        h = Tensor(rng.uniform(-2, 2, (4, 4)), requires_grad=True)
-        hk = Tensor(rng.uniform(-2, 2, (4, 3, 4)), requires_grad=True)
-        r = Tensor(rng.uniform(-1, 1, (4, 2)))
-        wrt = [h, hk, p.w_ql, p.b_ql, p.w_kl, p.w_vl]
-        gradcheck(lambda: reduce_sum(mul(local_attention(h, hk, p), r)), wrt)
+        p = make_params(rng, 4, alpha=2.0)
+        p.mask.s.data[:] = 0.4
+        knn = random_knn(rng, 5, 3)
+        h = Tensor(rng.uniform(-2, 2, (5, 4)), requires_grad=True)
+        r = Tensor(rng.uniform(-1, 1, (5, 2)))
+        wrt = [h, p.w_ql, p.b_ql, p.w_kl, p.w_vl, p.mask.s]
+        gradcheck(lambda: reduce_sum(mul(
+            local_attention(h, knn, soft_mask(p.mask, 3), p), r)), wrt)
 
 
 class TestGla:

@@ -115,6 +115,18 @@ class TestTrain:
         assert rc == EXIT_USAGE
         assert "unknown config key" in capsys.readouterr().err
 
+    @pytest.mark.parametrize("key, value", [
+        ("seed", 5), ("data", "elsewhere"), ("out", "elsewhere")])
+    def test_non_config_keys_rejected(self, dataset_dir, tmp_path, capsys,
+                                      key, value):
+        cfg = tmp_path / "cfg.json"
+        cfg.write_text(json.dumps({key: value}))
+        rc = main(["train", "--data", str(dataset_dir), "--out",
+                   str(tmp_path / "o"), "--config", str(cfg)])
+        assert rc == EXIT_USAGE
+        assert f"unknown config keys: {key}" in capsys.readouterr().err
+        assert not (tmp_path / "o").exists()
+
     @pytest.mark.parametrize("command, epochs", [
         ("train", 50), ("ablate-window", 10), ("scale-study", 10)])
     def test_help_defaults_match_dataclasses(self, capsys, command, epochs):

@@ -101,6 +101,19 @@ class TestGatherRows:
         gradcheck(lambda: T.reduce_sum(T.mul(T.gather_rows(h, idx), r)), [h],
                   tol=1e-6)
 
+    def test_backward_matches_add_at_bitwise(self, rng):
+        # Row 0 is referenced five times, row 3 never.
+        h = leaf(None, rng, (5, 3))
+        idx = np.array([[0, 0], [1, 2], [4, 0], [0, 2], [0, 4]])
+        g = rng.standard_normal((5, 2, 3))
+        with GradTape() as tape:
+            loss = T.reduce_sum(T.mul(T.gather_rows(h, idx), Tensor(g)))
+            backward(loss, tape)
+        expect = np.zeros((5, 3))
+        np.add.at(expect, idx.reshape(-1), g.reshape(-1, 3))
+        assert np.array_equal(h.grad, expect)
+        assert np.array_equal(h.grad[3], np.zeros(3))
+
 
 class TestLayerNorm:
     def test_constant_row_is_zero(self):

@@ -7,6 +7,7 @@ import pytest
 
 from la2 import data as D
 from la2 import training as TR
+from la2.geometry import PointSet, knn_indices_accelerated
 from la2.model import ModelConfig, init_model, load_checkpoint
 from la2.tensor import GradTape, Tensor, TensorError, backward
 
@@ -190,6 +191,25 @@ class TestEvaluate:
         with pytest.raises(TR.TrainingError):
             TR.evaluate(m, tiny_darcy, "test")
 
+    def test_given_knn_is_used(self, tiny_darcy, monkeypatch):
+        m = tiny_model(tiny_darcy)
+        built = TR.evaluate(m, tiny_darcy, "test")
+        knn = knn_indices_accelerated(tiny_darcy.geometry, 4)
+
+        def no_build(*args):
+            raise AssertionError("evaluate rebuilt the KNN index")
+
+        monkeypatch.setattr(TR, "knn_indices_accelerated", no_build)
+        assert TR.evaluate(m, tiny_darcy, "test", knn) == built
+
+    @pytest.mark.parametrize("points, k", [(64, 3), (16, 4)])
+    def test_mismatched_knn_rejected(self, tiny_darcy, points, k):
+        m = tiny_model(tiny_darcy)
+        coords = tiny_darcy.geometry.coords.data[:points]
+        knn = knn_indices_accelerated(PointSet(Tensor(coords)), k)
+        with pytest.raises(TR.TrainingError):
+            TR.evaluate(m, tiny_darcy, "test", knn)
+
 
 class TestTrainLoop:
     def test_report_structure_and_learning(self, tiny_darcy, tmp_path):
@@ -213,6 +233,18 @@ class TestTrainLoop:
             report = TR.train(m, tiny_darcy, TR.TrainConfig(epochs=2, seed=5))
             runs.append(report.numeric_rows())
         assert runs[0] == runs[1]
+
+    def test_builds_knn_once(self, tiny_darcy, monkeypatch):
+        calls = []
+        build = TR.knn_indices_accelerated
+
+        def counted(*args):
+            calls.append(args)
+            return build(*args)
+
+        monkeypatch.setattr(TR, "knn_indices_accelerated", counted)
+        TR.train(tiny_model(tiny_darcy), tiny_darcy, TR.TrainConfig(epochs=3))
+        assert len(calls) == 1
 
     def test_patch_size_exceeds_points(self, tiny_darcy):
         m = tiny_model(tiny_darcy, k=100)
