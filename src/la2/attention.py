@@ -22,17 +22,15 @@ from .tensor import (
     add,
     concat_lastdim,
     div,
-    gather_rows,
     gelu,
+    knn_attention,
     l1_lastdim,
     layer_norm,
     matmul,
     mul,
-    reduce_sum,
     reshape,
     scale,
     sigmoid,
-    softmax_lastdim,
     split_lastdim,
     sub,
     transpose,
@@ -213,27 +211,18 @@ def local_attention(h_bar: Tensor, knn: KnnIndex, w: Tensor,
 
     Neighbor b of point a enters as w[b] * h_bar[idx[a, b]]. This relies on
     w_kl and w_vl carrying no bias: its key is w[b] * (h_bar W_kl)[idx[a, b]]
-    (its value likewise), so projection precedes the gather and w scales the
-    [M, K] scores and attention weights instead of [M, K, d] rows.
+    (its value likewise), so keys and values are projected at [M, d] and each
+    head runs as one sparse `knn_attention` op, in which w scales the [M, K]
+    scores and attention weights; no [M, K, d] array is taped.
     """
     if h_bar.ndim != 2 or knn.m != h_bar.shape[0] or w.shape != (knn.k,):
         raise TensorError(f"local attention needs [M,C], [M,K] index, [K] weights, "
                           f"got {h_bar.shape}, {knn.idx.shape}, {w.shape}")
-    m, kk = knn.m, knn.k
-    q = add(matmul(h_bar, p.w_ql), p.b_ql)                  # [M, d]
-    k = gather_rows(matmul(h_bar, p.w_kl), knn.idx)         # [M, K, d]
-    v = gather_rows(matmul(h_bar, p.w_vl), knn.idx)
-
-    dh = p.branch // p.heads
-    w_scores = scale(w, 1.0 / math.sqrt(dh))
-    outs = []
-    for qh, kh, vh in zip(_heads(q, p.heads), _heads(k, p.heads), _heads(v, p.heads)):
-        qr = reshape(qh, (m, 1, dh))
-        scores = mul(reduce_sum(mul(kh, qr), axis=-1), w_scores)
-        att = softmax_lastdim(scores)                       # [M, K]
-        att3 = reshape(mul(att, w), (m, kk, 1))
-        outs.append(reduce_sum(mul(vh, att3), axis=1))
-    return _concat_all(outs)
+    q = add(matmul(h_bar, p.w_ql), p.b_ql)
+    k = matmul(h_bar, p.w_kl)
+    v = matmul(h_bar, p.w_vl)
+    return _concat_all([knn_attention(qh, kh, vh, knn.idx, w) for qh, kh, vh in
+                        zip(_heads(q, p.heads), _heads(k, p.heads), _heads(v, p.heads))])
 
 
 def gla(h_bar: Tensor, knn: KnnIndex, p: GlaLayerParams) -> Tensor:

@@ -56,7 +56,7 @@ def bench_global(m: int, hidden: int, repeats: int = 5,
 
 def bench_local(m: int, k: int, hidden: int, repeats: int = 5,
                 cap: int = DEFAULT_MEMORY_CAP) -> float:
-    """Median forward time of the local pipeline (mask, gather, attention)."""
+    """Median forward time of the local branch (soft mask, projections, sparse patch attention)."""
     check_memory_cap(m * k * hidden * 8 * 3, cap)
     rng = np.random.default_rng(m * 31 + k)
     p = _layer_params(rng, hidden)

@@ -27,9 +27,8 @@ __all__ = [
     "matmul",
     "transpose",
     "reshape",
-    "gather_rows",
+    "knn_attention",
     "layer_norm",
-    "softmax_lastdim",
     "sigmoid",
     "gelu",
     "add",
@@ -267,33 +266,6 @@ def reshape(a: Tensor, shape: Sequence[int]) -> Tensor:
     return _result(a.data.reshape(shape), (a,), lambda g: (g.reshape(old),))
 
 
-def gather_rows(h: Tensor, idx: np.ndarray) -> Tensor:
-    """Gather neighbor rows: out[a, b, :] = h[idx[a, b], :].
-
-    `h` is [M, C], `idx` an integer [M, K]. The backward rule scatter-adds g
-    as S^T g with S[j, idx.flat[j]] = 1: each row sums its incoming gradients
-    in ascending flat index, the order (so also the bits) of ``np.add.at``.
-    """
-    _check_tensor(h, "h")
-    idx = np.asarray(idx)
-    if h.ndim != 2 or idx.ndim != 2:
-        raise TensorError(f"gather_rows needs h [M,C] and idx [M,K], got {h.shape}, {idx.shape}")
-    if not np.issubdtype(idx.dtype, np.integer):
-        raise TensorError("gather_rows index matrix must be integer")
-    m = h.shape[0]
-    if idx.size and (idx.min() < 0 or idx.max() >= m):
-        raise TensorError(f"gather_rows index out of range [0, {m})")
-    hd = h.data
-    n = idx.size
-
-    def rule(g):
-        scatter = csr_matrix((np.ones(n), idx.reshape(-1), np.arange(n + 1)),
-                             shape=(n, m))
-        return (scatter.T @ g.reshape(n, hd.shape[1]),)
-
-    return _result(hd[idx], (h,), rule)
-
-
 def concat_lastdim(a: Tensor, b: Tensor) -> Tensor:
     """Concatenate along the last axis; leading dims must match exactly."""
     _check_tensor(a, "a")
@@ -357,19 +329,52 @@ def layer_norm(x: Tensor, gamma: Tensor, beta: Tensor, eps: float = 1e-5) -> Ten
     return _result(gd * xhat + beta.data, (x, gamma, beta), rule)
 
 
-def softmax_lastdim(x: Tensor) -> Tensor:
-    """Max-subtracted softmax over the last axis; rows sum to 1."""
-    _check_tensor(x, "x")
-    if x.ndim < 1:
-        raise TensorError("softmax needs at least one axis")
-    z = x.data - x.data.max(axis=-1, keepdims=True)
-    e = np.exp(z)
-    y = e / e.sum(axis=-1, keepdims=True)
+def knn_attention(q: Tensor, k: Tensor, v: Tensor, idx: np.ndarray, w: Tensor) -> Tensor:
+    """Rank-weighted softmax attention of each row over its K indexed rows.
+
+    out[a] = sum_b att[a, b] * w[b] * v[idx[a, b]], where att[a] is the
+    max-subtracted softmax over b of w[b] * q[a] . k[idx[a, b]] / sqrt(d).
+    `q` is [M, d], `k` and `v` are [N, d], `idx` is integer [M, K] into [0, N),
+    `w` is [K]. The weighted attention matrix is CSR with the pattern of `idx`,
+    so the output and the q, k, v gradients are sparse products; the backward
+    rule keeps [M, K] arrays, never an [M, K, d] gather.
+    """
+    for t, name in ((q, "q"), (k, "k"), (v, "v"), (w, "w")):
+        _check_tensor(t, name)
+    idx = np.asarray(idx)
+    if idx.ndim != 2 or k.ndim != 2 or not np.issubdtype(idx.dtype, np.integer):
+        raise TensorError(f"knn_attention needs k [N,d] and integer idx [M,K], got "
+                          f"{k.shape}, {idx.dtype} {idx.shape}")
+    (m, kk), (n, d) = idx.shape, k.shape
+    if q.shape != (m, d) or v.shape != (n, d) or w.shape != (kk,) or kk < 1 or d < 1:
+        raise TensorError(f"knn_attention needs q [{m},{d}], v [{n},{d}], w [{kk}] and "
+                          f"K, d >= 1, got {q.shape}, {v.shape}, {w.shape}")
+    if idx.size and (idx.min() < 0 or idx.max() >= n):
+        raise TensorError(f"knn_attention index out of range [0, {n})")
+    qd, kd, vd, wd = q.data, k.data, v.data, w.data
+    inv_sqrt_d = 1.0 / np.sqrt(d)
+    c = wd * inv_sqrt_d
+    # np.sum's pairwise order keeps scores bit-equal to mul + reduce_sum; the model
+    # amplifies last-bit score changes (einsum's order moved an M=4096 output 2.5e-10).
+    kq = kd[idx]
+    kq *= qd[:, None, :]
+    dots = kq.sum(axis=-1)
+    s = dots * c
+    e = np.exp(s - s.max(axis=1, keepdims=True))
+    att = e / e.sum(axis=1, keepdims=True)
+    cols = idx.reshape(-1)
+    indptr = np.arange(0, m * kk + 1, kk)
+    a_mat = csr_matrix(((att * wd).reshape(-1), cols, indptr), shape=(m, n))
 
     def rule(g):
-        return (y * (g - (g * y).sum(axis=-1, keepdims=True)),)
+        gaw = np.einsum("mkd,md->mk", vd[idx], g)     # d out / d (att * w)
+        gatt = gaw * wd
+        gs = att * (gatt - (gatt * att).sum(axis=1, keepdims=True))
+        r_mat = csr_matrix(((gs * c).reshape(-1), cols, indptr), shape=(m, n))
+        dw = (gaw * att).sum(axis=0) + (gs * dots).sum(axis=0) * inv_sqrt_d
+        return r_mat @ kd, r_mat.T @ qd, a_mat.T @ g, dw
 
-    return _result(y, (x,), rule)
+    return _result(a_mat @ vd, (q, k, v, w), rule)
 
 
 # ---------------------------------------------------------------------------

@@ -160,13 +160,13 @@ def adam_step(params: list[Tensor], grads: list[np.ndarray], state: AdamState,
 
 
 def clip_gradients(grads: list[np.ndarray], max_norm: float) -> float:
-    """Scale all gradients so the global norm is at most max_norm; returns it."""
+    """Scale all gradients so the global norm is at most max_norm; returns the pre-clip norm."""
     total = math.sqrt(sum(float(np.sum(g * g)) for g in grads))
     if total > max_norm:
         factor = max_norm / total
         for g in grads:
             g *= factor
-    return min(total, max_norm)
+    return total
 
 
 def cosine_lr(epoch: int, total_epochs: int, lr: float, lr_min: float) -> float:

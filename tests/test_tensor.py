@@ -69,50 +69,101 @@ class TestMatmul:
                   tol=1e-6)
 
 
-class TestGatherRows:
-    def test_hand_example(self):
-        h = tensor_new([3, 2], [1, 2, 3, 4, 5, 6])
-        idx = np.array([[0, 1], [2, 2], [1, 0]])
-        out = T.gather_rows(h, idx)
-        expect = [[[1, 2], [3, 4]], [[5, 6], [5, 6]], [[3, 4], [1, 2]]]
-        assert np.array_equal(out.data, np.array(expect, dtype=float))
+def knn_attention_reference(q, k, v, idx, w, r):
+    """Loop-by-pair numpy reference: output, and the q/k/v/w gradients of sum(out * r)."""
+    m, kk = idx.shape
+    c = w / math.sqrt(q.shape[1])
+    out = np.zeros_like(q)
+    dq, dk, dv, dw = (np.zeros_like(q), np.zeros_like(k), np.zeros_like(v),
+                      np.zeros_like(w))
+    for a in range(m):
+        dots = np.array([q[a] @ k[j] for j in idx[a]])
+        e = np.exp(dots * c - (dots * c).max())
+        att = e / e.sum()
+        gaw = np.array([r[a] @ v[j] for j in idx[a]])
+        gs = att * (gaw * w - (gaw * w * att).sum())
+        dw += gaw * att + gs * dots / math.sqrt(q.shape[1])
+        for b, j in enumerate(idx[a]):
+            out[a] += att[b] * w[b] * v[j]
+            dv[j] += att[b] * w[b] * r[a]
+            dk[j] += gs[b] * c[b] * q[a]
+            dq[a] += gs[b] * c[b] * k[j]
+    return out, dq, dk, dv, dw
 
-    def test_all_zero_index(self):
-        h = tensor_new([3, 2], [1, 2, 3, 4, 5, 6])
-        out = T.gather_rows(h, np.zeros((3, 2), dtype=int))
-        assert np.array_equal(out.data, np.broadcast_to([1.0, 2.0], (3, 2, 2)))
 
-    def test_self_index_roundtrip(self, rng):
-        h = Tensor(rng.standard_normal((5, 3)))
-        idx = np.tile(np.arange(5)[:, None], (1, 4))
-        out = T.gather_rows(h, idx)
-        for b in range(4):
-            assert np.array_equal(out.data[:, b, :], h.data)
+class TestKnnAttention:
+    # Four query rows over six key/value rows; row 0 is referenced five
+    # times (twice by query 0), rows 3 and 5 never.
+    IDX = np.array([[0, 0, 2], [1, 2, 0], [4, 0, 1], [0, 4, 2]])
 
-    def test_out_of_range(self):
-        h = Tensor(np.ones((3, 2)))
-        with pytest.raises(TensorError):
-            T.gather_rows(h, np.array([[0, 3]]))
+    def inputs(self, rng, scale=1.0):
+        q = leaf(rng.standard_normal((4, 3)) * scale)
+        k = leaf(rng.standard_normal((6, 3)) * scale)
+        v = leaf(rng.standard_normal((6, 3)))
+        w = leaf(rng.uniform(0.2, 1.0, 3))
+        return q, k, v, w
 
-    def test_duplicate_rows_accumulate(self, rng):
-        h = leaf(None, rng, (4, 3))
-        idx = np.array([[0, 0], [1, 2], [3, 3], [0, 2]])
-        r = Tensor(rng.uniform(-1, 1, (4, 2, 3)))
-        gradcheck(lambda: T.reduce_sum(T.mul(T.gather_rows(h, idx), r)), [h],
-                  tol=1e-6)
+    def test_gradcheck(self, rng):
+        q, k, v, w = self.inputs(rng)
+        r = Tensor(rng.uniform(-1, 1, (4, 3)))
+        gradcheck(lambda: T.reduce_sum(T.mul(T.knn_attention(q, k, v, self.IDX, w), r)),
+                  [q, k, v, w])
 
-    def test_backward_matches_add_at_bitwise(self, rng):
-        # Row 0 is referenced five times, row 3 never.
-        h = leaf(None, rng, (5, 3))
-        idx = np.array([[0, 0], [1, 2], [4, 0], [0, 2], [0, 4]])
-        g = rng.standard_normal((5, 2, 3))
+    def test_large_scores_stay_finite(self, rng):
+        q, k, v, w = self.inputs(rng, scale=40.0)
+        r = np.zeros((4, 3))
+        ref, *_ = knn_attention_reference(q.data, k.data, v.data, self.IDX, w.data, r)
+        scores = np.einsum("mkd,md->mk", k.data[self.IDX], q.data) * w.data / math.sqrt(3)
+        assert 5e2 < np.abs(scores).max() < 5e3
+        out = T.knn_attention(q, k, v, self.IDX, w).data
+        assert np.abs(out - ref).max() <= 1e-12 * np.abs(ref).max()
+
+    def test_gradients_accumulate_per_row(self, rng):
+        q, k, v, w = self.inputs(rng)
+        r = rng.uniform(-1, 1, (4, 3))
         with GradTape() as tape:
-            loss = T.reduce_sum(T.mul(T.gather_rows(h, idx), Tensor(g)))
-            backward(loss, tape)
-        expect = np.zeros((5, 3))
-        np.add.at(expect, idx.reshape(-1), g.reshape(-1, 3))
-        assert np.array_equal(h.grad, expect)
-        assert np.array_equal(h.grad[3], np.zeros(3))
+            out = T.knn_attention(q, k, v, self.IDX, w)
+            backward(T.reduce_sum(T.mul(out, Tensor(r))), tape)
+        ref = knn_attention_reference(q.data, k.data, v.data, self.IDX, w.data, r)
+        for got, expect in zip((out.data, q.grad, k.grad, v.grad, w.grad), ref):
+            assert np.abs(got - expect).max() <= 1e-12 * np.abs(expect).max()
+        for g in (k.grad, v.grad):
+            assert np.abs(g[0]).min() > 0.0
+            assert np.array_equal(g[[3, 5]], np.zeros((2, 3)))
+
+    @pytest.mark.parametrize("case", [
+        "index_too_large", "index_negative", "float_index", "index_1d",
+        "q_rows", "q_width", "kv_shape", "k_1d", "w_length", "w_2d", "no_neighbors",
+        "not_a_tensor"])
+    def test_validation(self, rng, case):
+        q, k, v, w = self.inputs(rng)
+        idx = self.IDX
+        if case == "index_too_large":
+            idx = np.where(idx == 4, 6, idx)
+        elif case == "index_negative":
+            idx = np.where(idx == 4, -1, idx)
+        elif case == "float_index":
+            idx = idx.astype(float)
+        elif case == "index_1d":
+            idx = idx[:, 0]
+        elif case == "q_rows":
+            q = Tensor(np.ones((5, 3)))
+        elif case == "q_width":
+            q = Tensor(np.ones((4, 2)))
+        elif case == "kv_shape":
+            v = Tensor(np.ones((5, 3)))
+        elif case == "k_1d":
+            k, v = Tensor(np.ones(6)), Tensor(np.ones(6))
+        elif case == "w_length":
+            w = Tensor(np.ones(2))
+        elif case == "w_2d":
+            w = Tensor(np.ones((1, 3)))
+        elif case == "no_neighbors":
+            idx, w = idx[:, :0], Tensor(np.ones(0))
+        else:
+            v = v.data
+        with pytest.raises(TensorError):
+            T.knn_attention(q, k, v, idx, w)
 
 
 class TestLayerNorm:
@@ -147,31 +198,46 @@ class TestLayerNorm:
 
 
 class TestSoftmax:
+    """The patch softmax inside knn_attention, read through its output."""
+
+    def two_neighbors(self, q, keys, values):
+        # One query row, two key/value rows of width 1, unit rank weights:
+        # the scores are q * keys and the output is att . values.
+        return T.knn_attention(Tensor([[q]]), Tensor([[x] for x in keys]),
+                               Tensor([[x] for x in values]), np.array([[0, 1]]),
+                               Tensor(np.ones(2))).data[0, 0]
+
     def test_symmetry(self):
-        out = T.softmax_lastdim(tensor_new([2], [0, 0]))
-        assert np.array_equal(out.data, [0.5, 0.5])
+        assert self.two_neighbors(0.0, [3.0, -5.0], [2.0, 4.0]) == 3.0
 
     def test_direct_evaluation(self):
-        out = T.softmax_lastdim(tensor_new([2], [1, -1]))
         e1, em1 = math.exp(1.0), math.exp(-1.0)
-        assert out.data == pytest.approx([e1 / (e1 + em1), em1 / (e1 + em1)],
-                                         abs=1e-15)
-        assert out.data == pytest.approx([0.880797, 0.119203], abs=1e-6)
+        out = self.two_neighbors(1.0, [1.0, -1.0], [1.0, 0.0])
+        assert out == pytest.approx(e1 / (e1 + em1), abs=1e-15)
+        assert out == pytest.approx(0.880797, abs=1e-6)
 
     def test_large_values_stable(self):
-        out = T.softmax_lastdim(tensor_new([2], [1000, 0]))
-        assert out.data == pytest.approx([1.0, 0.0], abs=1e-300)
+        assert self.two_neighbors(1000.0, [1.0, 0.0], [1.0, 0.0]) == 1.0
+        assert self.two_neighbors(1000.0, [1.0, 0.0], [0.0, 1.0]) == pytest.approx(0.0, abs=1e-300)
 
     def test_rows_sum_to_one(self, rng):
-        x = Tensor(rng.uniform(-5, 5, (7, 9)))
-        y = T.softmax_lastdim(x).data
-        assert np.abs(y.sum(axis=-1) - 1.0).max() < 1e-12
-        assert ((y > 0) & (y < 1)).all()
+        # With identity values and distinct neighbors, row a of the output
+        # holds att[a, b] at column idx[a, b] and zeros elsewhere.
+        idx = np.array([rng.permutation(9) for _ in range(7)])
+        q = Tensor(rng.uniform(-5, 5, (7, 9)))
+        k = Tensor(rng.uniform(-5, 5, (9, 9)))
+        att = T.knn_attention(q, k, Tensor(np.eye(9)), idx, Tensor(np.ones(9))).data
+        assert np.abs(att.sum(axis=-1) - 1.0).max() < 1e-12
+        assert ((att > 0) & (att < 1)).all()
 
     def test_gradient(self, rng):
-        x = leaf(None, rng, (4, 6))
+        q = leaf(None, rng, (4, 6))
+        k = Tensor(rng.uniform(-1, 1, (5, 6)))
+        v = Tensor(rng.uniform(-1, 1, (5, 6)))
+        idx = rng.integers(0, 5, (4, 3))
+        w = Tensor(np.ones(3))
         r = Tensor(rng.uniform(-1, 1, (4, 6)))
-        gradcheck(lambda: T.reduce_sum(T.mul(T.softmax_lastdim(x), r)), [x])
+        gradcheck(lambda: T.reduce_sum(T.mul(T.knn_attention(q, k, v, idx, w), r)), [q])
 
 
 class TestElementwise:
@@ -335,9 +401,12 @@ class TestDeterminism:
     def test_bit_identical_repeat(self, rng):
         a = Tensor(rng.standard_normal((16, 16)))
         b = Tensor(rng.standard_normal((16, 16)))
+        idx = rng.integers(0, 16, (16, 4))
+        w = Tensor(rng.uniform(0.0, 1.0, 4))
 
         def compute():
-            return T.softmax_lastdim(T.matmul(T.gelu(a), b)).data.copy()
+            h = T.matmul(T.gelu(a), b)
+            return T.knn_attention(h, h, h, idx, w).data.copy()
 
         first = compute()
         for _ in range(3):

@@ -127,6 +127,16 @@ class TestClipAndSchedule:
         TR.clip_gradients([g], 1.0)
         assert np.array_equal(g, before)
 
+    @pytest.mark.parametrize("scale,clipped", [(1.0, True), (1e-3, False)])
+    def test_clip_returns_pre_clip_norm(self, scale, clipped):
+        grads = [np.array([3.0]) * scale, np.array([[4.0]]) * scale]
+        before = [g.copy() for g in grads]
+        assert TR.clip_gradients(grads, 1.0) == pytest.approx(5.0 * scale, rel=1e-15)
+        assert np.array_equal(grads[0], before[0]) != clipped
+        if clipped:
+            assert grads[0] == pytest.approx([0.6], rel=1e-15)
+            assert grads[1].ravel() == pytest.approx([0.8], rel=1e-15)
+
     def test_cosine_endpoints(self):
         assert TR.cosine_lr(0, 10, 1e-3, 1e-5) == pytest.approx(1e-3)
         assert TR.cosine_lr(9, 10, 1e-3, 1e-5) == pytest.approx(1e-5)
