@@ -1,10 +1,11 @@
 """Soft-masked KNN features plus fused global (linear) and local attention.
 
-One block runs, pre-norm: gather each point's K neighbors, attenuate them
-with a learnable rank-decay mask, then combine a linear-attention global
-branch with a per-patch softmax local branch, concatenate and project back to
-the hidden width, and finish with a GELU feed-forward. Both branches use
-width d = C/2.
+One block runs, pre-norm: a linear-attention global branch beside a
+per-patch softmax local branch over each point's K neighbors, attenuated by a
+learnable rank-decay mask; the two are concatenated and projected back to the
+hidden width, and a GELU feed-forward finishes the block. The global branch
+uses positive `gelu(x) + 1` query/key features, so its denominator is
+positive by construction. Both branches use width d = C/2.
 """
 
 from __future__ import annotations
@@ -24,10 +25,9 @@ from .tensor import (
     div,
     gelu,
     knn_attention,
-    l1_lastdim,
     layer_norm,
     matmul,
-    mul,
+    reduce_sum,
     reshape,
     scale,
     sigmoid,
@@ -38,10 +38,6 @@ from .tensor import (
 
 __all__ = ["SoftMaskParams", "GlaLayerParams", "soft_mask", "global_attention",
            "local_attention", "gla", "la2_layer"]
-
-# Rows whose l1 mass (or interaction denominator) falls below this are left
-# unscaled to avoid 0/0 at initialization.
-NORM_GUARD = 1e-12
 
 
 @dataclass
@@ -157,15 +153,14 @@ class GlaLayerParams:
         yield "mask_s", self.mask.s
 
 
-def _guarded_div(num: Tensor, den: Tensor) -> Tensor:
-    """num / den with rows of |den| < NORM_GUARD treated as den = 1."""
-    keep = (np.abs(den.data) >= NORM_GUARD).astype(np.float64)
-    safe = add(mul(den, Tensor(keep)), Tensor(1.0 - keep))
-    return div(num, safe)
+def _positive_features(x: Tensor) -> Tensor:
+    """Rows of phi(x) = gelu(x) + 1, each normalized to sum 1.
 
-
-def _l1_normalize(x: Tensor) -> Tensor:
-    return _guarded_div(x, l1_lastdim(x))
+    gelu is bounded below by about -0.17, so every entry of phi is at least
+    0.83 and every row sum is positive.
+    """
+    phi = add(gelu(x), Tensor(1.0))
+    return div(phi, reduce_sum(phi, axis=-1, keepdims=True))
 
 
 def _heads(x: Tensor, heads: int) -> list[Tensor]:
@@ -185,8 +180,9 @@ def _concat_all(parts: list[Tensor]) -> Tensor:
 def global_attention(h_bar: Tensor, p: GlaLayerParams) -> Tensor:
     """Linear-attention global branch: Qn (Kn^T V) / D + Qn, cost O(M*d^2).
 
-    Queries and keys are l1-normalized per row; D is the per-row cumulative
-    interaction mass Qn (Kn^T 1). The M x M score matrix is never formed.
+    Qn and Kn are the positive features gelu(x) + 1 of each head's queries
+    and keys, row-normalized; D = Qn (Kn^T 1) is then positive, so the
+    division needs no guard. The M x M score matrix is never formed.
     """
     m = h_bar.shape[0]
     q = add(matmul(h_bar, p.w_qg), p.b_qg)
@@ -196,12 +192,12 @@ def global_attention(h_bar: Tensor, p: GlaLayerParams) -> Tensor:
 
     outs = []
     for qh, kh, vh in zip(_heads(q, p.heads), _heads(k, p.heads), _heads(v, p.heads)):
-        qn = _l1_normalize(qh)
-        kn = _l1_normalize(kh)
+        qn = _positive_features(qh)
+        kn = _positive_features(kh)
         knt = transpose(kn)
         num = matmul(qn, matmul(knt, vh))            # [M, dh] via [dh, dh]
         den = matmul(qn, matmul(knt, ones))          # [M, 1]
-        outs.append(add(_guarded_div(num, den), qn))
+        outs.append(add(div(num, den), qn))
     return _concat_all(outs)
 
 

@@ -19,7 +19,7 @@ from .geometry import PointSet, knn_indices_accelerated
 from .tensor import Tensor, TensorError
 
 __all__ = ["time_median", "bench_global", "bench_local", "bench_pairwise",
-           "full_pairwise_attention", "fit_power_law", "check_memory_cap"]
+           "full_pairwise_attention", "check_memory_cap"]
 
 DEFAULT_MEMORY_CAP = 2 << 30  # bytes of the dominant working array
 
@@ -93,10 +93,3 @@ def bench_pairwise(m: int, hidden: int, repeats: int = 5,
     w_v = rng.standard_normal((hidden, d)) / math.sqrt(hidden)
     return time_median(lambda: full_pairwise_attention(h, w_q, w_k, w_v), repeats)
 
-
-def fit_power_law(sizes, times) -> float:
-    """Least-squares slope of log(time) against log(size)."""
-    xs = np.log(np.asarray(sizes, dtype=np.float64))
-    ys = np.log(np.asarray(times, dtype=np.float64))
-    slope, _ = np.polyfit(xs, ys, 1)
-    return float(slope)

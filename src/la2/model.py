@@ -30,7 +30,9 @@ __all__ = ["ModelConfig", "OperatorModel", "init_model", "encode", "forward",
            "CheckpointError"]
 
 CHECKPOINT_MAGIC = b"LA2C"
-CHECKPOINT_VERSION = 1
+# Version 2: the global branch uses gelu(x) + 1 features. Version-1 files have
+# the same layout but weights trained for the old signed l1 features.
+CHECKPOINT_VERSION = 2
 
 
 class CheckpointError(ValueError):

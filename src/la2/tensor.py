@@ -37,7 +37,6 @@ __all__ = [
     "div",
     "scale",
     "reduce_sum",
-    "l1_lastdim",
     "l2_lastdim",
     "concat_lastdim",
     "split_lastdim",
@@ -88,20 +87,6 @@ class Tensor:
 
     def __repr__(self) -> str:
         return f"Tensor(shape={self.shape}, requires_grad={self.requires_grad})"
-
-    # Operator sugar; all dispatch to the module-level ops so recording is
-    # uniform.
-    def __add__(self, other: "Tensor") -> "Tensor":
-        return add(self, other)
-
-    def __sub__(self, other: "Tensor") -> "Tensor":
-        return sub(self, other)
-
-    def __mul__(self, other: "Tensor") -> "Tensor":
-        return mul(self, other)
-
-    def __matmul__(self, other: "Tensor") -> "Tensor":
-        return matmul(self, other)
 
 
 def tensor_new(shape: Sequence[int], values: Sequence[float],
@@ -486,16 +471,6 @@ def reduce_sum(x: Tensor, axis: int | None = None, keepdims: bool = False) -> Te
             return (np.broadcast_to(g, shape).copy(),)
 
     return _result(out, (x,), rule)
-
-
-def l1_lastdim(x: Tensor) -> Tensor:
-    """Sum of absolute values over the last axis, axis kept with size 1."""
-    _check_tensor(x, "x")
-    if x.ndim < 1:
-        raise TensorError("l1_lastdim needs at least one axis")
-    sign = np.sign(x.data)
-    out = np.abs(x.data).sum(axis=-1, keepdims=True)
-    return _result(out, (x,), lambda g: (g * sign,))
 
 
 def l2_lastdim(x: Tensor) -> Tensor:

@@ -2,6 +2,7 @@
 
 import json
 import re
+import struct
 from dataclasses import MISSING, fields
 
 import numpy as np
@@ -9,7 +10,8 @@ import pytest
 
 import la2.cli
 from la2.cli import EXIT_OK, EXIT_RUNTIME, EXIT_USAGE, main
-from la2.model import ModelConfig, init_model, load_checkpoint, save_checkpoint
+from la2.model import (CheckpointError, ModelConfig, init_model, load_checkpoint,
+                       save_checkpoint)
 from la2.tensor import TensorError
 from la2.training import TrainConfig, TrainingError
 
@@ -212,6 +214,17 @@ class TestEval:
         bad = tmp_path / "bad.la2c"
         bad.write_bytes(b"JUNKJUNKJUNKJUNK")
         rc = main(["eval", "--data", str(dataset_dir), "--checkpoint", str(bad)])
+        assert rc == EXIT_USAGE
+
+    def test_version_1_checkpoint_rejected(self, dataset_dir, tmp_path):
+        # Version 1 has the same layout but weights for the old signed global
+        # branch; loading it must fail rather than serve a different function.
+        path = tiny_checkpoint(tmp_path / "v1.la2c")
+        blob = path.read_bytes()
+        path.write_bytes(blob[:4] + struct.pack("<I", 1) + blob[8:])
+        with pytest.raises(CheckpointError):
+            load_checkpoint(path)
+        rc = main(["eval", "--data", str(dataset_dir), "--checkpoint", str(path)])
         assert rc == EXIT_USAGE
 
 

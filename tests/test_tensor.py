@@ -288,10 +288,6 @@ class TestElementwise:
 
 
 class TestReduce:
-    def test_l1_example(self):
-        out = T.l1_lastdim(tensor_new([2], [-1, 3]))
-        assert np.array_equal(out.data, [4.0])
-
     def test_sum_of_ones(self):
         assert T.reduce_sum(Tensor(np.ones((3, 3)))).data == pytest.approx(9.0)
 
@@ -304,10 +300,9 @@ class TestReduce:
         with pytest.raises(TensorError):
             T.reduce_sum(Tensor(np.ones((2, 2))), axis=5)
 
-    @pytest.mark.parametrize("kind", ["l1_lastdim", "l2_lastdim"])
+    @pytest.mark.parametrize("kind", ["l2_lastdim"])
     def test_lastdim_gradients(self, rng, kind):
         x = leaf(None, rng, (3, 4))
-        x.data[np.abs(x.data) < 0.05] += 0.1  # sign kink
         fn = getattr(T, kind)
         r = Tensor(rng.uniform(-1, 1, (3, 1)))
         gradcheck(lambda: T.reduce_sum(T.mul(fn(x), r)), [x])
