@@ -4,12 +4,13 @@ Neighbor order is fully deterministic: each point is its own first neighbor,
 the rest follow in non-decreasing distance with ties broken by ascending
 index. Both KNN paths rank by squared distances computed with identical
 arithmetic, so the accelerated variant reproduces the brute-force output
-bit for bit, ties included.
+bit for bit, ties included. The accelerated index is built once per point set
+and K and kept there; coordinates and indices are read-only, so it stays valid.
 """
 
 from __future__ import annotations
 
-from dataclasses import dataclass
+from dataclasses import dataclass, field
 
 import numpy as np
 from scipy.spatial import cKDTree
@@ -25,6 +26,7 @@ class PointSet:
     """Mesh or point-cloud coordinates, shape [M, C_s] with C_s in {1,2,3}."""
 
     coords: Tensor
+    _knn: dict = field(default_factory=dict, init=False, repr=False, compare=False)
 
     def __post_init__(self):
         c = self.coords
@@ -32,6 +34,7 @@ class PointSet:
             raise TensorError("PointSet coords must be a Tensor")
         if c.ndim != 2 or c.shape[0] < 1 or c.shape[1] not in (1, 2, 3):
             raise TensorError(f"PointSet needs [M>=1, C_s in 1..3], got {c.shape}")
+        c.data.flags.writeable = False
 
     @property
     def m(self) -> int:
@@ -45,7 +48,8 @@ class KnnIndex:
     idx: np.ndarray
 
     def __post_init__(self):
-        idx = np.ascontiguousarray(self.idx, dtype=np.int64)
+        idx = np.array(self.idx, dtype=np.int64)
+        idx.flags.writeable = False
         object.__setattr__(self, "idx", idx)
         if idx.ndim != 2:
             raise TensorError(f"KnnIndex must be [M, K], got {idx.shape}")
@@ -71,11 +75,6 @@ def _squared_distance_matrix(coords: np.ndarray) -> np.ndarray:
     # matrix (and every tie) comes out identical to per-pair evaluation.
     diff = coords[:, None, :] - coords[None, :, :]
     return np.einsum("ijc,ijc->ij", diff, diff)
-
-
-def _squared_distances_to(coords: np.ndarray, a: int, cand: np.ndarray) -> np.ndarray:
-    diff = coords[a] - coords[cand]
-    return np.einsum("jc,jc->j", diff, diff)
 
 
 def pairwise_distances(x: PointSet) -> Tensor:
@@ -108,12 +107,15 @@ def knn_indices_accelerated(x: PointSet, k: int) -> KnnIndex:
     The tree supplies, per point, the K-th neighbor distance; every point
     within that (slightly inflated) radius is then re-ranked with the same
     squared-distance arithmetic and tie rule as the brute-force path, so
-    boundary ties resolve identically.
+    boundary ties resolve identically. Later calls for the same point set
+    and K return the index the first call built.
     """
     coords = x.coords.data
     m = x.m
     if not 1 <= k <= m:
         raise TensorError(f"need 1 <= K <= M, got K={k}, M={m}")
+    if k in x._knn:
+        return x._knn[k]
     tree = cKDTree(coords)
     cut, _ = tree.query(coords, k=[k])
     radius = cut[:, 0] * (1.0 + 1e-9) + 1e-12
@@ -123,10 +125,11 @@ def knn_indices_accelerated(x: PointSet, k: int) -> KnnIndex:
     idx[:, 0] = np.arange(m)
     for a, ball in enumerate(balls):
         cand = np.asarray(ball, dtype=np.int64)
-        d2 = _squared_distances_to(coords, a, cand)
+        diff = coords[a] - coords[cand]
+        d2 = np.einsum("jc,jc->j", diff, diff)
         ranked = cand[np.lexsort((cand, d2))]
         idx[a, 1:] = ranked[ranked != a][:k - 1]
-    return KnnIndex(idx)
+    return x._knn.setdefault(k, KnnIndex(idx))
 
 
 def relabel_knn(knn: KnnIndex, perm: np.ndarray) -> KnnIndex:

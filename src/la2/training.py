@@ -16,7 +16,7 @@ from dataclasses import dataclass, field, asdict
 import numpy as np
 
 from . import data as data_mod
-from .geometry import KnnIndex, knn_indices_accelerated
+from .geometry import knn_indices_accelerated
 from .model import (ModelConfig, OperatorModel, forward, mask_trajectory,
                     save_checkpoint)
 from .tensor import (
@@ -190,13 +190,12 @@ def check_compatible(cfg: ModelConfig, ds: data_mod.Dataset) -> None:
         raise TrainingError(f"patch size {cfg.k} exceeds {ds.geometry.m} points")
 
 
-def evaluate(m: OperatorModel, ds: data_mod.Dataset, split: str = "test",
-             knn: KnnIndex | None = None) -> dict:
+def evaluate(m: OperatorModel, ds: data_mod.Dataset, split: str = "test") -> dict:
     """Mean and per-sample root-ratio relative L2 on de-normalized fields.
 
     Also reports the metric in normalized space (the space the model is
-    trained in), useful as a scale-free baseline. `knn`, the geometry's
-    K-neighbor index, is built when not given.
+    trained in), useful as a scale-free baseline. `split` may also be a 1-D
+    list of sample indices in [0, N). The KNN index is cached on the geometry.
     """
     check_compatible(m.config, ds)
     if split == "train":
@@ -207,14 +206,11 @@ def evaluate(m: OperatorModel, ds: data_mod.Dataset, split: str = "test",
         indices = np.arange(ds.n)
     else:
         indices = np.asarray(split, dtype=np.int64)
+        if indices.ndim != 1 or not np.all((indices >= 0) & (indices < ds.n)):
+            raise TrainingError(f"split {split!r} is not a 1-D list in [0, {ds.n})")
     if len(indices) == 0:
         raise TrainingError(f"split {split!r} selects no samples")
-    if knn is None:
-        knn = knn_indices_accelerated(ds.geometry, m.config.k)
-    elif (knn.m, knn.k) != (ds.geometry.m, m.config.k):
-        raise TrainingError(
-            f"KNN index is {knn.m} points x {knn.k} neighbors, model and dataset "
-            f"need {ds.geometry.m} x {m.config.k}")
+    knn = knn_indices_accelerated(ds.geometry, m.config.k)
 
     stats = ds.stats
     per_sample = []
@@ -245,7 +241,8 @@ def train(m: OperatorModel, ds: data_mod.Dataset, cfg: TrainConfig,
     Seeded shuffling, per-batch gradient accumulation over samples in fixed
     order, global-norm clipping, Adam with cosine decay. The test metric and
     the per-layer mask fractions are logged every epoch; the best checkpoint
-    (lowest test metric) is written to `checkpoint_path` when given.
+    (lowest test metric) is written to `checkpoint_path` when given. Every
+    step and per-epoch evaluation uses the geometry's one cached KNN index.
     """
     check_compatible(m.config, ds)
     train_idx = ds.train_indices
@@ -294,7 +291,7 @@ def train(m: OperatorModel, ds: data_mod.Dataset, cfg: TrainConfig,
             epoch_loss += batch_loss
             n_seen += len(batch)
 
-        metrics = evaluate(m, ds, "test" if len(ds.test_indices) else "train", knn)
+        metrics = evaluate(m, ds, "test" if len(ds.test_indices) else "train")
         report.train_loss.append(epoch_loss / n_seen)
         report.test_rel_l2.append(metrics["rel_l2"])
         report.mask_sigma.append(mask_trajectory(m))

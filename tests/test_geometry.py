@@ -132,6 +132,34 @@ class TestAcceleratedEquivalence:
         assert np.array_equal(a.idx[:, 0], np.arange(4))
 
 
+class TestKnnCache:
+    def test_second_call_returns_same_index(self, rng):
+        x = random_points(rng, 40)
+        assert knn_indices_accelerated(x, 6) is knn_indices_accelerated(x, 6)
+
+    def test_each_k_matches_brute_force(self, rng):
+        x = random_points(rng, 50)
+        for k in (4, 8, 4, 8):
+            assert np.array_equal(knn_indices_accelerated(x, k).idx,
+                                  knn_indices(x, k).idx)
+
+    def test_new_point_set_gets_its_own_index(self, rng):
+        x = random_points(rng, 30)
+        first = knn_indices_accelerated(x, 5)
+        y = points(x.coords.data)
+        again = knn_indices_accelerated(y, 5)
+        assert again is not first
+        assert np.array_equal(again.idx, knn_indices(y, 5).idx)
+
+    def test_coords_and_index_are_read_only(self, rng):
+        x = random_points(rng, 20)
+        knn = knn_indices_accelerated(x, 4)
+        with pytest.raises(ValueError):
+            x.coords.data[0, 0] = 2.0
+        with pytest.raises(ValueError):
+            knn.idx[0, 1] = 0
+
+
 class TestInvariances:
     def test_translation(self, rng):
         x = random_points(rng, 50)

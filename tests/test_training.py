@@ -7,7 +7,7 @@ import pytest
 
 from la2 import data as D
 from la2 import training as TR
-from la2.geometry import PointSet, knn_indices_accelerated
+from la2 import geometry as G
 from la2.model import ModelConfig, init_model, load_checkpoint
 from la2.tensor import GradTape, Tensor, TensorError, backward
 
@@ -201,24 +201,13 @@ class TestEvaluate:
         with pytest.raises(TR.TrainingError):
             TR.evaluate(m, tiny_darcy, "test")
 
-    def test_given_knn_is_used(self, tiny_darcy, monkeypatch):
+    @pytest.mark.parametrize("bad", [lambda n: [-1], lambda n: [n],
+                                     lambda n: [[0]]],
+                             ids=["negative", "past-end", "nested"])
+    def test_bad_sample_indices_rejected(self, tiny_darcy, bad):
         m = tiny_model(tiny_darcy)
-        built = TR.evaluate(m, tiny_darcy, "test")
-        knn = knn_indices_accelerated(tiny_darcy.geometry, 4)
-
-        def no_build(*args):
-            raise AssertionError("evaluate rebuilt the KNN index")
-
-        monkeypatch.setattr(TR, "knn_indices_accelerated", no_build)
-        assert TR.evaluate(m, tiny_darcy, "test", knn) == built
-
-    @pytest.mark.parametrize("points, k", [(64, 3), (16, 4)])
-    def test_mismatched_knn_rejected(self, tiny_darcy, points, k):
-        m = tiny_model(tiny_darcy)
-        coords = tiny_darcy.geometry.coords.data[:points]
-        knn = knn_indices_accelerated(PointSet(Tensor(coords)), k)
         with pytest.raises(TR.TrainingError):
-            TR.evaluate(m, tiny_darcy, "test", knn)
+            TR.evaluate(m, tiny_darcy, bad(tiny_darcy.n))
 
 
 class TestTrainLoop:
@@ -244,17 +233,22 @@ class TestTrainLoop:
             runs.append(report.numeric_rows())
         assert runs[0] == runs[1]
 
-    def test_builds_knn_once(self, tiny_darcy, monkeypatch):
-        calls = []
-        build = TR.knn_indices_accelerated
+    def test_builds_knn_once(self, monkeypatch):
+        # A fresh dataset: the module-scoped one may already hold its index.
+        ds = D.generate_darcy(n=6, g=8, seed=22)
+        trees = []
+        tree = G.cKDTree
 
-        def counted(*args):
-            calls.append(args)
-            return build(*args)
+        def counted(*args, **kwargs):
+            trees.append(args)
+            return tree(*args, **kwargs)
 
-        monkeypatch.setattr(TR, "knn_indices_accelerated", counted)
-        TR.train(tiny_model(tiny_darcy), tiny_darcy, TR.TrainConfig(epochs=3))
-        assert len(calls) == 1
+        monkeypatch.setattr(G, "cKDTree", counted)
+        m = tiny_model(ds)
+        TR.train(m, ds, TR.TrainConfig(epochs=3))
+        TR.evaluate(m, ds, "test")
+        TR.evaluate(m, ds, "all")
+        assert len(trees) == 1
 
     def test_patch_size_exceeds_points(self, tiny_darcy):
         m = tiny_model(tiny_darcy, k=100)
