@@ -5,7 +5,8 @@ per-patch softmax local branch over each point's K neighbors, attenuated by a
 learnable rank-decay mask; the two are concatenated and projected back to the
 hidden width, and a GELU feed-forward finishes the block. The global branch
 uses positive `gelu(x) + 1` query/key features, so its denominator is
-positive by construction. Both branches use width d = C/2.
+positive by construction. Both branches use width d = C/2, split across the
+heads inside one engine op per branch (`linear_attention`, `knn_attention`).
 """
 
 from __future__ import annotations
@@ -22,18 +23,14 @@ from .tensor import (
     TensorError,
     add,
     concat_lastdim,
-    div,
     gelu,
     knn_attention,
     layer_norm,
+    linear_attention,
     matmul,
-    reduce_sum,
-    reshape,
     scale,
     sigmoid,
-    split_lastdim,
     sub,
-    transpose,
 )
 
 __all__ = ["SoftMaskParams", "GlaLayerParams", "soft_mask", "global_attention",
@@ -50,8 +47,8 @@ class SoftMaskParams:
     def __post_init__(self):
         if self.alpha <= 0:
             raise TensorError("soft mask sharpness alpha must be positive")
-        if self.s.size != 1:
-            raise TensorError("soft mask parameter s must be a scalar tensor")
+        if self.s.shape != (1,):
+            raise TensorError(f"soft mask parameter s must have shape (1,), got {self.s.shape}")
 
     def fraction(self) -> float:
         """Current effective-neighbor fraction sigmoid(s), in (0, 1)."""
@@ -67,9 +64,9 @@ def soft_mask(p: SoftMaskParams, k: int) -> Tensor:
     if k < 1:
         raise TensorError("soft mask needs K >= 1")
     ranks = Tensor(np.arange(1.0, k + 1.0))
-    frac = sigmoid(p.s)                                # sigma(s), shape of s
+    frac = sigmoid(p.s)                                # sigma(s), shape (1,)
     thresh = add(scale(frac, k - 1.0), Tensor(np.ones(1)))
-    arg = scale(sub(reshape(thresh, (1,)), ranks), p.alpha)
+    arg = scale(sub(thresh, ranks), p.alpha)
     return sigmoid(arg)
 
 
@@ -99,14 +96,6 @@ class GlaLayerParams:
     ln2_beta: Tensor
     mask: SoftMaskParams
     heads: int = 1
-
-    @property
-    def hidden(self) -> int:
-        return self.w_qg.shape[0]
-
-    @property
-    def branch(self) -> int:
-        return self.w_qg.shape[1]
 
     @classmethod
     def initialize(cls, rng: np.random.Generator, hidden: int, ff_hidden: int,
@@ -153,52 +142,18 @@ class GlaLayerParams:
         yield "mask_s", self.mask.s
 
 
-def _positive_features(x: Tensor) -> Tensor:
-    """Rows of phi(x) = gelu(x) + 1, each normalized to sum 1.
-
-    gelu is bounded below by about -0.17, so every entry of phi is at least
-    0.83 and every row sum is positive.
-    """
-    phi = add(gelu(x), Tensor(1.0))
-    return div(phi, reduce_sum(phi, axis=-1, keepdims=True))
-
-
-def _heads(x: Tensor, heads: int) -> list[Tensor]:
-    if heads == 1:
-        return [x]
-    dh = x.shape[-1] // heads
-    return [split_lastdim(x, h * dh, (h + 1) * dh) for h in range(heads)]
-
-
-def _concat_all(parts: list[Tensor]) -> Tensor:
-    out = parts[0]
-    for p in parts[1:]:
-        out = concat_lastdim(out, p)
-    return out
-
-
 def global_attention(h_bar: Tensor, p: GlaLayerParams) -> Tensor:
-    """Linear-attention global branch: Qn (Kn^T V) / D + Qn, cost O(M*d^2).
+    """Linear-attention global branch: Qn (Kn^T V) / D + Qn, cost O(M*d*dh).
 
-    Qn and Kn are the positive features gelu(x) + 1 of each head's queries
-    and keys, row-normalized; D = Qn (Kn^T 1) is then positive, so the
+    Queries, keys and values are projected at [M, d]; one `linear_attention`
+    op maps each head's queries and keys to the positive features
+    gelu(x) + 1, row-normalized, so D = Qn (Kn^T 1) is positive and the
     division needs no guard. The M x M score matrix is never formed.
     """
-    m = h_bar.shape[0]
     q = add(matmul(h_bar, p.w_qg), p.b_qg)
     k = add(matmul(h_bar, p.w_kg), p.b_kg)
     v = add(matmul(h_bar, p.w_vg), p.b_vg)
-    ones = Tensor(np.ones((m, 1)))
-
-    outs = []
-    for qh, kh, vh in zip(_heads(q, p.heads), _heads(k, p.heads), _heads(v, p.heads)):
-        qn = _positive_features(qh)
-        kn = _positive_features(kh)
-        knt = transpose(kn)
-        num = matmul(qn, matmul(knt, vh))            # [M, dh] via [dh, dh]
-        den = matmul(qn, matmul(knt, ones))          # [M, 1]
-        outs.append(add(div(num, den), qn))
-    return _concat_all(outs)
+    return linear_attention(q, k, v, p.heads)
 
 
 def local_attention(h_bar: Tensor, knn: KnnIndex, w: Tensor,
@@ -207,9 +162,9 @@ def local_attention(h_bar: Tensor, knn: KnnIndex, w: Tensor,
 
     Neighbor b of point a enters as w[b] * h_bar[idx[a, b]]. This relies on
     w_kl and w_vl carrying no bias: its key is w[b] * (h_bar W_kl)[idx[a, b]]
-    (its value likewise), so keys and values are projected at [M, d] and each
-    head runs as one sparse `knn_attention` op, in which w scales the [M, K]
-    scores and attention weights; no [M, K, d] array is taped.
+    (its value likewise), so keys and values are projected at [M, d] and all
+    heads run as one sparse `knn_attention` op, in which w scales the
+    [M, K] scores and attention weights; no [M, K, d] array is taped.
     """
     if h_bar.ndim != 2 or knn.m != h_bar.shape[0] or w.shape != (knn.k,):
         raise TensorError(f"local attention needs [M,C], [M,K] index, [K] weights, "
@@ -217,8 +172,7 @@ def local_attention(h_bar: Tensor, knn: KnnIndex, w: Tensor,
     q = add(matmul(h_bar, p.w_ql), p.b_ql)
     k = matmul(h_bar, p.w_kl)
     v = matmul(h_bar, p.w_vl)
-    return _concat_all([knn_attention(qh, kh, vh, knn.idx, w) for qh, kh, vh in
-                        zip(_heads(q, p.heads), _heads(k, p.heads), _heads(v, p.heads))])
+    return knn_attention(q, k, v, knn.idx, w, p.heads)
 
 
 def gla(h_bar: Tensor, knn: KnnIndex, p: GlaLayerParams) -> Tensor:

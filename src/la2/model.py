@@ -57,10 +57,6 @@ class ModelConfig:
             self.ff_hidden = 2 * self.hidden
         self.validate()
 
-    @property
-    def branch(self) -> int:
-        return self.hidden // 2
-
     def validate(self) -> None:
         if self.hidden % 2 != 0:
             raise TensorError(f"hidden width must be even, got {self.hidden}")
@@ -106,9 +102,6 @@ class OperatorModel:
                 yield f"blocks.{i}.{name}", t
         yield "proj_w", self.proj_w
         yield "proj_b", self.proj_b
-
-    def parameter_count(self) -> int:
-        return sum(t.size for _, t in self.named_parameters())
 
 
 def init_model(cfg: ModelConfig) -> OperatorModel:

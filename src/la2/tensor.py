@@ -9,6 +9,10 @@ Binary ops broadcast numpy-style (right-aligned), which covers the scalar and
 trailing-axis cases the model needs; gradients are summed back over broadcast
 axes. Any op that produces a non-finite value on finite inputs raises
 ``TensorError`` instead of propagating NaN/Inf.
+
+Each attention branch is one fused op with a hand-written backward rule and
+its heads handled inside: ``linear_attention`` (global) and ``knn_attention``
+(local, over each row's K indexed rows).
 """
 
 from __future__ import annotations
@@ -25,21 +29,19 @@ __all__ = [
     "TensorError",
     "tensor_new",
     "matmul",
-    "transpose",
     "reshape",
     "knn_attention",
+    "linear_attention",
     "layer_norm",
     "sigmoid",
     "gelu",
     "add",
     "sub",
     "mul",
-    "div",
     "scale",
     "reduce_sum",
     "l2_lastdim",
     "concat_lastdim",
-    "split_lastdim",
     "backward",
 ]
 
@@ -127,9 +129,6 @@ class GradTape:
 
     def __len__(self) -> int:
         return len(self._entries)
-
-    def clear(self) -> None:
-        self._entries.clear()
 
     def __enter__(self) -> "GradTape":
         global _ACTIVE_TAPE
@@ -234,14 +233,6 @@ def matmul(a: Tensor, b: Tensor) -> Tensor:
     return _result(ad @ bd, (a, b), rule)
 
 
-def transpose(a: Tensor) -> Tensor:
-    """Transpose of a 2-D tensor."""
-    _check_tensor(a, "a")
-    if a.ndim != 2:
-        raise TensorError(f"transpose needs a 2-D tensor, got {a.shape}")
-    return _result(a.data.T, (a,), lambda g: (g.T,))
-
-
 def reshape(a: Tensor, shape: Sequence[int]) -> Tensor:
     _check_tensor(a, "a")
     shape = tuple(int(s) for s in shape)
@@ -265,23 +256,8 @@ def concat_lastdim(a: Tensor, b: Tensor) -> Tensor:
     return _result(np.concatenate([a.data, b.data], axis=-1), (a, b), rule)
 
 
-def split_lastdim(a: Tensor, start: int, stop: int) -> Tensor:
-    """Contiguous slice [start:stop) of the last axis."""
-    _check_tensor(a, "a")
-    d = a.shape[-1]
-    if not (0 <= start < stop <= d):
-        raise TensorError(f"bad slice [{start}:{stop}) for last dim {d}")
-
-    def rule(g):
-        ga = np.zeros(a.shape, dtype=np.float64)
-        ga[..., start:stop] = g
-        return (ga,)
-
-    return _result(a.data[..., start:stop], (a,), rule)
-
-
 # ---------------------------------------------------------------------------
-# Normalization and softmax
+# Normalization and attention
 # ---------------------------------------------------------------------------
 
 def layer_norm(x: Tensor, gamma: Tensor, beta: Tensor, eps: float = 1e-5) -> Tensor:
@@ -314,15 +290,23 @@ def layer_norm(x: Tensor, gamma: Tensor, beta: Tensor, eps: float = 1e-5) -> Ten
     return _result(gd * xhat + beta.data, (x, gamma, beta), rule)
 
 
-def knn_attention(q: Tensor, k: Tensor, v: Tensor, idx: np.ndarray, w: Tensor) -> Tensor:
-    """Rank-weighted softmax attention of each row over its K indexed rows.
+def _check_heads(heads: int, d: int) -> None:
+    if heads < 1 or d % heads != 0:
+        raise TensorError(f"width {d} does not split into {heads} heads")
+
+
+def knn_attention(q: Tensor, k: Tensor, v: Tensor, idx: np.ndarray, w: Tensor,
+                  heads: int = 1) -> Tensor:
+    """Rank-weighted softmax attention of each row over its K indexed rows, per head.
 
     out[a] = sum_b att[a, b] * w[b] * v[idx[a, b]], where att[a] is the
-    max-subtracted softmax over b of w[b] * q[a] . k[idx[a, b]] / sqrt(d).
+    max-subtracted softmax over b of w[b] * q[a] . k[idx[a, b]] / sqrt(dh),
+    taken separately in each head's dh = d/heads columns.
     `q` is [M, d], `k` and `v` are [N, d], `idx` is integer [M, K] into [0, N),
-    `w` is [K]. The weighted attention matrix is CSR with the pattern of `idx`,
-    so the output and the q, k, v gradients are sparse products; the backward
-    rule keeps [M, K] arrays, never an [M, K, d] gather.
+    `w` is [K]. Head h of row a is row a*H + h of the [M*H, dh] view, so head
+    h's index is idx*H + h. The weighted attention matrix is CSR with that
+    pattern, so the output and the q, k, v gradients are sparse products; the
+    backward rule keeps [M*H, K] arrays, never an [M, K, d] gather.
     """
     for t, name in ((q, "q"), (k, "k"), (v, "v"), (w, "w")):
         _check_tensor(t, name)
@@ -334,10 +318,15 @@ def knn_attention(q: Tensor, k: Tensor, v: Tensor, idx: np.ndarray, w: Tensor) -
     if q.shape != (m, d) or v.shape != (n, d) or w.shape != (kk,) or kk < 1 or d < 1:
         raise TensorError(f"knn_attention needs q [{m},{d}], v [{n},{d}], w [{kk}] and "
                           f"K, d >= 1, got {q.shape}, {v.shape}, {w.shape}")
+    _check_heads(heads, d)
     if idx.size and (idx.min() < 0 or idx.max() >= n):
         raise TensorError(f"knn_attention index out of range [0, {n})")
-    qd, kd, vd, wd = q.data, k.data, v.data, w.data
-    inv_sqrt_d = 1.0 / np.sqrt(d)
+    dh = d // heads
+    rows = m * heads
+    idx = (idx[:, None, :] * heads + np.arange(heads)[:, None]).reshape(rows, kk)
+    qd, kd, vd = (t.data.reshape(-1, dh) for t in (q, k, v))
+    wd = w.data
+    inv_sqrt_d = 1.0 / np.sqrt(dh)
     c = wd * inv_sqrt_d
     # np.sum's pairwise order keeps scores bit-equal to mul + reduce_sum; the model
     # amplifies last-bit score changes (einsum's order moved an M=4096 output 2.5e-10).
@@ -348,18 +337,76 @@ def knn_attention(q: Tensor, k: Tensor, v: Tensor, idx: np.ndarray, w: Tensor) -
     e = np.exp(s - s.max(axis=1, keepdims=True))
     att = e / e.sum(axis=1, keepdims=True)
     cols = idx.reshape(-1)
-    indptr = np.arange(0, m * kk + 1, kk)
-    a_mat = csr_matrix(((att * wd).reshape(-1), cols, indptr), shape=(m, n))
+    indptr = np.arange(0, rows * kk + 1, kk)
+    a_mat = csr_matrix(((att * wd).reshape(-1), cols, indptr), shape=(rows, n * heads))
 
     def rule(g):
+        g = g.reshape(rows, dh)
         gaw = np.einsum("mkd,md->mk", vd[idx], g)     # d out / d (att * w)
         gatt = gaw * wd
         gs = att * (gatt - (gatt * att).sum(axis=1, keepdims=True))
-        r_mat = csr_matrix(((gs * c).reshape(-1), cols, indptr), shape=(m, n))
+        r_mat = csr_matrix(((gs * c).reshape(-1), cols, indptr), shape=(rows, n * heads))
         dw = (gaw * att).sum(axis=0) + (gs * dots).sum(axis=0) * inv_sqrt_d
-        return r_mat @ kd, r_mat.T @ qd, a_mat.T @ g, dw
+        return ((r_mat @ kd).reshape(m, d), (r_mat.T @ qd).reshape(n, d),
+                (a_mat.T @ g).reshape(n, d), dw)
 
-    return _result(a_mat @ vd, (q, k, v, w), rule)
+    return _result((a_mat @ vd).reshape(m, d), (q, k, v, w), rule)
+
+
+def linear_attention(q: Tensor, k: Tensor, v: Tensor, heads: int = 1) -> Tensor:
+    """Positive-feature linear attention per head: Qn (Kn^T V) / (Qn Kn^T 1) + Qn.
+
+    `q`, `k` and `v` are [M, d]; head h owns columns [h*dh, (h+1)*dh) with
+    dh = d/heads, viewed as [H, M, dh]. Qn and Kn are the rows of gelu(x) + 1
+    of each head's queries and keys, each normalized to sum 1. gelu is bounded
+    below by about -0.17, so every feature is at least 0.83 and the
+    denominator is positive by construction. Cost O(M*d*dh): the M x M score
+    matrix is never formed. The backward rule is hand-written.
+    """
+    for t, name in ((q, "q"), (k, "k"), (v, "v")):
+        _check_tensor(t, name)
+    if q.ndim != 2 or k.shape != q.shape or v.shape != q.shape or q.shape[1] < 1:
+        raise TensorError(f"linear_attention needs equal [M,d] q, k, v with d >= 1, "
+                          f"got {q.shape}, {k.shape}, {v.shape}")
+    m, d = q.shape
+    _check_heads(heads, d)
+    dh = d // heads
+
+    def split(x):                                   # [M, d] -> [H, M, dh]
+        return x.reshape(m, heads, dh).transpose(1, 0, 2)
+
+    def merge(x):                                   # [H, M, dh] -> [M, d]
+        return x.transpose(1, 0, 2).reshape(m, d)
+
+    def features(x):
+        cdf = _gelu_cdf(x)
+        phi = x * cdf + 1.0
+        s = phi.sum(axis=-1, keepdims=True)
+        return cdf, phi / s, s
+
+    def features_grad(x, cdf, n, s, gn):                # through n = phi / sum(phi)
+        gphi = (gn - (gn * n).sum(axis=-1, keepdims=True)) / s
+        return merge(gphi * _gelu_grad(x, cdf))
+
+    qx, kx, vh = split(q.data), split(k.data), split(v.data)
+    qcdf, qn, qs = features(qx)
+    kcdf, kn, ks = features(kx)
+    kv = kn.transpose(0, 2, 1) @ vh                 # [H, dh, dh]
+    zt = kn.sum(axis=1, keepdims=True)              # [H, 1, dh]: (Kn^T 1)^T
+    den = qn @ zt.transpose(0, 2, 1)                # [H, M, 1]
+    ratio = (qn @ kv) / den
+
+    def rule(g):
+        gh = split(g)
+        gnum = gh / den
+        gden = -(gh * ratio).sum(axis=-1, keepdims=True) / den
+        gqn = gh + gnum @ kv.transpose(0, 2, 1) + gden * zt
+        gkv = qn.transpose(0, 2, 1) @ gnum
+        gkn = vh @ gkv.transpose(0, 2, 1) + gden.transpose(0, 2, 1) @ qn
+        return (features_grad(qx, qcdf, qn, qs, gqn),
+                features_grad(kx, kcdf, kn, ks, gkn), merge(kn @ gkv))
+
+    return _result(merge(ratio + qn), (q, k, v), rule)
 
 
 # ---------------------------------------------------------------------------
@@ -381,17 +428,22 @@ def sigmoid(x: Tensor) -> Tensor:
     return _result(y, (x,), rule)
 
 
+def _gelu_cdf(x: np.ndarray) -> np.ndarray:
+    """Standard normal CDF; gelu(x) = x * cdf(x)."""
+    return 0.5 * (1.0 + _erf(x * _INV_SQRT2))
+
+
+def _gelu_grad(x: np.ndarray, cdf: np.ndarray) -> np.ndarray:
+    """d gelu / dx = cdf(x) + x * pdf(x)."""
+    return cdf + x * (np.exp(-0.5 * x * x) * _INV_SQRT_2PI)
+
+
 def gelu(x: Tensor) -> Tensor:
     """Exact (erf-based) GELU."""
     _check_tensor(x, "x")
     xd = x.data
-    phi = 0.5 * (1.0 + _erf(xd * _INV_SQRT2))
-
-    def rule(g):
-        pdf = np.exp(-0.5 * xd * xd) * _INV_SQRT_2PI
-        return (g * (phi + xd * pdf),)
-
-    return _result(xd * phi, (x,), rule)
+    cdf = _gelu_cdf(xd)
+    return _result(xd * cdf, (x,), lambda g: (g * _gelu_grad(xd, cdf),))
 
 
 def scale(x: Tensor, c: float) -> Tensor:
@@ -436,41 +488,15 @@ def mul(a: Tensor, b: Tensor) -> Tensor:
     return _binary(a, b, np.multiply, lambda g: g * y, lambda g: g * x)
 
 
-def div(a: Tensor, b: Tensor) -> Tensor:
-    _check_tensor(a, "a")
-    _check_tensor(b, "b")
-    x, y = a.data, b.data
-    return _binary(a, b, np.divide, lambda g: g / y, lambda g: -g * x / (y * y))
-
-
 # ---------------------------------------------------------------------------
 # Reductions
 # ---------------------------------------------------------------------------
 
-def _norm_axis(axis: int, ndim: int) -> int:
-    if not -ndim <= axis < ndim:
-        raise TensorError(f"axis {axis} out of range for {ndim}-D tensor")
-    return axis % ndim
-
-
-def reduce_sum(x: Tensor, axis: int | None = None, keepdims: bool = False) -> Tensor:
+def reduce_sum(x: Tensor) -> Tensor:
+    """Sum of all entries, as a 0-d tensor."""
     _check_tensor(x, "x")
     shape = x.shape
-    if axis is None:
-        out = x.data.sum()
-
-        def rule(g):
-            return (np.broadcast_to(g, shape).copy(),)
-    else:
-        ax = _norm_axis(axis, x.ndim)
-        out = x.data.sum(axis=ax, keepdims=keepdims)
-
-        def rule(g):
-            if not keepdims:
-                g = np.expand_dims(g, ax)
-            return (np.broadcast_to(g, shape).copy(),)
-
-    return _result(out, (x,), rule)
+    return _result(x.data.sum(), (x,), lambda g: (np.broadcast_to(g, shape).copy(),))
 
 
 def l2_lastdim(x: Tensor) -> Tensor:

@@ -194,20 +194,25 @@ def evaluate(m: OperatorModel, ds: data_mod.Dataset, split: str = "test") -> dic
     """Mean and per-sample root-ratio relative L2 on de-normalized fields.
 
     Also reports the metric in normalized space (the space the model is
-    trained in), useful as a scale-free baseline. `split` may also be a 1-D
-    list of sample indices in [0, N). The KNN index is cached on the geometry.
+    trained in), useful as a scale-free baseline. `split` is "train", "test",
+    "all", or a 1-D integer list of sample indices in [0, N); anything else
+    raises TrainingError. The KNN index is cached on the geometry.
     """
     check_compatible(m.config, ds)
-    if split == "train":
-        indices = ds.train_indices
-    elif split == "test":
-        indices = ds.test_indices
-    elif split == "all":
-        indices = np.arange(ds.n)
+    if isinstance(split, str):
+        named = {"train": ds.train_indices, "test": ds.test_indices,
+                 "all": np.arange(ds.n)}
+        if split not in named:
+            raise TrainingError(f"unknown split {split!r}; expected one of {list(named)}")
+        indices = named[split]
     else:
-        indices = np.asarray(split, dtype=np.int64)
-        if indices.ndim != 1 or not np.all((indices >= 0) & (indices < ds.n)):
-            raise TrainingError(f"split {split!r} is not a 1-D list in [0, {ds.n})")
+        try:
+            indices = np.asarray(split)
+        except ValueError as exc:              # ragged nested lists
+            raise TrainingError(f"split {split!r} is not a 1-D integer list") from exc
+        if (indices.ndim != 1 or not np.issubdtype(indices.dtype, np.integer)
+                or not np.all((indices >= 0) & (indices < ds.n))):
+            raise TrainingError(f"split {split!r} is not a 1-D integer list in [0, {ds.n})")
     if len(indices) == 0:
         raise TrainingError(f"split {split!r} selects no samples")
     knn = knn_indices_accelerated(ds.geometry, m.config.k)

@@ -75,12 +75,15 @@ class TestSoftMask:
     def test_validation(self):
         with pytest.raises(TensorError):
             SoftMaskParams(s=Tensor([0.0]), alpha=0.0)
+        for shape in ((), (1, 1)):
+            with pytest.raises(TensorError):
+                SoftMaskParams(s=Tensor(np.zeros(shape)), alpha=10.0)
         with pytest.raises(TensorError):
             soft_mask(make_mask(), 0)
 
 
 def dense_global_reference(h, p):
-    """Independent numpy evaluation that materializes the M x M matrix."""
+    """Independent numpy evaluation that materializes each head's M x M matrix."""
     def lin(w, b):
         return h @ w.data + b.data
 
@@ -88,13 +91,17 @@ def dense_global_reference(h, p):
         phi = 0.5 * x * (1.0 + erf(x / math.sqrt(2.0))) + 1.0   # gelu(x) + 1
         return phi / phi.sum(axis=1, keepdims=True)
 
-    q = features(lin(p.w_qg, p.b_qg))
-    k = features(lin(p.w_kg, p.b_kg))
-    v = lin(p.w_vg, p.b_vg)
-    scores = q @ k.T                     # the M x M route
-    num = scores @ v
-    den = scores @ np.ones((h.shape[0], 1))
-    return num / den + q
+    q_all, k_all, v_all = lin(p.w_qg, p.b_qg), lin(p.w_kg, p.b_kg), lin(p.w_vg, p.b_vg)
+    dh = q_all.shape[1] // p.heads
+    outs = []
+    for i in range(p.heads):
+        sl = slice(i * dh, (i + 1) * dh)
+        q, k, v = features(q_all[:, sl]), features(k_all[:, sl]), v_all[:, sl]
+        scores = q @ k.T                 # the M x M route
+        num = scores @ v
+        den = scores @ np.ones((h.shape[0], 1))
+        outs.append(num / den + q)
+    return np.concatenate(outs, axis=1)
 
 
 class TestGlobalAttention:
@@ -112,9 +119,11 @@ class TestGlobalAttention:
         out = global_attention(Tensor(np.zeros((1, 4))), p)
         assert out.data.ravel() == pytest.approx([3.5, 7.5], abs=1e-14)
 
-    @pytest.mark.parametrize("m", [1, 7, 64])
-    def test_matches_dense_reference(self, rng, m):
-        p = make_params(rng, 8)
+    @pytest.mark.parametrize("m, heads", [
+        pytest.param(1, 1, id="1"), pytest.param(7, 1, id="7"),
+        pytest.param(64, 1, id="64"), pytest.param(64, 2, id="64-heads2")])
+    def test_matches_dense_reference(self, rng, m, heads):
+        p = make_params(rng, 8, heads=heads)
         h = Tensor(rng.standard_normal((m, 8)))
         mine = global_attention(h, p).data
         ref = dense_global_reference(h.data, p)

@@ -11,7 +11,7 @@ from la2.geometry import PointSet, knn_indices, relabel_knn
 from la2.model import (CheckpointError, ModelConfig, OperatorModel, encode,
                        forward, init_model, load_checkpoint, mask_trajectory,
                        save_checkpoint)
-from la2.tensor import Tensor, TensorError, mul, reduce_sum
+from la2.tensor import GradTape, Tensor, TensorError, backward, mul, reduce_sum
 
 
 def tiny_config(**kw):
@@ -32,7 +32,7 @@ def darcy_like_instance(rng, m=16, cfg=None):
 class TestConfig:
     def test_paper_defaults(self):
         cfg = ModelConfig(in_channels=1, coord_channels=2, out_channels=1, k=8)
-        assert cfg.layers == 8 and cfg.hidden == 128 and cfg.branch == 64
+        assert cfg.layers == 8 and cfg.hidden == 128
         assert cfg.ff_hidden == 256
 
     def test_odd_hidden_rejected(self):
@@ -149,6 +149,19 @@ class TestForward:
         worst = gradcheck(lambda: reduce_sum(mul(forward(m, f_in, pts, knn), r)),
                           wrt, tol=1e-4)
         assert worst < 1e-4
+
+    def test_tape_length_independent_of_heads(self):
+        # Heads live inside the fused attention ops, so a second head adds
+        # no tape entries.
+        lengths = []
+        for heads in (1, 2):
+            cfg = tiny_config(heads=heads)
+            m = init_model(cfg)
+            pts, knn, f_in = darcy_like_instance(np.random.default_rng(0), 16, cfg)
+            with GradTape() as tape:
+                backward(reduce_sum(forward(m, f_in, pts, knn)), tape)
+            lengths.append(len(tape))
+        assert lengths[0] == lengths[1]
 
 
 class TestMaskTrajectory:

@@ -1,6 +1,8 @@
 """Tensor engine: construction, op semantics, and gradient correctness."""
 
+import ast
 import math
+from pathlib import Path
 
 import numpy as np
 import pytest
@@ -131,13 +133,41 @@ class TestKnnAttention:
             assert np.abs(g[0]).min() > 0.0
             assert np.array_equal(g[[3, 5]], np.zeros((2, 3)))
 
+    def test_two_heads_match_single_head_calls(self, rng):
+        # Head h owns columns [3h, 3h + 3); w is shared, so its gradient sums
+        # over the heads.
+        q = leaf(rng.standard_normal((4, 6)))
+        k = leaf(rng.standard_normal((6, 6)))
+        v = leaf(rng.standard_normal((6, 6)))
+        w = leaf(rng.uniform(0.2, 1.0, 3))
+        r = rng.uniform(-1, 1, (4, 6))
+        with GradTape() as tape:
+            out = T.knn_attention(q, k, v, self.IDX, w, 2)
+            backward(T.reduce_sum(T.mul(out, Tensor(r))), tape)
+        got = (out.data, q.grad, k.grad, v.grad, w.grad)
+        parts = [np.zeros((4, 6)), np.zeros((4, 6)), np.zeros((6, 6)), np.zeros((6, 6)),
+                 np.zeros(3)]
+        for h in range(2):
+            cols = slice(3 * h, 3 * h + 3)
+            qh, kh, vh = (leaf(t.data[:, cols]) for t in (q, k, v))
+            wh = leaf(w.data)
+            with GradTape() as tape:
+                out_h = T.knn_attention(qh, kh, vh, self.IDX, wh)
+                backward(T.reduce_sum(T.mul(out_h, Tensor(r[:, cols]))), tape)
+            for part, t in zip(parts[:4], (out_h.data, qh.grad, kh.grad, vh.grad)):
+                part[:, cols] = t
+            parts[4] += wh.grad
+        for g, expect in zip(got, parts):
+            assert np.abs(g - expect).max() <= 1e-12 * np.abs(expect).max()
+
     @pytest.mark.parametrize("case", [
         "index_too_large", "index_negative", "float_index", "index_1d",
         "q_rows", "q_width", "kv_shape", "k_1d", "w_length", "w_2d", "no_neighbors",
-        "not_a_tensor"])
+        "not_a_tensor", "heads_not_dividing"])
     def test_validation(self, rng, case):
         q, k, v, w = self.inputs(rng)
         idx = self.IDX
+        heads = 1
         if case == "index_too_large":
             idx = np.where(idx == 4, 6, idx)
         elif case == "index_negative":
@@ -160,10 +190,47 @@ class TestKnnAttention:
             w = Tensor(np.ones((1, 3)))
         elif case == "no_neighbors":
             idx, w = idx[:, :0], Tensor(np.ones(0))
+        elif case == "heads_not_dividing":
+            heads = 2
         else:
             v = v.data
         with pytest.raises(TensorError):
-            T.knn_attention(q, k, v, idx, w)
+            T.knn_attention(q, k, v, idx, w, heads)
+
+
+class TestLinearAttention:
+    """Exact values are checked against a dense reference in test_attention."""
+
+    @pytest.mark.parametrize("heads", [1, 2])
+    def test_gradcheck(self, rng, heads):
+        q, k, v = (leaf(None, rng, (5, 4)) for _ in range(3))
+        r = Tensor(rng.uniform(-1, 1, (5, 4)))
+        gradcheck(lambda: T.reduce_sum(T.mul(T.linear_attention(q, k, v, heads), r)),
+                  [q, k, v])
+
+    @pytest.mark.parametrize("case", [
+        "k_shape", "v_shape", "q_1d", "zero_width", "heads_not_dividing", "zero_heads",
+        "not_a_tensor"])
+    def test_validation(self, rng, case):
+        q, k, v = (Tensor(rng.standard_normal((5, 4))) for _ in range(3))
+        heads = 2
+        if case == "k_shape":
+            k = Tensor(np.ones((6, 4)))
+        elif case == "v_shape":
+            v = Tensor(np.ones((5, 2)))
+        elif case == "q_1d":
+            q, k, v = Tensor(np.ones(4)), Tensor(np.ones(4)), Tensor(np.ones(4))
+        elif case == "zero_width":
+            q, k, v = (Tensor(np.ones((5, 0))) for _ in range(3))
+            heads = 1
+        elif case == "heads_not_dividing":
+            heads = 3
+        elif case == "zero_heads":
+            heads = 0
+        else:
+            k = k.data
+        with pytest.raises(TensorError):
+            T.linear_attention(q, k, v, heads)
 
 
 class TestLayerNorm:
@@ -273,11 +340,10 @@ class TestElementwise:
         fn = getattr(T, op)
         gradcheck(lambda: T.reduce_sum(T.mul(fn(x), r)), [x])
 
-    @pytest.mark.parametrize("op", ["add", "sub", "mul", "div"])
+    @pytest.mark.parametrize("op", ["add", "sub", "mul"])
     def test_binary_gradients(self, rng, op):
         a = leaf(None, rng, (3, 4))
         b = leaf(None, rng, (4,))
-        b.data[np.abs(b.data) < 0.2] += 0.5  # keep div well-conditioned
         r = Tensor(rng.uniform(-1, 1, (3, 4)))
         fn = getattr(T, op)
         gradcheck(lambda: T.reduce_sum(T.mul(fn(a, b), r)), [a, b])
@@ -291,26 +357,12 @@ class TestReduce:
     def test_sum_of_ones(self):
         assert T.reduce_sum(Tensor(np.ones((3, 3)))).data == pytest.approx(9.0)
 
-    def test_axis_reductions(self, rng):
-        x = Tensor(rng.uniform(-1, 1, (2, 3, 4)))
-        assert T.reduce_sum(x, axis=1).shape == (2, 4)
-        assert T.reduce_sum(x, axis=-1, keepdims=True).shape == (2, 3, 1)
-
-    def test_invalid_axis(self):
-        with pytest.raises(TensorError):
-            T.reduce_sum(Tensor(np.ones((2, 2))), axis=5)
-
     @pytest.mark.parametrize("kind", ["l2_lastdim"])
     def test_lastdim_gradients(self, rng, kind):
         x = leaf(None, rng, (3, 4))
         fn = getattr(T, kind)
         r = Tensor(rng.uniform(-1, 1, (3, 1)))
         gradcheck(lambda: T.reduce_sum(T.mul(fn(x), r)), [x])
-
-    def test_axis_sum_gradient(self, rng):
-        x = leaf(None, rng, (2, 3, 4))
-        r = Tensor(rng.uniform(-1, 1, (2, 4)))
-        gradcheck(lambda: T.reduce_sum(T.mul(T.reduce_sum(x, axis=1), r)), [x])
 
 
 class TestConcatSplit:
@@ -333,17 +385,10 @@ class TestConcatSplit:
         r = Tensor(rng.uniform(-1, 1, (3, 6)))
         gradcheck(lambda: T.reduce_sum(T.mul(T.concat_lastdim(a, b), r)), [a, b])
 
-    def test_split_gradient(self, rng):
-        x = leaf(None, rng, (3, 6))
-        r = Tensor(rng.uniform(-1, 1, (3, 2)))
-        gradcheck(lambda: T.reduce_sum(T.mul(T.split_lastdim(x, 2, 4), r)), [x])
-
-    def test_transpose_reshape_gradients(self, rng):
+    def test_reshape_gradient(self, rng):
         x = leaf(None, rng, (3, 4))
-        r = Tensor(rng.uniform(-1, 1, (4, 3)))
-        gradcheck(lambda: T.reduce_sum(T.mul(T.transpose(x), r)), [x])
-        r2 = Tensor(rng.uniform(-1, 1, (12,)))
-        gradcheck(lambda: T.reduce_sum(T.mul(T.reshape(x, (12,)), r2)), [x])
+        r = Tensor(rng.uniform(-1, 1, (12,)))
+        gradcheck(lambda: T.reduce_sum(T.mul(T.reshape(x, (12,)), r)), [x])
 
 
 class TestBackward:
@@ -390,6 +435,24 @@ class TestBackward:
     def test_reuse_accumulates(self, rng):
         x = leaf(None, rng, (4,))
         gradcheck(lambda: T.reduce_sum(T.add(T.mul(x, x), x)), [x])
+
+
+class TestEngineSurface:
+    EXEMPT = {"Tensor", "GradTape", "TensorError", "tensor_new", "backward"}
+
+    def test_every_op_is_called_by_the_package(self):
+        # An engine op that no other la2 module calls is dead weight: delete it.
+        src = Path(T.__file__).parent
+        called = set()
+        for path in src.glob("*.py"):
+            if path.name == "tensor.py":
+                continue
+            for node in ast.walk(ast.parse(path.read_text(encoding="utf-8"))):
+                if isinstance(node, ast.Call):
+                    f = node.func
+                    called.add(f.id if isinstance(f, ast.Name) else getattr(f, "attr", None))
+        unused = sorted(set(T.__all__) - self.EXEMPT - called)
+        assert unused == [], f"engine ops no la2 module calls: {unused}"
 
 
 class TestDeterminism:

@@ -202,8 +202,11 @@ class TestEvaluate:
             TR.evaluate(m, tiny_darcy, "test")
 
     @pytest.mark.parametrize("bad", [lambda n: [-1], lambda n: [n],
-                                     lambda n: [[0]]],
-                             ids=["negative", "past-end", "nested"])
+                                     lambda n: [[0]], lambda n: "val",
+                                     lambda n: [1.7], lambda n: [True],
+                                     lambda n: [[0], [0, 1]]],
+                             ids=["negative", "past-end", "nested", "unknown-name",
+                                  "float", "bool", "ragged"])
     def test_bad_sample_indices_rejected(self, tiny_darcy, bad):
         m = tiny_model(tiny_darcy)
         with pytest.raises(TR.TrainingError):
