@@ -6,8 +6,8 @@ composition and checkpoints), ``data`` (synthetic PDE datasets and the LA2T
 format), ``training`` (loss/optimizer/loop), ``bench``, and ``cli``.
 """
 
-from .tensor import GradTape, Tensor, TensorError, backward, tensor_new
+from .tensor import GradTape, Tensor, TensorError, backward
 
-__all__ = ["GradTape", "Tensor", "TensorError", "backward", "tensor_new"]
+__all__ = ["GradTape", "Tensor", "TensorError", "backward"]
 
 __version__ = "0.1.0"

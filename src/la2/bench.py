@@ -21,13 +21,14 @@ from .tensor import Tensor, TensorError
 __all__ = ["time_median", "bench_global", "bench_local", "bench_pairwise",
            "full_pairwise_attention", "check_memory_cap"]
 
-DEFAULT_MEMORY_CAP = 2 << 30  # bytes of the dominant working array
+MEMORY_CAP = 2 << 30  # bytes of the dominant working array
 
 
-def check_memory_cap(nbytes: int, cap: int = DEFAULT_MEMORY_CAP) -> None:
-    if nbytes > cap:
-        raise TensorError(
-            f"benchmark size needs {nbytes / 2**20:.0f} MiB, cap is {cap / 2**20:.0f} MiB")
+def check_memory_cap(nbytes: int) -> None:
+    """Reject a benchmark size before its working array is allocated."""
+    if nbytes > MEMORY_CAP:
+        raise TensorError(f"benchmark size needs {nbytes / 2**20:.0f} MiB, "
+                          f"cap is {MEMORY_CAP / 2**20:.0f} MiB")
 
 
 def time_median(fn: Callable[[], object], repeats: int = 5) -> float:
@@ -44,20 +45,18 @@ def _layer_params(rng: np.random.Generator, hidden: int) -> GlaLayerParams:
     return GlaLayerParams.initialize(rng, hidden, 2 * hidden, alpha=10.0)
 
 
-def bench_global(m: int, hidden: int, repeats: int = 5,
-                 cap: int = DEFAULT_MEMORY_CAP) -> float:
+def bench_global(m: int, hidden: int, repeats: int = 5) -> float:
     """Median forward time of the linear global branch at M points."""
-    check_memory_cap(m * hidden * 8 * 4, cap)
+    check_memory_cap(m * hidden * 8 * 4)
     rng = np.random.default_rng(m + hidden)
     p = _layer_params(rng, hidden)
     h = Tensor(rng.standard_normal((m, hidden)))
     return time_median(lambda: global_attention(h, p), repeats)
 
 
-def bench_local(m: int, k: int, hidden: int, repeats: int = 5,
-                cap: int = DEFAULT_MEMORY_CAP) -> float:
+def bench_local(m: int, k: int, hidden: int, repeats: int = 5) -> float:
     """Median forward time of the local branch (soft mask, projections, sparse patch attention)."""
-    check_memory_cap(m * k * hidden * 8 * 3, cap)
+    check_memory_cap(m * k * hidden * 8 * 3)
     rng = np.random.default_rng(m * 31 + k)
     p = _layer_params(rng, hidden)
     h = Tensor(rng.standard_normal((m, hidden)))
@@ -81,10 +80,9 @@ def full_pairwise_attention(h: np.ndarray, w_q: np.ndarray, w_k: np.ndarray,
     return att @ v
 
 
-def bench_pairwise(m: int, hidden: int, repeats: int = 5,
-                   cap: int = DEFAULT_MEMORY_CAP) -> float:
+def bench_pairwise(m: int, hidden: int, repeats: int = 5) -> float:
     """Median forward time of the dense full-pairwise reference at M points."""
-    check_memory_cap(m * m * 8 * 2, cap)
+    check_memory_cap(m * m * 8 * 2)
     rng = np.random.default_rng(m * 17 + hidden)
     d = hidden // 2
     h = rng.standard_normal((m, hidden))

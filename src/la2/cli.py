@@ -23,8 +23,8 @@ from . import data as data_mod
 from .model import (CheckpointError, ModelConfig, init_model, load_checkpoint,
                     mask_trajectory, save_checkpoint)
 from .tensor import TensorError
-from .training import (LOSS_VARIANTS, TrainConfig, TrainingError,
-                       check_compatible, evaluate, train)
+from .training import (TrainConfig, TrainingError, check_compatible, evaluate,
+                       train)
 
 __all__ = ["main", "entrypoint"]
 
@@ -42,11 +42,10 @@ class UsageError(ValueError):
 DERIVED_KEYS = ("in_channels", "coord_channels", "out_channels", "seed")
 MODEL_KEYS = tuple(f.name for f in fields(ModelConfig) if f.name not in DERIVED_KEYS)
 TRAIN_KEYS = tuple(f.name for f in fields(TrainConfig) if f.name not in DERIVED_KEYS)
-FILE_ONLY_KEYS = ("beta1", "beta2", "eps")  # config-file keys with no flag
 
-# Field annotations are strings (postponed evaluation); each maps to the
-# converter used for both flags and config-file values.
-FIELD_TYPES = {"int": int, "float": float, "str": str, "int | None": int}
+# Field annotations are strings (postponed evaluation); each maps to the flag
+# converter, which is also the type a config-file value must already have.
+FIELD_TYPES = {"int": int, "float": float, "int | None": int}
 # Flag help where the field name alone does not say it.
 FLAG_HELP = {"k": "neighbor patch size", "layers": "block count L",
              "hidden": "hidden width C", "alpha": "mask sharpness",
@@ -98,14 +97,25 @@ def _write_sidecar(csv_path: Path, config: dict) -> None:
         fh.write("\n")
 
 
+def _typed(f, value):
+    """`value` if it already has field `f`'s type: int fields take ints (not
+    bools), float fields ints or floats, and only an optional field takes null."""
+    convert = FIELD_TYPES[f.type]
+    if value is None and f.type.endswith("| None"):
+        return None
+    accepted = (int, float) if convert is float else int
+    if isinstance(value, bool) or not isinstance(value, accepted):
+        raise UsageError(f"{f.name} must be {f.type}, got {json.dumps(value)}")
+    return convert(value)
+
+
 def _build(cls, cfg: dict, **fixed):
     """`cls` from the config keys in `cfg`; the dataclass supplies the rest."""
     kwargs = dict(fixed)
     try:
         for f in fields(cls):
             if f.name in cfg and f.name not in fixed:
-                value = cfg[f.name]
-                kwargs[f.name] = None if value is None else FIELD_TYPES[f.type](value)
+                kwargs[f.name] = _typed(f, cfg[f.name])
         return cls(**kwargs)
     except (TypeError, ValueError, TrainingError) as exc:
         raise UsageError(str(exc)) from exc
@@ -219,20 +229,18 @@ def cmd_bench(args) -> int:
     out.mkdir(parents=True, exist_ok=True)
     kinds = ("global", "local", "pairwise") if args.kind == "all" else (args.kind,)
     rows = []
-    cap = args.memory_cap << 20
     for kind in kinds:
         if kind == "global":
             for m in args.sizes:
-                t = bench_mod.bench_global(m, args.hidden, args.repeats, cap)
+                t = bench_mod.bench_global(m, args.hidden, args.repeats)
                 rows.append((kind, m, "", args.hidden, t))
         elif kind == "pairwise":
             for m in args.sizes:
-                t = bench_mod.bench_pairwise(m, args.hidden, args.repeats, cap)
+                t = bench_mod.bench_pairwise(m, args.hidden, args.repeats)
                 rows.append((kind, m, "", args.hidden, t))
         else:
             for k in args.k_values:
-                t = bench_mod.bench_local(args.local_m, k, args.hidden,
-                                          args.repeats, cap)
+                t = bench_mod.bench_local(args.local_m, k, args.hidden, args.repeats)
                 rows.append((kind, args.local_m, k, args.hidden, t))
     csv_path = out / "bench.csv"
     with open(csv_path, "w", encoding="utf-8") as fh:
@@ -243,8 +251,7 @@ def cmd_bench(args) -> int:
                   f"C={c}: {t * 1e3:.3f} ms")
     _write_sidecar(csv_path, {"kind": args.kind, "sizes": args.sizes,
                               "k_values": args.k_values, "local_m": args.local_m,
-                              "hidden": args.hidden, "repeats": args.repeats,
-                              "memory_cap_mib": args.memory_cap})
+                              "hidden": args.hidden, "repeats": args.repeats})
     return EXIT_OK
 
 
@@ -268,8 +275,8 @@ def _int_list(text: str) -> list[int]:
 
 def _run_parser(sub, name: str, text: str, func, *, epochs: int):
     """A command that trains on --data and writes to --out. Its config flags
-    come from the ModelConfig/TrainConfig fields (all but FILE_ONLY_KEYS);
-    `epochs` is the command's fallback epoch count."""
+    come from the ModelConfig/TrainConfig config keys; `epochs` is the
+    command's fallback epoch count."""
     p = sub.add_parser(name, help=text)
     p.add_argument("--data", required=True)
     p.add_argument("--out", required=True)
@@ -279,12 +286,11 @@ def _run_parser(sub, name: str, text: str, func, *, epochs: int):
                              ("training", TrainConfig, TRAIN_KEYS)):
         g = p.add_argument_group(title)
         for f in fields(cls):
-            if f.name not in keys or f.name in FILE_ONLY_KEYS:
+            if f.name not in keys:
                 continue
             names = ["-K", "--k"] if f.name == "k" else ["--" + f.name.replace("_", "-")]
             default = epochs if f.default is MISSING else f.default
             g.add_argument(*names, dest=f.name, type=FIELD_TYPES[f.type], default=None,
-                           choices=LOSS_VARIANTS if f.name == "loss_variant" else None,
                            help=FLAG_HELP.get(f.name, f.name.replace("_", " ")) + (
                                "" if default is None else f" (default {default})"))
     p.set_defaults(func=func, needs_config=True, default_epochs=epochs)
@@ -337,8 +343,6 @@ def build_parser() -> argparse.ArgumentParser:
     p.add_argument("--local-m", dest="local_m", type=int, default=2048)
     p.add_argument("--hidden", type=int, default=128)
     p.add_argument("--repeats", type=int, default=5)
-    p.add_argument("--memory-cap", dest="memory_cap", type=int, default=2048,
-                   help="working-array cap in MiB")
     p.set_defaults(func=cmd_bench)
 
     p = sub.add_parser("dump-mask", help="print per-layer mask fractions")

@@ -8,6 +8,7 @@ then the raw little-endian float64 parameter blobs in header order.
 from __future__ import annotations
 
 import json
+import math
 import struct
 from dataclasses import dataclass, field, asdict
 from typing import Callable, Iterator
@@ -69,8 +70,8 @@ class ModelConfig:
                 f"branch width {self.hidden // 2} not divisible by {self.heads} heads")
         if min(self.in_channels, self.coord_channels, self.out_channels) < 1:
             raise TensorError("channel counts must be positive")
-        if self.alpha <= 0:
-            raise TensorError("alpha must be positive")
+        if not 0 < self.alpha < math.inf:
+            raise TensorError("alpha must be positive and finite")
 
     def to_dict(self) -> dict:
         return asdict(self)
@@ -197,6 +198,12 @@ def load_checkpoint(path) -> OperatorModel:
     except (ValueError, KeyError, TypeError) as exc:
         raise CheckpointError(f"malformed checkpoint header: {exc}") from exc
 
+    if not isinstance(entries, list) or not all(
+            isinstance(e, dict) and isinstance(e.get("name"), str)
+            and isinstance(e.get("shape"), list) and type(e.get("offset")) is int
+            for e in entries):
+        raise CheckpointError("malformed checkpoint header: each parameter entry "
+                              "needs a string name, a list shape and an integer offset")
     m = init_model(cfg)
     slots = dict(m.named_parameters())
     names = [e["name"] for e in entries]

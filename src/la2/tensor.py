@@ -17,7 +17,7 @@ its heads handled inside: ``linear_attention`` (global) and ``knn_attention``
 
 from __future__ import annotations
 
-from typing import Callable, Sequence
+from typing import Callable
 
 import numpy as np
 from scipy.sparse import csr_matrix
@@ -27,9 +27,7 @@ __all__ = [
     "Tensor",
     "GradTape",
     "TensorError",
-    "tensor_new",
     "matmul",
-    "reshape",
     "knn_attention",
     "linear_attention",
     "layer_norm",
@@ -40,7 +38,6 @@ __all__ = [
     "mul",
     "scale",
     "reduce_sum",
-    "l2_lastdim",
     "concat_lastdim",
     "backward",
 ]
@@ -89,24 +86,6 @@ class Tensor:
 
     def __repr__(self) -> str:
         return f"Tensor(shape={self.shape}, requires_grad={self.requires_grad})"
-
-
-def tensor_new(shape: Sequence[int], values: Sequence[float],
-               requires_grad: bool = False) -> Tensor:
-    """Build a tensor of `shape` from a flat row-major value list."""
-    shape = tuple(int(s) for s in shape)
-    if any(s < 0 for s in shape):
-        raise TensorError(f"negative dimension in shape {shape}")
-    n = int(np.prod(shape)) if shape else 1
-    values = np.asarray(values, dtype=np.float64)
-    if values.ndim != 1 or values.size != n:
-        raise TensorError(
-            f"shape {shape} needs {n} values, got {values.size}")
-    t = Tensor.__new__(Tensor)
-    t.data = np.ascontiguousarray(values.reshape(shape))
-    t.grad = None
-    t.requires_grad = bool(requires_grad)
-    return t
 
 
 # ---------------------------------------------------------------------------
@@ -231,15 +210,6 @@ def matmul(a: Tensor, b: Tensor) -> Tensor:
         return ga, gb
 
     return _result(ad @ bd, (a, b), rule)
-
-
-def reshape(a: Tensor, shape: Sequence[int]) -> Tensor:
-    _check_tensor(a, "a")
-    shape = tuple(int(s) for s in shape)
-    if int(np.prod(shape)) != a.size:
-        raise TensorError(f"cannot reshape {a.shape} to {shape}")
-    old = a.shape
-    return _result(a.data.reshape(shape), (a,), lambda g: (g.reshape(old),))
 
 
 def concat_lastdim(a: Tensor, b: Tensor) -> Tensor:
@@ -498,17 +468,3 @@ def reduce_sum(x: Tensor) -> Tensor:
     shape = x.shape
     return _result(x.data.sum(), (x,), lambda g: (np.broadcast_to(g, shape).copy(),))
 
-
-def l2_lastdim(x: Tensor) -> Tensor:
-    """Euclidean norm over the last axis, axis kept with size 1."""
-    _check_tensor(x, "x")
-    if x.ndim < 1:
-        raise TensorError("l2_lastdim needs at least one axis")
-    out = np.sqrt((x.data * x.data).sum(axis=-1, keepdims=True))
-    xd = x.data
-
-    def rule(g):
-        safe = np.where(out > 0.0, out, 1.0)
-        return (g * xd / safe,)
-
-    return _result(out, (x,), rule)

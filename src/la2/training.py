@@ -1,10 +1,9 @@
 """Relative-L2 loss, AdamW-style optimizer, training loop, and evaluation.
 
-Training minimizes the squared-ratio relative L2 loss on z-normalized fields
-(root-ratio available via config); the reported metric is the root-ratio
-relative L2 on de-normalized fields. One optimizer step per mini-batch with
-per-sample gradient accumulation in fixed sample order, global-norm clipping,
-and a cosine learning-rate decay.
+Training minimizes the squared-ratio relative L2 loss on z-normalized fields;
+the reported metric is the root-ratio relative L2 on de-normalized fields.
+One optimizer step per mini-batch with per-sample gradient accumulation in
+fixed sample order, global-norm clipping, and a cosine learning-rate decay.
 """
 
 from __future__ import annotations
@@ -24,10 +23,8 @@ from .tensor import (
     Tensor,
     TensorError,
     backward,
-    l2_lastdim,
     mul,
     reduce_sum,
-    reshape,
     scale,
     sub,
 )
@@ -36,7 +33,10 @@ __all__ = ["TrainConfig", "TrainReport", "TrainingError", "relative_l2_loss",
            "AdamState", "adam_step", "clip_gradients", "cosine_lr",
            "check_compatible", "train", "evaluate"]
 
-LOSS_VARIANTS = ("squared-ratio", "root-ratio")
+# Adam moment decay rates and denominator offset.
+BETA1 = 0.9
+BETA2 = 0.999
+ADAM_EPS = 1e-8
 
 
 class TrainingError(RuntimeError):
@@ -50,23 +50,18 @@ class TrainConfig:
     lr: float = 1e-3
     lr_min: float = 1e-5
     weight_decay: float = 1e-4
-    beta1: float = 0.9
-    beta2: float = 0.999
-    eps: float = 1e-8
     clip_norm: float = 1.0
     seed: int = 0
-    loss_variant: str = "squared-ratio"
 
     def __post_init__(self):
         if self.epochs < 1:
             raise TrainingError("epochs must be >= 1")
-        if min(self.lr, self.lr_min, self.eps, self.clip_norm,
-               self.batch_size) <= 0:
-            raise TrainingError("rates, eps, clip norm, batch size must be positive")
-        if self.weight_decay < 0:
-            raise TrainingError("weight decay must be non-negative")
-        if self.loss_variant not in LOSS_VARIANTS:
-            raise TrainingError(f"loss variant must be one of {LOSS_VARIANTS}")
+        if self.batch_size < 1:
+            raise TrainingError("batch size must be >= 1")
+        if not all(0 < x < math.inf for x in (self.lr, self.lr_min, self.clip_norm)):
+            raise TrainingError("rates and clip norm must be positive and finite")
+        if not 0 <= self.weight_decay < math.inf:
+            raise TrainingError("weight decay must be non-negative and finite")
 
     def to_dict(self) -> dict:
         return asdict(self)
@@ -106,24 +101,19 @@ class TrainReport:
                 fh.write(",".join(row) + "\n")
 
 
-def relative_l2_loss(pred: Tensor, target: Tensor, variant: str = "squared-ratio") -> Tensor:
-    """Relative L2 discrepancy over the whole field.
+def relative_l2_loss(pred: Tensor, target: Tensor) -> Tensor:
+    """Squared-ratio relative L2 discrepancy over the whole field.
 
-    squared-ratio: |pred - target|^2 / |target|^2; root-ratio takes the root
-    of both norms. The target norm is a constant (no gradient flows into it).
+    |pred - target|^2 / |target|^2, where the target norm is a constant (no
+    gradient flows into it).
     """
     if pred.shape != target.shape:
         raise TensorError(f"loss shapes disagree: {pred.shape} vs {target.shape}")
-    if variant not in LOSS_VARIANTS:
-        raise TensorError(f"unknown loss variant {variant!r}")
     den_sq = float(np.sum(target.data * target.data))
     if den_sq <= 0.0:
         raise TensorError("relative L2 needs a nonzero target")
     diff = sub(pred, target)
-    if variant == "squared-ratio":
-        return scale(reduce_sum(mul(diff, diff)), 1.0 / den_sq)
-    flat = reshape(diff, (diff.size,))
-    return scale(reshape(l2_lastdim(flat), ()), 1.0 / math.sqrt(den_sq))
+    return scale(reduce_sum(mul(diff, diff)), 1.0 / den_sq)
 
 
 class AdamState:
@@ -144,19 +134,19 @@ def adam_step(params: list[Tensor], grads: list[np.ndarray], state: AdamState,
         lr = cfg.lr
     state.step += 1
     t = state.step
-    bc1 = 1.0 - cfg.beta1 ** t
-    bc2 = 1.0 - cfg.beta2 ** t
+    bc1 = 1.0 - BETA1 ** t
+    bc2 = 1.0 - BETA2 ** t
     for p, g, m, v in zip(params, grads, state.m, state.v):
         if g.shape != p.data.shape:
             raise TrainingError(
                 f"gradient shape {g.shape} does not match parameter {p.data.shape}")
         if cfg.weight_decay:
             p.data -= lr * cfg.weight_decay * p.data
-        m *= cfg.beta1
-        m += (1.0 - cfg.beta1) * g
-        v *= cfg.beta2
-        v += (1.0 - cfg.beta2) * (g * g)
-        p.data -= lr * (m / bc1) / (np.sqrt(v / bc2) + cfg.eps)
+        m *= BETA1
+        m += (1.0 - BETA1) * g
+        v *= BETA2
+        v += (1.0 - BETA2) * (g * g)
+        p.data -= lr * (m / bc1) / (np.sqrt(v / bc2) + ADAM_EPS)
 
 
 def clip_gradients(grads: list[np.ndarray], max_norm: float) -> float:
@@ -277,7 +267,7 @@ def train(m: OperatorModel, ds: data_mod.Dataset, cfg: TrainConfig,
             for i in batch:
                 with GradTape() as tape:
                     pred = forward(m, Tensor(x_norm[i]), ds.geometry, knn)
-                    loss = relative_l2_loss(pred, Tensor(y_norm[i]), cfg.loss_variant)
+                    loss = relative_l2_loss(pred, Tensor(y_norm[i]))
                     value = loss.item()
                     if not math.isfinite(value):
                         raise TrainingError(

@@ -1,6 +1,7 @@
 """CLI surface: file outputs, reproducibility, exit codes."""
 
 import json
+import math
 import re
 import struct
 from dataclasses import MISSING, fields
@@ -118,7 +119,9 @@ class TestTrain:
         assert "unknown config key" in capsys.readouterr().err
 
     @pytest.mark.parametrize("key, value", [
-        ("seed", 5), ("data", "elsewhere"), ("out", "elsewhere")])
+        ("seed", 5), ("data", "elsewhere"), ("out", "elsewhere"),
+        ("loss_variant", "root-ratio"), ("beta1", 0.9), ("beta2", 0.999),
+        ("eps", 1e-8)])
     def test_non_config_keys_rejected(self, dataset_dir, tmp_path, capsys,
                                       key, value):
         cfg = tmp_path / "cfg.json"
@@ -148,17 +151,28 @@ class TestTrain:
                     for flag in flags if defaults[flag] is not None}
         assert shown == expected
 
-    @pytest.mark.parametrize("case", ["odd-hidden", "config-file-value",
-                                      "k-exceeds-m", "channel-mismatch",
+    BAD_FLAGS = {"odd-hidden": ["--hidden", "7"], "k-exceeds-m": ["-K", "999"],
+                 "nan-lr": ["--lr", "nan"], "inf-alpha": ["--alpha", "inf"]}
+    # Config-file values that do not already have their field's type, or are
+    # not finite. Each overrides a small valid run config and no flag is given.
+    BAD_FILES = {"config-file-value": {"alpha": "sharp"},
+                 "float-for-int": {"layers": 1.7},
+                 "string-for-int": {"hidden": "8"},
+                 "bool-for-int": {"layers": True},
+                 "null-for-float": {"lr": None},
+                 "json-nan": {"clip_norm": math.nan}}
+
+    @pytest.mark.parametrize("case", [*BAD_FLAGS, *BAD_FILES, "channel-mismatch",
                                       "empty-split"])
-    def test_bad_input_exits_usage(self, dataset_dir, tmp_path, case):
-        if case in ("odd-hidden", "k-exceeds-m"):
-            flag = ["--hidden", "7"] if case == "odd-hidden" else ["-K", "999"]
-            rc = run_train(dataset_dir, tmp_path / "o", flag)
-        elif case == "config-file-value":
+    def test_bad_input_exits_usage(self, dataset_dir, tmp_path, capsys, case):
+        if case in self.BAD_FLAGS:
+            rc = run_train(dataset_dir, tmp_path / "o", self.BAD_FLAGS[case])
+        elif case in self.BAD_FILES:
             cfg = tmp_path / "cfg.json"
-            cfg.write_text(json.dumps({"alpha": "sharp"}))
-            rc = run_train(dataset_dir, tmp_path / "o", ["--config", str(cfg)])
+            cfg.write_text(json.dumps({"layers": 2, "hidden": 8, "k": 4, "epochs": 1,
+                                       "batch_size": 4, **self.BAD_FILES[case]}))
+            rc = main(["train", "--data", str(dataset_dir), "--out",
+                       str(tmp_path / "o"), "--config", str(cfg)])
         else:  # a 1-sample pointcloud has 2 input channels and no test split
             data = tmp_path / "d"
             task = (["pointcloud", "--points", "32"] if case == "channel-mismatch"
@@ -168,6 +182,26 @@ class TestTrain:
             rc = main(["eval", "--data", str(data), "--checkpoint",
                        str(tiny_checkpoint(tmp_path / "m.la2c"))])
         assert rc == EXIT_USAGE
+        assert "error:" in capsys.readouterr().err
+        assert not (tmp_path / "o" / "report.csv").exists()
+
+    def test_config_file_types_kept(self):
+        # Ints widen to float fields, and ff_hidden alone takes null.
+        tcfg = la2.cli._build(TrainConfig, {"epochs": 1, "lr": 1})
+        assert type(tcfg.lr) is float and tcfg.lr == 1.0
+        mcfg = la2.cli._build(ModelConfig, {"hidden": 8, "ff_hidden": None},
+                              in_channels=1, coord_channels=2, out_channels=1)
+        assert mcfg.ff_hidden == 16
+
+    @pytest.mark.parametrize("command, flag", [("train", ["--loss-variant", "root-ratio"]),
+                                               ("bench", ["--memory-cap", "64"])])
+    def test_removed_flags_rejected(self, dataset_dir, tmp_path, capsys, command, flag):
+        args = ["--out", str(tmp_path / "o"), *flag]
+        if command == "train":
+            args += ["--data", str(dataset_dir)]
+        assert main([command, *args]) == EXIT_USAGE
+        assert f"unrecognized arguments: {flag[0]}" in capsys.readouterr().err
+        assert not (tmp_path / "o").exists()
 
     @pytest.mark.parametrize("target, error", [("train", TrainingError),
                                                ("evaluate", TensorError)])
@@ -215,6 +249,19 @@ class TestEval:
         bad.write_bytes(b"JUNKJUNKJUNKJUNK")
         rc = main(["eval", "--data", str(dataset_dir), "--checkpoint", str(bad)])
         assert rc == EXIT_USAGE
+
+    def test_malformed_param_entry(self, dataset_dir, tmp_path, capsys):
+        path = tiny_checkpoint(tmp_path / "m.la2c")
+        blob = path.read_bytes()
+        (hlen,) = struct.unpack("<Q", blob[8:16])
+        header = json.loads(blob[16:16 + hlen])
+        del header["params"][0]["offset"]
+        head = json.dumps(header).encode()
+        path.write_bytes(blob[:8] + struct.pack("<Q", len(head)) + head
+                         + blob[16 + hlen:])
+        rc = main(["eval", "--data", str(dataset_dir), "--checkpoint", str(path)])
+        assert rc == EXIT_USAGE
+        assert "malformed checkpoint header" in capsys.readouterr().err
 
     def test_version_1_checkpoint_rejected(self, dataset_dir, tmp_path):
         # Version 1 has the same layout but weights for the old signed global
@@ -300,10 +347,14 @@ class TestBench:
         kinds = {line.split(",")[0] for line in lines[1:]}
         assert kinds == {"global", "local", "pairwise"}
 
-    def test_memory_cap(self, tmp_path):
+    def test_memory_cap(self, tmp_path, capsys):
+        # M=20000 needs a 6.4 GB score matrix, over the 2 GiB cap; it is
+        # rejected before anything is allocated.
         rc = main(["bench", "--out", str(tmp_path / "b"), "--kind", "pairwise",
-                   "--sizes", "100000", "--memory-cap", "64"])
+                   "--sizes", "20000"])
         assert rc == EXIT_USAGE
+        assert "needs 6104 MiB, cap is 2048 MiB" in capsys.readouterr().err
+        assert not (tmp_path / "b" / "bench.csv").exists()
 
 
 class TestDumpMask:

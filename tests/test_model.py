@@ -218,6 +218,23 @@ class TestCheckpoint:
         with pytest.raises(CheckpointError):
             load_checkpoint(path)
 
+    @pytest.mark.parametrize("damage", ["missing-offset", "string-entry"])
+    def test_rejects_malformed_entry(self, tmp_path, damage):
+        path = tmp_path / "model.la2c"
+        save_checkpoint(init_model(tiny_config()), path)
+        blob = path.read_bytes()
+        (hlen,) = struct.unpack("<Q", blob[8:16])
+        header = json.loads(blob[16:16 + hlen])
+        if damage == "missing-offset":
+            del header["params"][1]["offset"]
+        else:
+            header["params"][1] = header["params"][1]["name"]
+        head = json.dumps(header).encode()
+        path.write_bytes(blob[:8] + struct.pack("<Q", len(head)) + head
+                         + blob[16 + hlen:])
+        with pytest.raises(CheckpointError, match="malformed checkpoint header"):
+            load_checkpoint(path)
+
     @pytest.mark.parametrize("damage", ["overlap", "gap", "trailing"])
     def test_rejects_non_contiguous_layout(self, tmp_path, damage):
         path = tmp_path / "model.la2c"

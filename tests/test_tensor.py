@@ -9,7 +9,7 @@ import pytest
 
 from conftest import fd_gradient, gradcheck, rel_error
 from la2 import tensor as T
-from la2.tensor import GradTape, Tensor, TensorError, backward, tensor_new
+from la2.tensor import GradTape, Tensor, TensorError, backward
 
 
 def leaf(values, rng=None, shape=None):
@@ -20,21 +20,14 @@ def leaf(values, rng=None, shape=None):
 
 class TestConstruction:
     def test_row_major_layout(self):
-        t = tensor_new([2, 2], [1, 2, 3, 4])
+        t = Tensor(np.asfortranarray(np.reshape([1, 2, 3, 4], (2, 2))))
+        assert t.data.flags.c_contiguous and t.data.dtype == np.float64
         assert t.data[0, 0] == 1 and t.data[0, 1] == 2
         assert t.data[1, 0] == 3 and t.data[1, 1] == 4
 
     def test_empty_tensor(self):
-        t = tensor_new([0], [])
+        t = Tensor(np.reshape([], (0,)))
         assert t.shape == (0,) and t.size == 0
-
-    def test_length_mismatch(self):
-        with pytest.raises(TensorError):
-            tensor_new([2], [1, 2, 3])
-
-    def test_negative_dim(self):
-        with pytest.raises(TensorError):
-            tensor_new([-1, 2], [1, 2])
 
     def test_non_finite_rejected(self):
         with pytest.raises(TensorError):
@@ -44,12 +37,12 @@ class TestConstruction:
 class TestMatmul:
     def test_identity(self):
         eye = Tensor(np.eye(2))
-        b = tensor_new([2, 2], [5, 6, 7, 8])
+        b = Tensor(np.reshape([5, 6, 7, 8], (2, 2)))
         assert np.array_equal(T.matmul(eye, b).data, b.data)
 
     def test_hand_product(self):
-        a = tensor_new([1, 2], [1, 2])
-        b = tensor_new([2, 1], [3, 4])
+        a = Tensor(np.reshape([1, 2], (1, 2)))
+        b = Tensor(np.reshape([3, 4], (2, 1)))
         assert T.matmul(a, b).data.ravel() == pytest.approx([11.0])
 
     def test_dim_mismatch(self):
@@ -235,12 +228,12 @@ class TestLinearAttention:
 
 class TestLayerNorm:
     def test_constant_row_is_zero(self):
-        x = tensor_new([1, 3], [5, 5, 5])
+        x = Tensor(np.reshape([5, 5, 5], (1, 3)))
         out = T.layer_norm(x, Tensor(np.ones(3)), Tensor(np.zeros(3)))
         assert np.allclose(out.data, 0.0)
 
     def test_two_value_row(self):
-        x = tensor_new([1, 2], [1, 3])
+        x = Tensor(np.reshape([1, 3], (1, 2)))
         out = T.layer_norm(x, Tensor(np.ones(2)), Tensor(np.zeros(2)), eps=1e-14)
         assert out.data.ravel() == pytest.approx([-1.0, 1.0], abs=1e-9)
 
@@ -309,17 +302,17 @@ class TestSoftmax:
 
 class TestElementwise:
     def test_sigmoid_values(self):
-        assert T.sigmoid(tensor_new([1], [0])).data[0] == 0.5
+        assert T.sigmoid(Tensor([0.0])).data[0] == 0.5
         expect = 1.0 / (1.0 + math.exp(-5.0))
-        assert T.sigmoid(tensor_new([1], [5])).data[0] == pytest.approx(expect, abs=1e-15)
-        assert T.sigmoid(tensor_new([1], [5])).data[0] == pytest.approx(0.993307, abs=1e-6)
+        assert T.sigmoid(Tensor([5.0])).data[0] == pytest.approx(expect, abs=1e-15)
+        assert T.sigmoid(Tensor([5.0])).data[0] == pytest.approx(0.993307, abs=1e-6)
 
     def test_sigmoid_extremes_stable(self):
-        out = T.sigmoid(tensor_new([2], [1000, -1000]))
+        out = T.sigmoid(Tensor([1000.0, -1000.0]))
         assert out.data == pytest.approx([1.0, 0.0], abs=1e-300)
 
     def test_add_and_broadcast(self):
-        out = T.add(tensor_new([2], [1, 2]), tensor_new([2], [3, 4]))
+        out = T.add(Tensor([1.0, 2.0]), Tensor([3.0, 4.0]))
         assert np.array_equal(out.data, [4.0, 6.0])
         out = T.add(Tensor(np.ones((2, 3))), Tensor([1.0, 2.0, 3.0]))
         assert np.array_equal(out.data, [[2, 3, 4], [2, 3, 4]])
@@ -357,17 +350,10 @@ class TestReduce:
     def test_sum_of_ones(self):
         assert T.reduce_sum(Tensor(np.ones((3, 3)))).data == pytest.approx(9.0)
 
-    @pytest.mark.parametrize("kind", ["l2_lastdim"])
-    def test_lastdim_gradients(self, rng, kind):
-        x = leaf(None, rng, (3, 4))
-        fn = getattr(T, kind)
-        r = Tensor(rng.uniform(-1, 1, (3, 1)))
-        gradcheck(lambda: T.reduce_sum(T.mul(fn(x), r)), [x])
-
 
 class TestConcatSplit:
     def test_hand_example(self):
-        out = T.concat_lastdim(tensor_new([1, 1], [1]), tensor_new([1, 1], [2]))
+        out = T.concat_lastdim(Tensor([[1.0]]), Tensor([[2.0]]))
         assert np.array_equal(out.data, [[1.0, 2.0]])
 
     def test_branch_widths(self, rng):
@@ -384,11 +370,6 @@ class TestConcatSplit:
         b = leaf(None, rng, (3, 4))
         r = Tensor(rng.uniform(-1, 1, (3, 6)))
         gradcheck(lambda: T.reduce_sum(T.mul(T.concat_lastdim(a, b), r)), [a, b])
-
-    def test_reshape_gradient(self, rng):
-        x = leaf(None, rng, (3, 4))
-        r = Tensor(rng.uniform(-1, 1, (12,)))
-        gradcheck(lambda: T.reduce_sum(T.mul(T.reshape(x, (12,)), r)), [x])
 
 
 class TestBackward:
@@ -438,7 +419,7 @@ class TestBackward:
 
 
 class TestEngineSurface:
-    EXEMPT = {"Tensor", "GradTape", "TensorError", "tensor_new", "backward"}
+    EXEMPT = {"Tensor", "GradTape", "TensorError", "backward"}
 
     def test_every_op_is_called_by_the_package(self):
         # An engine op that no other la2 module calls is dead weight: delete it.

@@ -27,22 +27,18 @@ def tiny_model(ds, **kw):
 class TestRelativeL2Loss:
     def test_identical_fields(self, rng):
         t = Tensor(rng.standard_normal((6, 2)))
-        for variant in TR.LOSS_VARIANTS:
-            assert TR.relative_l2_loss(t, t, variant).item() == 0.0
+        assert TR.relative_l2_loss(t, t).item() == 0.0
 
     def test_zero_prediction_is_one(self, rng):
         t = Tensor(rng.standard_normal((6, 2)))
         z = Tensor(np.zeros((6, 2)))
-        for variant in TR.LOSS_VARIANTS:
-            assert TR.relative_l2_loss(z, t, variant).item() == pytest.approx(1.0)
+        assert TR.relative_l2_loss(z, t).item() == pytest.approx(1.0)
 
     def test_hand_example(self):
         pred = Tensor([[3.0], [4.0]])
         target = Tensor([[3.0], [0.0]])
-        root = TR.relative_l2_loss(pred, target, "root-ratio").item()
-        squared = TR.relative_l2_loss(pred, target, "squared-ratio").item()
-        assert root == pytest.approx(4.0 / 3.0, abs=1e-12)
-        assert squared == pytest.approx(16.0 / 9.0, abs=1e-12)
+        assert TR.relative_l2_loss(pred, target).item() == pytest.approx(16.0 / 9.0,
+                                                                         abs=1e-12)
 
     def test_zero_norm_target_rejected(self):
         with pytest.raises(TensorError):
@@ -51,22 +47,22 @@ class TestRelativeL2Loss:
     def test_scale_robustness(self, rng):
         pred = Tensor(rng.standard_normal((5, 1)))
         target = Tensor(rng.standard_normal((5, 1)))
-        base = TR.relative_l2_loss(pred, target, "root-ratio").item()
+        base = TR.relative_l2_loss(pred, target).item()
         for c in (3.0, -0.25, 1e4):
             scaled = TR.relative_l2_loss(Tensor(c * pred.data),
-                                         Tensor(c * target.data),
-                                         "root-ratio").item()
+                                         Tensor(c * target.data)).item()
             assert scaled == pytest.approx(base, abs=1e-12)
 
     def test_gradient_flows(self, rng):
         pred = Tensor(rng.standard_normal((4, 1)), requires_grad=True)
         target = Tensor(rng.standard_normal((4, 1)))
-        for variant in TR.LOSS_VARIANTS:
-            with GradTape() as tape:
-                loss = TR.relative_l2_loss(pred, target, variant)
-                gmap = backward(loss, tape)
-            assert np.isfinite(gmap[pred]).all()
-            assert np.abs(gmap[pred]).max() > 0
+        with GradTape() as tape:
+            loss = TR.relative_l2_loss(pred, target)
+            gmap = backward(loss, tape)
+        assert np.isfinite(gmap[pred]).all()
+        # d/dpred |pred - target|^2 / |target|^2 = 2 (pred - target) / |target|^2
+        expect = 2.0 * (pred.data - target.data) / np.sum(target.data ** 2)
+        assert gmap[pred] == pytest.approx(expect, rel=1e-12)
 
 
 class TestAdam:
@@ -152,9 +148,15 @@ class TestTrainConfig:
         with pytest.raises(TR.TrainingError):
             TR.TrainConfig(epochs=0)
 
-    def test_bad_variant(self):
+    @pytest.mark.parametrize("key", ["lr", "lr_min", "weight_decay", "clip_norm"])
+    @pytest.mark.parametrize("value", [math.nan, math.inf])
+    def test_non_finite_rejected(self, key, value):
         with pytest.raises(TR.TrainingError):
-            TR.TrainConfig(epochs=1, loss_variant="l1")
+            TR.TrainConfig(epochs=1, **{key: value})
+
+    def test_non_finite_alpha_rejected(self):
+        with pytest.raises(TensorError):
+            ModelConfig(1, 2, 1, alpha=math.nan)
 
 
 class TestEvaluate:
