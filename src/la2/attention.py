@@ -7,12 +7,13 @@ hidden width, and a GELU feed-forward finishes the block. The global branch
 uses positive `gelu(x) + 1` query/key features, so its denominator is
 positive by construction. Both branches use width d = C/2, split across the
 heads inside one engine op per branch (`linear_attention`, `knn_attention`).
+A block's tensors are one flat `GlaLayerParams` record; its hyperparameters
+come from `model.ModelConfig`, and `model.init_block` draws its weights.
 """
 
 from __future__ import annotations
 
-import math
-from dataclasses import dataclass
+from dataclasses import dataclass, fields
 from typing import Iterator
 
 import numpy as np
@@ -33,46 +34,30 @@ from .tensor import (
     sub,
 )
 
-__all__ = ["SoftMaskParams", "GlaLayerParams", "soft_mask", "global_attention",
-           "local_attention", "gla", "la2_layer"]
+__all__ = ["GlaLayerParams", "soft_mask", "global_attention", "local_attention",
+           "gla", "la2_layer"]
 
 
-@dataclass
-class SoftMaskParams:
-    """Learnable neighbor-count mask: scalar s, fixed sharpness alpha > 0."""
-
-    s: Tensor
-    alpha: float
-
-    def __post_init__(self):
-        if self.alpha <= 0:
-            raise TensorError("soft mask sharpness alpha must be positive")
-        if self.s.shape != (1,):
-            raise TensorError(f"soft mask parameter s must have shape (1,), got {self.s.shape}")
-
-    def fraction(self) -> float:
-        """Current effective-neighbor fraction sigmoid(s), in (0, 1)."""
-        return 1.0 / (1.0 + math.exp(-self.s.item()))
-
-
-def soft_mask(p: SoftMaskParams, k: int) -> Tensor:
+def soft_mask(s: Tensor, k: int, alpha: float) -> Tensor:
     """Rank weights w_r = sigmoid(-alpha * (r - sigmoid(s)*(K-1) - 1)), r=1..K.
 
-    Strictly decreasing in rank, every weight in (0, 1); differentiable in s
-    through both sigmoid applications.
+    Strictly decreasing in rank for alpha > 0, every weight in (0, 1);
+    differentiable in the shape-(1,) logit s through both sigmoid applications.
     """
     if k < 1:
         raise TensorError("soft mask needs K >= 1")
     ranks = Tensor(np.arange(1.0, k + 1.0))
-    frac = sigmoid(p.s)                                # sigma(s), shape (1,)
+    frac = sigmoid(s)                                  # sigma(s), shape (1,)
     thresh = add(scale(frac, k - 1.0), Tensor(np.ones(1)))
-    arg = scale(sub(thresh, ranks), p.alpha)
+    arg = scale(sub(thresh, ranks), alpha)
     return sigmoid(arg)
 
 
 @dataclass
 class GlaLayerParams:
-    """All learnables of one block; d = C/2 split across `heads`."""
+    """One block's learnable tensors in checkpoint order, then its head count
+    and mask sharpness; d = C/2 split across `heads`. `model.init_block`
+    builds one from a `ModelConfig`."""
 
     w_qg: Tensor
     b_qg: Tensor
@@ -94,52 +79,15 @@ class GlaLayerParams:
     ln1_beta: Tensor
     ln2_gamma: Tensor
     ln2_beta: Tensor
-    mask: SoftMaskParams
-    heads: int = 1
-
-    @classmethod
-    def initialize(cls, rng: np.random.Generator, hidden: int, ff_hidden: int,
-                   alpha: float, heads: int = 1) -> "GlaLayerParams":
-        if hidden % 2 != 0:
-            raise TensorError(f"hidden width must be even, got {hidden}")
-        d = hidden // 2
-        if d % heads != 0:
-            raise TensorError(f"branch width {d} not divisible by {heads} heads")
-
-        def w(fan_in, fan_out):
-            bound = 1.0 / math.sqrt(fan_in)
-            return Tensor(rng.uniform(-bound, bound, size=(fan_in, fan_out)),
-                          requires_grad=True)
-
-        def b(n):
-            return Tensor(np.zeros(n), requires_grad=True)
-
-        return cls(
-            w_qg=w(hidden, d), b_qg=b(d),
-            w_kg=w(hidden, d), b_kg=b(d),
-            w_vg=w(hidden, d), b_vg=b(d),
-            w_ql=w(hidden, d), b_ql=b(d),
-            w_kl=w(hidden, d),
-            w_vl=w(hidden, d),
-            w_out=w(2 * d, hidden), b_out=b(hidden),
-            ff_w1=w(hidden, ff_hidden), ff_b1=b(ff_hidden),
-            ff_w2=w(ff_hidden, hidden), ff_b2=b(hidden),
-            ln1_gamma=Tensor(np.ones(hidden), requires_grad=True),
-            ln1_beta=b(hidden),
-            ln2_gamma=Tensor(np.ones(hidden), requires_grad=True),
-            ln2_beta=b(hidden),
-            mask=SoftMaskParams(s=Tensor(np.zeros(1), requires_grad=True),
-                                alpha=alpha),
-            heads=heads,
-        )
+    mask_s: Tensor        # soft-mask logit s, shape (1,)
+    heads: int
+    alpha: float
 
     def named_params(self) -> Iterator[tuple[str, Tensor]]:
-        for name in ("w_qg", "b_qg", "w_kg", "b_kg", "w_vg", "b_vg",
-                     "w_ql", "b_ql", "w_kl", "w_vl", "w_out", "b_out",
-                     "ff_w1", "ff_b1", "ff_w2", "ff_b2",
-                     "ln1_gamma", "ln1_beta", "ln2_gamma", "ln2_beta"):
-            yield name, getattr(self, name)
-        yield "mask_s", self.mask.s
+        """The `Tensor` fields in declaration order, which is the checkpoint order."""
+        for f in fields(self):
+            if f.type == "Tensor":
+                yield f.name, getattr(self, f.name)
 
 
 def global_attention(h_bar: Tensor, p: GlaLayerParams) -> Tensor:
@@ -178,7 +126,7 @@ def local_attention(h_bar: Tensor, knn: KnnIndex, w: Tensor,
 def gla(h_bar: Tensor, knn: KnnIndex, p: GlaLayerParams) -> Tensor:
     """Fuse both branches: Linear(Concat(global, local)) back to width C."""
     g = global_attention(h_bar, p)
-    l = local_attention(h_bar, knn, soft_mask(p.mask, knn.k), p)
+    l = local_attention(h_bar, knn, soft_mask(p.mask_s, knn.k, p.alpha), p)
     return add(matmul(concat_lastdim(g, l), p.w_out), p.b_out)
 
 

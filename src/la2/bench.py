@@ -2,7 +2,8 @@
 
 Timings are the median of R repeats after one warm-up. The full-pairwise
 reference materializes the M x M score matrix (forward-only, plain numpy) to
-expose the quadratic cost the linear global branch avoids.
+expose the quadratic cost the linear global branch avoids. Branch blocks take
+every hyperparameter but the width from the `ModelConfig` defaults.
 """
 
 from __future__ import annotations
@@ -13,25 +14,28 @@ from typing import Callable
 
 import numpy as np
 
-from .attention import (GlaLayerParams, global_attention, local_attention,
-                        soft_mask)
+from .attention import global_attention, local_attention, soft_mask
 from .geometry import PointSet, knn_indices_accelerated
+from .model import ModelConfig, init_block
 from .tensor import Tensor, TensorError
 
 __all__ = ["time_median", "bench_global", "bench_local", "bench_pairwise",
-           "full_pairwise_attention", "check_memory_cap"]
+           "bench_case", "full_pairwise_attention", "check_memory_cap"]
 
 MEMORY_CAP = 2 << 30  # bytes of the dominant working array
 
 
-def check_memory_cap(nbytes: int) -> None:
-    """Reject a benchmark size before its working array is allocated."""
+def check_memory_cap(kind: str, m: int, k: int, hidden: int) -> None:
+    """Reject a benchmark case before its dominant working array is allocated;
+    `k` counts for the local kind only."""
+    nbytes = 8 * {"global": m * hidden * 4, "local": m * k * hidden * 3,
+                  "pairwise": m * m * 2}[kind]
     if nbytes > MEMORY_CAP:
         raise TensorError(f"benchmark size needs {nbytes / 2**20:.0f} MiB, "
                           f"cap is {MEMORY_CAP / 2**20:.0f} MiB")
 
 
-def time_median(fn: Callable[[], object], repeats: int = 5) -> float:
+def time_median(fn: Callable[[], object], repeats: int) -> float:
     fn()  # warm-up
     times = []
     for _ in range(repeats):
@@ -41,30 +45,26 @@ def time_median(fn: Callable[[], object], repeats: int = 5) -> float:
     return float(np.median(times))
 
 
-def _layer_params(rng: np.random.Generator, hidden: int) -> GlaLayerParams:
-    return GlaLayerParams.initialize(rng, hidden, 2 * hidden, alpha=10.0)
-
-
-def bench_global(m: int, hidden: int, repeats: int = 5) -> float:
+def bench_global(m: int, hidden: int, repeats: int) -> float:
     """Median forward time of the linear global branch at M points."""
-    check_memory_cap(m * hidden * 8 * 4)
+    check_memory_cap("global", m, 0, hidden)
     rng = np.random.default_rng(m + hidden)
-    p = _layer_params(rng, hidden)
+    p = init_block(rng, ModelConfig(1, 2, 1, hidden=hidden))
     h = Tensor(rng.standard_normal((m, hidden)))
     return time_median(lambda: global_attention(h, p), repeats)
 
 
-def bench_local(m: int, k: int, hidden: int, repeats: int = 5) -> float:
+def bench_local(m: int, k: int, hidden: int, repeats: int) -> float:
     """Median forward time of the local branch (soft mask, projections, sparse patch attention)."""
-    check_memory_cap(m * k * hidden * 8 * 3)
+    check_memory_cap("local", m, k, hidden)
     rng = np.random.default_rng(m * 31 + k)
-    p = _layer_params(rng, hidden)
+    p = init_block(rng, ModelConfig(1, 2, 1, hidden=hidden))
     h = Tensor(rng.standard_normal((m, hidden)))
     pts = PointSet(Tensor(rng.uniform(0.0, 1.0, size=(m, 2))))
     knn = knn_indices_accelerated(pts, k)
 
-    return time_median(lambda: local_attention(h, knn, soft_mask(p.mask, k), p),
-                       repeats)
+    return time_median(
+        lambda: local_attention(h, knn, soft_mask(p.mask_s, k, p.alpha), p), repeats)
 
 
 def full_pairwise_attention(h: np.ndarray, w_q: np.ndarray, w_k: np.ndarray,
@@ -80,9 +80,9 @@ def full_pairwise_attention(h: np.ndarray, w_q: np.ndarray, w_k: np.ndarray,
     return att @ v
 
 
-def bench_pairwise(m: int, hidden: int, repeats: int = 5) -> float:
+def bench_pairwise(m: int, hidden: int, repeats: int) -> float:
     """Median forward time of the dense full-pairwise reference at M points."""
-    check_memory_cap(m * m * 8 * 2)
+    check_memory_cap("pairwise", m, 0, hidden)
     rng = np.random.default_rng(m * 17 + hidden)
     d = hidden // 2
     h = rng.standard_normal((m, hidden))
@@ -91,3 +91,10 @@ def bench_pairwise(m: int, hidden: int, repeats: int = 5) -> float:
     w_v = rng.standard_normal((hidden, d)) / math.sqrt(hidden)
     return time_median(lambda: full_pairwise_attention(h, w_q, w_k, w_v), repeats)
 
+
+def bench_case(kind: str, m: int, k: int, hidden: int, repeats: int) -> float:
+    """`bench_global`, `bench_local` or `bench_pairwise` by kind; `k` counts
+    for the local kind only."""
+    if kind == "local":
+        return bench_local(m, k, hidden, repeats)
+    return {"global": bench_global, "pairwise": bench_pairwise}[kind](m, hidden, repeats)

@@ -225,30 +225,24 @@ def cmd_scale_study(args) -> int:
 
 
 def cmd_bench(args) -> int:
+    kinds = ("global", "local", "pairwise") if args.kind == "all" else (args.kind,)
+    cases = []                                      # (kind, M, K); K is 0 unless local
+    for kind in kinds:
+        cases += ([(kind, args.local_m, k) for k in args.k_values] if kind == "local"
+                  else [(kind, m, 0) for m in args.sizes])
+    for case in cases:                              # every case, before any timing
+        bench_mod.check_memory_cap(*case, args.hidden)
+    times = [bench_mod.bench_case(*case, args.hidden, args.repeats) for case in cases]
     out = Path(args.out)
     out.mkdir(parents=True, exist_ok=True)
-    kinds = ("global", "local", "pairwise") if args.kind == "all" else (args.kind,)
-    rows = []
-    for kind in kinds:
-        if kind == "global":
-            for m in args.sizes:
-                t = bench_mod.bench_global(m, args.hidden, args.repeats)
-                rows.append((kind, m, "", args.hidden, t))
-        elif kind == "pairwise":
-            for m in args.sizes:
-                t = bench_mod.bench_pairwise(m, args.hidden, args.repeats)
-                rows.append((kind, m, "", args.hidden, t))
-        else:
-            for k in args.k_values:
-                t = bench_mod.bench_local(args.local_m, k, args.hidden, args.repeats)
-                rows.append((kind, args.local_m, k, args.hidden, t))
     csv_path = out / "bench.csv"
     with open(csv_path, "w", encoding="utf-8") as fh:
         fh.write("kind,m,k,hidden,seconds\n")
-        for kind, m, k, c, t in rows:
-            fh.write(f"{kind},{m},{k},{c},{t:.6e}\n")
-            print(f"{kind:9s} M={m:<6} K={k if k != '' else '-':<4} "
-                  f"C={c}: {t * 1e3:.3f} ms")
+        for (kind, m, k), t in zip(cases, times):
+            k = k if kind == "local" else ""
+            fh.write(f"{kind},{m},{k},{args.hidden},{t:.6e}\n")
+            print(f"{kind:9s} M={m:<6} K={k or '-':<4} "
+                  f"C={args.hidden}: {t * 1e3:.3f} ms")
     _write_sidecar(csv_path, {"kind": args.kind, "sizes": args.sizes,
                               "k_values": args.k_values, "local_m": args.local_m,
                               "hidden": args.hidden, "repeats": args.repeats})
@@ -341,7 +335,7 @@ def build_parser() -> argparse.ArgumentParser:
     p.add_argument("--k-values", dest="k_values", type=_int_list,
                    default=[8, 16, 32], help="K values for local")
     p.add_argument("--local-m", dest="local_m", type=int, default=2048)
-    p.add_argument("--hidden", type=int, default=128)
+    p.add_argument("--hidden", type=int, default=ModelConfig.hidden)
     p.add_argument("--repeats", type=int, default=5)
     p.set_defaults(func=cmd_bench)
 

@@ -9,8 +9,9 @@ from __future__ import annotations
 
 import json
 import math
+import numbers
 import struct
-from dataclasses import dataclass, field, asdict
+from dataclasses import asdict, dataclass, fields
 from typing import Callable, Iterator
 
 import numpy as np
@@ -26,8 +27,8 @@ from .tensor import (
     matmul,
 )
 
-__all__ = ["ModelConfig", "OperatorModel", "init_model", "encode", "forward",
-           "mask_trajectory", "save_checkpoint", "load_checkpoint",
+__all__ = ["ModelConfig", "OperatorModel", "init_block", "init_model", "encode",
+           "forward", "mask_trajectory", "save_checkpoint", "load_checkpoint",
            "CheckpointError"]
 
 CHECKPOINT_MAGIC = b"LA2C"
@@ -59,6 +60,13 @@ class ModelConfig:
         self.validate()
 
     def validate(self) -> None:
+        for f in fields(self):
+            value = getattr(self, f.name)
+            real = f.type == "float"
+            if isinstance(value, bool) or not isinstance(
+                    value, numbers.Real if real else numbers.Integral):
+                kind = "a real number" if real else "an integer"
+                raise TensorError(f"{f.name} must be {kind}, got {value!r}")
         if self.hidden % 2 != 0:
             raise TensorError(f"hidden width must be even, got {self.hidden}")
         if self.layers < 1:
@@ -70,6 +78,8 @@ class ModelConfig:
                 f"branch width {self.hidden // 2} not divisible by {self.heads} heads")
         if min(self.in_channels, self.coord_channels, self.out_channels) < 1:
             raise TensorError("channel counts must be positive")
+        if self.ff_hidden < 1:
+            raise TensorError(f"feed-forward width must be >= 1, got {self.ff_hidden}")
         if not 0 < self.alpha < math.inf:
             raise TensorError("alpha must be positive and finite")
 
@@ -88,9 +98,9 @@ class OperatorModel:
     enc_b1: Tensor
     enc_w2: Tensor
     enc_b2: Tensor
-    blocks: list[GlaLayerParams] = field(default_factory=list)
-    proj_w: Tensor = None
-    proj_b: Tensor = None
+    blocks: list[GlaLayerParams]
+    proj_w: Tensor
+    proj_b: Tensor
 
     def named_parameters(self) -> Iterator[tuple[str, Tensor]]:
         """All learnables in a fixed, checkpoint-stable order."""
@@ -105,29 +115,49 @@ class OperatorModel:
         yield "proj_b", self.proj_b
 
 
+def _weight(rng: np.random.Generator, fan_in: int, fan_out: int) -> Tensor:
+    bound = 1.0 / math.sqrt(fan_in)
+    return Tensor(rng.uniform(-bound, bound, size=(fan_in, fan_out)), requires_grad=True)
+
+
+def _fill(n: int, value: float = 0.0) -> Tensor:
+    return Tensor(np.full(n, value), requires_grad=True)
+
+
+def init_block(rng: np.random.Generator, cfg: ModelConfig) -> GlaLayerParams:
+    """One block sized by `cfg`: uniform +-1/sqrt(fan_in) weights drawn from
+    `rng` in field order, zero biases and mask logit, unit norm gains."""
+    c, d, f = cfg.hidden, cfg.hidden // 2, cfg.ff_hidden
+    return GlaLayerParams(
+        w_qg=_weight(rng, c, d), b_qg=_fill(d),
+        w_kg=_weight(rng, c, d), b_kg=_fill(d),
+        w_vg=_weight(rng, c, d), b_vg=_fill(d),
+        w_ql=_weight(rng, c, d), b_ql=_fill(d),
+        w_kl=_weight(rng, c, d),
+        w_vl=_weight(rng, c, d),
+        w_out=_weight(rng, 2 * d, c), b_out=_fill(c),
+        ff_w1=_weight(rng, c, f), ff_b1=_fill(f),
+        ff_w2=_weight(rng, f, c), ff_b2=_fill(c),
+        ln1_gamma=_fill(c, 1.0), ln1_beta=_fill(c),
+        ln2_gamma=_fill(c, 1.0), ln2_beta=_fill(c),
+        mask_s=_fill(1),
+        heads=cfg.heads, alpha=cfg.alpha,
+    )
+
+
 def init_model(cfg: ModelConfig) -> OperatorModel:
     """Deterministic seeded initialization; equal seeds give equal models."""
     cfg.validate()
     rng = np.random.default_rng(cfg.seed)
     c = cfg.hidden
     c_in = cfg.in_channels + cfg.coord_channels
-
-    def w(fan_in, fan_out):
-        bound = 1.0 / np.sqrt(fan_in)
-        return Tensor(rng.uniform(-bound, bound, size=(fan_in, fan_out)),
-                      requires_grad=True)
-
-    def b(n):
-        return Tensor(np.zeros(n), requires_grad=True)
-
-    blocks = [GlaLayerParams.initialize(rng, c, cfg.ff_hidden, cfg.alpha, cfg.heads)
-              for _ in range(cfg.layers)]
+    blocks = [init_block(rng, cfg) for _ in range(cfg.layers)]
     return OperatorModel(
         config=cfg,
-        enc_w1=w(c_in, c), enc_b1=b(c),
-        enc_w2=w(c, c), enc_b2=b(c),
+        enc_w1=_weight(rng, c_in, c), enc_b1=_fill(c),
+        enc_w2=_weight(rng, c, c), enc_b2=_fill(c),
         blocks=blocks,
-        proj_w=w(c, cfg.out_channels), proj_b=b(cfg.out_channels),
+        proj_w=_weight(rng, c, cfg.out_channels), proj_b=_fill(cfg.out_channels),
     )
 
 
@@ -159,7 +189,7 @@ def forward(m: OperatorModel, f_in: Tensor, x: PointSet, knn: KnnIndex,
 
 def mask_trajectory(m: OperatorModel) -> list[float]:
     """Per-layer effective-neighbor fraction sigmoid(s), each in (0, 1)."""
-    return [blk.mask.fraction() for blk in m.blocks]
+    return [1.0 / (1.0 + math.exp(-blk.mask_s.item())) for blk in m.blocks]
 
 
 def save_checkpoint(m: OperatorModel, path) -> None:

@@ -3,7 +3,7 @@
 All values live in C-contiguous float64 arrays. Operations run eagerly; while
 a ``GradTape`` is active (entered as a context manager) every op whose inputs
 require gradients pushes a backward rule onto the tape, and ``backward(loss,
-tape)`` replays those rules in reverse to accumulate gradients.
+tape)`` replays those rules in reverse and returns the leaf gradients.
 
 Binary ops broadcast numpy-style (right-aligned), which covers the scalar and
 trailing-axis cases the model needs; gradients are summed back over broadcast
@@ -51,20 +51,19 @@ class TensorError(ValueError):
 
 
 class Tensor:
-    """Dense row-major float64 array with an optional gradient buffer.
+    """Dense row-major float64 array, optionally a gradient target.
 
-    ``data`` is immutable by convention after construction; ``grad`` is
-    written only by :func:`backward`.
+    ``data`` is immutable by convention after construction; gradients are the
+    map that :func:`backward` returns.
     """
 
-    __slots__ = ("data", "grad", "requires_grad")
+    __slots__ = ("data", "requires_grad")
 
     def __init__(self, data, requires_grad: bool = False):
         arr = np.array(data, dtype=np.float64, order="C")
         if not np.all(np.isfinite(arr)):
             raise TensorError("tensor constructed from non-finite values")
         self.data = arr
-        self.grad: np.ndarray | None = None
         self.requires_grad = bool(requires_grad)
 
     @property
@@ -128,7 +127,6 @@ def _result(data: np.ndarray, inputs: tuple[Tensor, ...],
         raise TensorError("operation produced non-finite values (overflow?)")
     out = Tensor.__new__(Tensor)
     out.data = np.ascontiguousarray(data)
-    out.grad = None
     out.requires_grad = any(t.requires_grad for t in inputs)
     if rule is not None and _ACTIVE_TAPE is not None and out.requires_grad:
         _ACTIVE_TAPE._entries.append((out, inputs, rule))
@@ -138,9 +136,9 @@ def _result(data: np.ndarray, inputs: tuple[Tensor, ...],
 def backward(loss: Tensor, tape: GradTape) -> dict[Tensor, np.ndarray]:
     """Reverse-replay `tape` from scalar `loss`; return leaf gradients.
 
-    Every requires_grad leaf tensor that appears on the tape gets its ``grad``
-    buffer set: accumulated gradients if reachable from the loss, zeros
-    otherwise. Returns the same mapping keyed by tensor identity.
+    The map holds every requires_grad leaf tensor that appears on the tape,
+    keyed by tensor identity: its accumulated gradient if reachable from the
+    loss, zeros otherwise.
     """
     if loss.data.size != 1:
         raise TensorError(f"loss must be scalar, got shape {loss.shape}")
@@ -167,10 +165,7 @@ def backward(loss: Tensor, tape: GradTape) -> dict[Tensor, np.ndarray]:
         for t in inputs:
             if t.requires_grad and id(t) not in produced and t not in result:
                 g = grads.get(id(t))
-                if g is None:
-                    g = np.zeros_like(t.data)
-                t.grad = g
-                result[t] = g
+                result[t] = np.zeros_like(t.data) if g is None else g
     return result
 
 
@@ -266,7 +261,7 @@ def _check_heads(heads: int, d: int) -> None:
 
 
 def knn_attention(q: Tensor, k: Tensor, v: Tensor, idx: np.ndarray, w: Tensor,
-                  heads: int = 1) -> Tensor:
+                  heads: int) -> Tensor:
     """Rank-weighted softmax attention of each row over its K indexed rows, per head.
 
     out[a] = sum_b att[a, b] * w[b] * v[idx[a, b]], where att[a] is the
@@ -323,7 +318,7 @@ def knn_attention(q: Tensor, k: Tensor, v: Tensor, idx: np.ndarray, w: Tensor,
     return _result((a_mat @ vd).reshape(m, d), (q, k, v, w), rule)
 
 
-def linear_attention(q: Tensor, k: Tensor, v: Tensor, heads: int = 1) -> Tensor:
+def linear_attention(q: Tensor, k: Tensor, v: Tensor, heads: int) -> Tensor:
     """Positive-feature linear attention per head: Qn (Kn^T V) / (Qn Kn^T 1) + Qn.
 
     `q`, `k` and `v` are [M, d]; head h owns columns [h*dh, (h+1)*dh) with

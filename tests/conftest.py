@@ -1,5 +1,8 @@
 """Shared test helpers: the central finite-difference gradient oracle."""
 
+import json
+import struct
+
 import numpy as np
 import pytest
 
@@ -42,9 +45,8 @@ def gradcheck(build_loss, wrt, step=1e-6, tol=1e-5):
     Returns the worst relative error, asserting it is within tol.
     """
     with GradTape() as tape:
-        loss = build_loss()
-        backward(loss, tape)
-    analytic = [t.grad.copy() for t in wrt]
+        grads = backward(build_loss(), tape)
+    analytic = [grads[t] for t in wrt]
 
     def loss_value():
         return float(build_loss().data.reshape(()))
@@ -55,6 +57,16 @@ def gradcheck(build_loss, wrt, step=1e-6, tol=1e-5):
         worst = max(worst, rel_error(a, numeric))
     assert worst < tol, f"gradient mismatch: {worst:.3e} >= {tol:.0e}"
     return worst
+
+
+def edit_header(path, edit):
+    """Rewrite a checkpoint's JSON header in place; `edit` mutates the dict."""
+    blob = path.read_bytes()
+    (hlen,) = struct.unpack("<Q", blob[8:16])
+    header = json.loads(blob[16:16 + hlen])
+    edit(header)
+    head = json.dumps(header).encode()
+    path.write_bytes(blob[:8] + struct.pack("<Q", len(head)) + head + blob[16 + hlen:])
 
 
 def assert_mask_monotone(w):

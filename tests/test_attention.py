@@ -7,9 +7,9 @@ import pytest
 from scipy.special import erf
 
 from conftest import assert_mask_monotone, gradcheck
-from la2.attention import (GlaLayerParams, SoftMaskParams, gla, global_attention,
-                           la2_layer, local_attention, soft_mask)
+from la2.attention import gla, global_attention, la2_layer, local_attention, soft_mask
 from la2.geometry import KnnIndex, PointSet, knn_indices, relabel_knn
+from la2.model import ModelConfig, init_block
 from la2.tensor import Tensor, TensorError, mul, reduce_sum
 
 
@@ -18,12 +18,11 @@ def sig(v):
 
 
 def make_params(rng, hidden, heads=1, alpha=10.0):
-    return GlaLayerParams.initialize(rng, hidden, 2 * hidden, alpha=alpha,
-                                     heads=heads)
+    return init_block(rng, ModelConfig(1, 2, 1, hidden=hidden, heads=heads, alpha=alpha))
 
 
-def make_mask(s=0.0, alpha=10.0):
-    return SoftMaskParams(s=Tensor([s], requires_grad=True), alpha=alpha)
+def logit(s=0.0):
+    return Tensor([s], requires_grad=True)
 
 
 def random_knn(rng, m, k):
@@ -34,11 +33,11 @@ def random_knn(rng, m, k):
 class TestSoftMask:
     def test_anchor_at_half(self):
         # K=3, s=0: threshold sits exactly on rank 2, so w_2 = 0.5.
-        w = soft_mask(make_mask(0.0, alpha=10.0), 3).data
+        w = soft_mask(logit(0.0), 3, 10.0).data
         assert w[1] == 0.5
 
     def test_k4_direct_evaluation(self):
-        w = soft_mask(make_mask(0.0, alpha=10.0), 4).data
+        w = soft_mask(logit(0.0), 4, 10.0).data
         expect = [sig(-10.0 * (k - 0.5 * 3.0 - 1.0)) for k in (1, 2, 3, 4)]
         assert w == pytest.approx(expect, abs=1e-15)
         assert w == pytest.approx([0.99999969, 0.993307, 0.006693, 3.06e-7],
@@ -48,38 +47,35 @@ class TestSoftMask:
     @pytest.mark.parametrize("s", [-3.0, 0.0, 3.0])
     def test_strictly_decreasing_in_rank(self, alpha, s):
         for k in (2, 5, 16, 64):
-            w = soft_mask(make_mask(s, alpha), k).data
+            w = soft_mask(logit(s), k, alpha).data
             assert_mask_monotone(w)
 
     def test_open_range_when_unsaturated(self):
         # alpha=2, K=8 keeps every sigmoid argument well inside the band
         # where float64 resolves values away from 0 and 1.
         for s in (-3.0, 0.0, 3.0):
-            w = soft_mask(make_mask(s, alpha=2.0), 8).data
+            w = soft_mask(logit(s), 8, 2.0).data
             assert ((w > 0.0) & (w < 1.0)).all()
             assert (np.diff(w) < 0).all()
 
     def test_monotone_in_s(self):
         for k in (3, 8, 31):
-            prev = soft_mask(make_mask(-4.0), k).data
+            prev = soft_mask(logit(-4.0), k, 10.0).data
             for s in (-2.0, 0.0, 2.0, 4.0):
-                cur = soft_mask(make_mask(s), k).data
+                cur = soft_mask(logit(s), k, 10.0).data
                 assert (cur >= prev).all()
                 prev = cur
 
     def test_gradient_through_both_sigmoids(self, rng):
-        mask = make_mask(0.37, alpha=3.0)
+        s = logit(0.37)
         r = Tensor(rng.uniform(-1, 1, 6))
-        gradcheck(lambda: reduce_sum(mul(soft_mask(mask, 6), r)), [mask.s])
+        gradcheck(lambda: reduce_sum(mul(soft_mask(s, 6, 3.0), r)), [s])
 
     def test_validation(self):
+        # alpha > 0 and the (1,) shape of s are checked where they enter:
+        # ModelConfig.validate and load_checkpoint (see test_model).
         with pytest.raises(TensorError):
-            SoftMaskParams(s=Tensor([0.0]), alpha=0.0)
-        for shape in ((), (1, 1)):
-            with pytest.raises(TensorError):
-                SoftMaskParams(s=Tensor(np.zeros(shape)), alpha=10.0)
-        with pytest.raises(TensorError):
-            soft_mask(make_mask(), 0)
+            soft_mask(logit(), 0, 10.0)
 
 
 def dense_global_reference(h, p):
@@ -209,7 +205,7 @@ class TestLocalAttention:
         p = make_params(rng, 8, heads=heads)
         knn = random_knn(rng, 12, 4)
         h = rng.standard_normal((12, 8))
-        w = soft_mask(make_mask(0.3, alpha=2.0), 4).data
+        w = soft_mask(logit(0.3), 4, 2.0).data
         out = local_attention(Tensor(h), knn, Tensor(w), p).data
         ref = dense_local_reference(h, knn.idx, w, p)
         assert np.abs(out - ref).max() <= 1e-12 * np.abs(ref).max()
@@ -255,13 +251,13 @@ class TestLocalAttention:
 
     def test_gradients(self, rng):
         p = make_params(rng, 4, alpha=2.0)
-        p.mask.s.data[:] = 0.4
+        p.mask_s.data[:] = 0.4
         knn = random_knn(rng, 5, 3)
         h = Tensor(rng.uniform(-2, 2, (5, 4)), requires_grad=True)
         r = Tensor(rng.uniform(-1, 1, (5, 2)))
-        wrt = [h, p.w_ql, p.b_ql, p.w_kl, p.w_vl, p.mask.s]
+        wrt = [h, p.w_ql, p.b_ql, p.w_kl, p.w_vl, p.mask_s]
         gradcheck(lambda: reduce_sum(mul(
-            local_attention(h, knn, soft_mask(p.mask, 3), p), r)), wrt)
+            local_attention(h, knn, soft_mask(p.mask_s, 3, p.alpha), p), r)), wrt)
 
 
 class TestGla:
@@ -286,7 +282,7 @@ class TestGla:
         h = Tensor(rng.uniform(-2, 2, (6, 4)), requires_grad=True)
         r = Tensor(rng.uniform(-1, 1, (6, 4)))
         wrt = [h, p.w_qg, p.b_qg, p.w_kg, p.w_vg, p.w_ql, p.w_kl, p.w_vl,
-               p.w_out, p.b_out, p.mask.s]
+               p.w_out, p.b_out, p.mask_s]
         gradcheck(lambda: reduce_sum(mul(gla(h, knn, p), r)), wrt)
 
 
@@ -327,11 +323,18 @@ class TestLa2Layer:
         gradcheck(lambda: reduce_sum(mul(la2_layer(h, knn, p), r)), wrt)
 
 
-class TestMultiHead:
-    def test_heads_validated(self, rng):
-        with pytest.raises(TensorError):
-            GlaLayerParams.initialize(rng, 12, 24, alpha=10.0, heads=4)
+class TestBlockParams:
+    def test_checkpoint_names_in_order(self, rng):
+        # Field order is the checkpoint byte layout; saved blocks use exactly
+        # these names in this order.
+        names = [name for name, _ in make_params(rng, 4).named_params()]
+        assert names == ["w_qg", "b_qg", "w_kg", "b_kg", "w_vg", "b_vg",
+                         "w_ql", "b_ql", "w_kl", "w_vl", "w_out", "b_out",
+                         "ff_w1", "ff_b1", "ff_w2", "ff_b2",
+                         "ln1_gamma", "ln1_beta", "ln2_gamma", "ln2_beta", "mask_s"]
 
+
+class TestMultiHead:
     def test_two_head_shapes(self, rng):
         p = make_params(rng, 8, heads=2)
         knn = random_knn(rng, 10, 4)

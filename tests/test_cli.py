@@ -9,6 +9,8 @@ from dataclasses import MISSING, fields
 import numpy as np
 import pytest
 
+from conftest import edit_header
+import la2.bench
 import la2.cli
 from la2.cli import EXIT_OK, EXIT_RUNTIME, EXIT_USAGE, main
 from la2.model import (CheckpointError, ModelConfig, init_model, load_checkpoint,
@@ -252,16 +254,20 @@ class TestEval:
 
     def test_malformed_param_entry(self, dataset_dir, tmp_path, capsys):
         path = tiny_checkpoint(tmp_path / "m.la2c")
-        blob = path.read_bytes()
-        (hlen,) = struct.unpack("<Q", blob[8:16])
-        header = json.loads(blob[16:16 + hlen])
-        del header["params"][0]["offset"]
-        head = json.dumps(header).encode()
-        path.write_bytes(blob[:8] + struct.pack("<Q", len(head)) + head
-                         + blob[16 + hlen:])
+        edit_header(path, lambda header: header["params"][0].pop("offset"))
         rc = main(["eval", "--data", str(dataset_dir), "--checkpoint", str(path)])
         assert rc == EXIT_USAGE
         assert "malformed checkpoint header" in capsys.readouterr().err
+
+    @pytest.mark.parametrize("command", ["eval", "dump-mask"])
+    @pytest.mark.parametrize("value", [1.5, True])
+    def test_non_integer_int_field(self, dataset_dir, tmp_path, capsys, command, value):
+        path = tiny_checkpoint(tmp_path / "m.la2c")
+        edit_header(path, lambda header: header["config"].update(layers=value))
+        data = ["--data", str(dataset_dir)] if command == "eval" else []
+        rc = main([command, *data, "--checkpoint", str(path)])
+        assert rc == EXIT_USAGE
+        assert "layers must be an integer" in capsys.readouterr().err
 
     def test_version_1_checkpoint_rejected(self, dataset_dir, tmp_path):
         # Version 1 has the same layout but weights for the old signed global
@@ -355,6 +361,26 @@ class TestBench:
         assert rc == EXIT_USAGE
         assert "needs 6104 MiB, cap is 2048 MiB" in capsys.readouterr().err
         assert not (tmp_path / "b" / "bench.csv").exists()
+
+    def test_every_cap_checked_before_timing(self, tmp_path, monkeypatch):
+        # The over-cap pairwise size comes last; no earlier case may be timed.
+        calls = []
+        for kind in ("global", "local", "pairwise"):
+            monkeypatch.setattr(la2.bench, f"bench_{kind}",
+                                lambda *a, kind=kind: calls.append(kind) or 1.0)
+        rc = main(["bench", "--out", str(tmp_path / "b"), "--kind", "all",
+                   "--sizes", "64,20000", "--k-values", "4", "--local-m", "64",
+                   "--hidden", "16", "--repeats", "1"])
+        assert rc == EXIT_USAGE
+        assert calls == []
+        assert not (tmp_path / "b" / "bench.csv").exists()
+
+    def test_bench_flags(self):
+        # Seven flags; --hidden defaults to the model's width.
+        args = la2.cli.build_parser().parse_args(["bench", "--out", "x"])
+        assert sorted(set(vars(args)) - {"command", "func"}) == [
+            "hidden", "k_values", "kind", "local_m", "out", "repeats", "sizes"]
+        assert args.hidden == ModelConfig.hidden
 
 
 class TestDumpMask:

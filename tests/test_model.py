@@ -6,7 +6,7 @@ import struct
 import numpy as np
 import pytest
 
-from conftest import gradcheck
+from conftest import edit_header, gradcheck
 from la2.geometry import PointSet, knn_indices, relabel_knn
 from la2.model import (CheckpointError, ModelConfig, OperatorModel, encode,
                        forward, init_model, load_checkpoint, mask_trajectory,
@@ -43,11 +43,29 @@ class TestConfig:
         with pytest.raises(TensorError):
             tiny_config(hidden=12, heads=4)
 
+    @pytest.mark.parametrize("alpha", [0.0, -1.0])
+    def test_alpha_must_be_positive(self, alpha):
+        with pytest.raises(TensorError, match="alpha must be positive"):
+            tiny_config(alpha=alpha)
+
+    @pytest.mark.parametrize("key, value", [
+        ("layers", 1.5), ("layers", True), ("hidden", 8.0), ("seed", "5"),
+        ("alpha", "10"), ("alpha", True)])
+    def test_field_types_checked(self, key, value):
+        with pytest.raises(TensorError, match=f"{key} must be"):
+            tiny_config(**{key: value})
+
+    def test_numpy_numbers_accepted(self):
+        cfg = tiny_config(layers=np.int64(2), alpha=np.float64(5.0))
+        assert init_model(cfg).blocks[1].alpha == 5.0
+
     def test_bad_counts(self):
         with pytest.raises(TensorError):
             tiny_config(layers=0)
         with pytest.raises(TensorError):
             tiny_config(k=0)
+        with pytest.raises(TensorError):
+            tiny_config(ff_hidden=0)
 
 
 class TestInit:
@@ -172,7 +190,7 @@ class TestMaskTrajectory:
     def test_range(self):
         m = init_model(tiny_config())
         for blk, v in zip(m.blocks, [3.0, -2.5]):
-            blk.mask.s.data[:] = v
+            blk.mask_s.data[:] = v
         traj = mask_trajectory(m)
         assert all(0.0 < t < 1.0 for t in traj)
         assert traj[0] > 0.9 and traj[1] < 0.1
@@ -222,17 +240,37 @@ class TestCheckpoint:
     def test_rejects_malformed_entry(self, tmp_path, damage):
         path = tmp_path / "model.la2c"
         save_checkpoint(init_model(tiny_config()), path)
-        blob = path.read_bytes()
-        (hlen,) = struct.unpack("<Q", blob[8:16])
-        header = json.loads(blob[16:16 + hlen])
-        if damage == "missing-offset":
-            del header["params"][1]["offset"]
-        else:
-            header["params"][1] = header["params"][1]["name"]
-        head = json.dumps(header).encode()
-        path.write_bytes(blob[:8] + struct.pack("<Q", len(head)) + head
-                         + blob[16 + hlen:])
+
+        def edit(header):
+            if damage == "missing-offset":
+                del header["params"][1]["offset"]
+            else:
+                header["params"][1] = header["params"][1]["name"]
+
+        edit_header(path, edit)
         with pytest.raises(CheckpointError, match="malformed checkpoint header"):
+            load_checkpoint(path)
+
+    @pytest.mark.parametrize("value", [1.5, True])
+    def test_rejects_non_integer_int_field(self, tmp_path, value):
+        path = tmp_path / "model.la2c"
+        save_checkpoint(init_model(tiny_config()), path)
+        edit_header(path, lambda header: header["config"].update(layers=value))
+        with pytest.raises(CheckpointError, match="layers must be an integer"):
+            load_checkpoint(path)
+
+    @pytest.mark.parametrize("shape", [[], [1, 1]])
+    def test_rejects_mask_s_shape(self, tmp_path, shape):
+        # Both shapes hold one float, so only the shape check can catch them.
+        path = tmp_path / "model.la2c"
+        save_checkpoint(init_model(tiny_config()), path)
+
+        def edit(header):
+            entry, = (e for e in header["params"] if e["name"] == "blocks.0.mask_s")
+            entry["shape"] = shape
+
+        edit_header(path, edit)
+        with pytest.raises(CheckpointError, match="blocks.0.mask_s has shape"):
             load_checkpoint(path)
 
     @pytest.mark.parametrize("damage", ["overlap", "gap", "trailing"])

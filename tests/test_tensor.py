@@ -101,7 +101,7 @@ class TestKnnAttention:
     def test_gradcheck(self, rng):
         q, k, v, w = self.inputs(rng)
         r = Tensor(rng.uniform(-1, 1, (4, 3)))
-        gradcheck(lambda: T.reduce_sum(T.mul(T.knn_attention(q, k, v, self.IDX, w), r)),
+        gradcheck(lambda: T.reduce_sum(T.mul(T.knn_attention(q, k, v, self.IDX, w, 1), r)),
                   [q, k, v, w])
 
     def test_large_scores_stay_finite(self, rng):
@@ -110,19 +110,19 @@ class TestKnnAttention:
         ref, *_ = knn_attention_reference(q.data, k.data, v.data, self.IDX, w.data, r)
         scores = np.einsum("mkd,md->mk", k.data[self.IDX], q.data) * w.data / math.sqrt(3)
         assert 5e2 < np.abs(scores).max() < 5e3
-        out = T.knn_attention(q, k, v, self.IDX, w).data
+        out = T.knn_attention(q, k, v, self.IDX, w, 1).data
         assert np.abs(out - ref).max() <= 1e-12 * np.abs(ref).max()
 
     def test_gradients_accumulate_per_row(self, rng):
         q, k, v, w = self.inputs(rng)
         r = rng.uniform(-1, 1, (4, 3))
         with GradTape() as tape:
-            out = T.knn_attention(q, k, v, self.IDX, w)
-            backward(T.reduce_sum(T.mul(out, Tensor(r))), tape)
+            out = T.knn_attention(q, k, v, self.IDX, w, 1)
+            grads = backward(T.reduce_sum(T.mul(out, Tensor(r))), tape)
         ref = knn_attention_reference(q.data, k.data, v.data, self.IDX, w.data, r)
-        for got, expect in zip((out.data, q.grad, k.grad, v.grad, w.grad), ref):
+        for got, expect in zip((out.data, *(grads[t] for t in (q, k, v, w))), ref):
             assert np.abs(got - expect).max() <= 1e-12 * np.abs(expect).max()
-        for g in (k.grad, v.grad):
+        for g in (grads[k], grads[v]):
             assert np.abs(g[0]).min() > 0.0
             assert np.array_equal(g[[3, 5]], np.zeros((2, 3)))
 
@@ -136,8 +136,8 @@ class TestKnnAttention:
         r = rng.uniform(-1, 1, (4, 6))
         with GradTape() as tape:
             out = T.knn_attention(q, k, v, self.IDX, w, 2)
-            backward(T.reduce_sum(T.mul(out, Tensor(r))), tape)
-        got = (out.data, q.grad, k.grad, v.grad, w.grad)
+            grads = backward(T.reduce_sum(T.mul(out, Tensor(r))), tape)
+        got = (out.data, *(grads[t] for t in (q, k, v, w)))
         parts = [np.zeros((4, 6)), np.zeros((4, 6)), np.zeros((6, 6)), np.zeros((6, 6)),
                  np.zeros(3)]
         for h in range(2):
@@ -145,11 +145,11 @@ class TestKnnAttention:
             qh, kh, vh = (leaf(t.data[:, cols]) for t in (q, k, v))
             wh = leaf(w.data)
             with GradTape() as tape:
-                out_h = T.knn_attention(qh, kh, vh, self.IDX, wh)
-                backward(T.reduce_sum(T.mul(out_h, Tensor(r[:, cols]))), tape)
-            for part, t in zip(parts[:4], (out_h.data, qh.grad, kh.grad, vh.grad)):
+                out_h = T.knn_attention(qh, kh, vh, self.IDX, wh, 1)
+                grads = backward(T.reduce_sum(T.mul(out_h, Tensor(r[:, cols]))), tape)
+            for part, t in zip(parts[:4], (out_h.data, grads[qh], grads[kh], grads[vh])):
                 part[:, cols] = t
-            parts[4] += wh.grad
+            parts[4] += grads[wh]
         for g, expect in zip(got, parts):
             assert np.abs(g - expect).max() <= 1e-12 * np.abs(expect).max()
 
@@ -265,7 +265,7 @@ class TestSoftmax:
         # the scores are q * keys and the output is att . values.
         return T.knn_attention(Tensor([[q]]), Tensor([[x] for x in keys]),
                                Tensor([[x] for x in values]), np.array([[0, 1]]),
-                               Tensor(np.ones(2))).data[0, 0]
+                               Tensor(np.ones(2)), 1).data[0, 0]
 
     def test_symmetry(self):
         assert self.two_neighbors(0.0, [3.0, -5.0], [2.0, 4.0]) == 3.0
@@ -286,7 +286,7 @@ class TestSoftmax:
         idx = np.array([rng.permutation(9) for _ in range(7)])
         q = Tensor(rng.uniform(-5, 5, (7, 9)))
         k = Tensor(rng.uniform(-5, 5, (9, 9)))
-        att = T.knn_attention(q, k, Tensor(np.eye(9)), idx, Tensor(np.ones(9))).data
+        att = T.knn_attention(q, k, Tensor(np.eye(9)), idx, Tensor(np.ones(9)), 1).data
         assert np.abs(att.sum(axis=-1) - 1.0).max() < 1e-12
         assert ((att > 0) & (att < 1)).all()
 
@@ -297,7 +297,7 @@ class TestSoftmax:
         idx = rng.integers(0, 5, (4, 3))
         w = Tensor(np.ones(3))
         r = Tensor(rng.uniform(-1, 1, (4, 6)))
-        gradcheck(lambda: T.reduce_sum(T.mul(T.knn_attention(q, k, v, idx, w), r)), [q])
+        gradcheck(lambda: T.reduce_sum(T.mul(T.knn_attention(q, k, v, idx, w, 1), r)), [q])
 
 
 class TestElementwise:
@@ -378,15 +378,14 @@ class TestBackward:
         with GradTape() as tape:
             loss = T.reduce_sum(T.mul(x, x))
             gmap = backward(loss, tape)
-        assert np.array_equal(x.grad, [6.0])
         assert np.array_equal(gmap[x], [6.0])
 
     def test_sigmoid_rule(self):
         x = Tensor([0.0], requires_grad=True)
         with GradTape() as tape:
             loss = T.reduce_sum(T.sigmoid(x))
-            backward(loss, tape)
-        assert x.grad == pytest.approx([0.25], abs=1e-15)
+            gmap = backward(loss, tape)
+        assert gmap[x] == pytest.approx([0.25], abs=1e-15)
 
     def test_non_scalar_loss_rejected(self):
         x = Tensor([1.0, 2.0], requires_grad=True)
@@ -403,7 +402,6 @@ class TestBackward:
             T.mul(y, y)  # recorded but not feeding the loss
             gmap = backward(loss, tape)
         assert np.array_equal(gmap[y], [0.0])
-        assert np.array_equal(y.grad, [0.0])
 
     def test_loss_not_on_tape(self):
         x = Tensor([1.0], requires_grad=True)
@@ -445,7 +443,7 @@ class TestDeterminism:
 
         def compute():
             h = T.matmul(T.gelu(a), b)
-            return T.knn_attention(h, h, h, idx, w).data.copy()
+            return T.knn_attention(h, h, h, idx, w, 1).data.copy()
 
         first = compute()
         for _ in range(3):
