@@ -27,8 +27,8 @@ from .tensor import (
     gelu,
     knn_attention,
     layer_norm,
+    linear,
     linear_attention,
-    matmul,
     scale,
     sigmoid,
     sub,
@@ -98,9 +98,9 @@ def global_attention(h_bar: Tensor, p: GlaLayerParams) -> Tensor:
     gelu(x) + 1, row-normalized, so D = Qn (Kn^T 1) is positive and the
     division needs no guard. The M x M score matrix is never formed.
     """
-    q = add(matmul(h_bar, p.w_qg), p.b_qg)
-    k = add(matmul(h_bar, p.w_kg), p.b_kg)
-    v = add(matmul(h_bar, p.w_vg), p.b_vg)
+    q = linear(h_bar, p.w_qg, p.b_qg)
+    k = linear(h_bar, p.w_kg, p.b_kg)
+    v = linear(h_bar, p.w_vg, p.b_vg)
     return linear_attention(q, k, v, p.heads)
 
 
@@ -117,9 +117,9 @@ def local_attention(h_bar: Tensor, knn: KnnIndex, w: Tensor,
     if h_bar.ndim != 2 or knn.m != h_bar.shape[0] or w.shape != (knn.k,):
         raise TensorError(f"local attention needs [M,C], [M,K] index, [K] weights, "
                           f"got {h_bar.shape}, {knn.idx.shape}, {w.shape}")
-    q = add(matmul(h_bar, p.w_ql), p.b_ql)
-    k = matmul(h_bar, p.w_kl)
-    v = matmul(h_bar, p.w_vl)
+    q = linear(h_bar, p.w_ql, p.b_ql)
+    k = linear(h_bar, p.w_kl)
+    v = linear(h_bar, p.w_vl)
     return knn_attention(q, k, v, knn.idx, w, p.heads)
 
 
@@ -127,7 +127,7 @@ def gla(h_bar: Tensor, knn: KnnIndex, p: GlaLayerParams) -> Tensor:
     """Fuse both branches: Linear(Concat(global, local)) back to width C."""
     g = global_attention(h_bar, p)
     l = local_attention(h_bar, knn, soft_mask(p.mask_s, knn.k, p.alpha), p)
-    return add(matmul(concat_lastdim(g, l), p.w_out), p.b_out)
+    return linear(concat_lastdim(g, l), p.w_out, p.b_out)
 
 
 def la2_layer(h_prev: Tensor, knn: KnnIndex, p: GlaLayerParams) -> Tensor:
@@ -135,5 +135,5 @@ def la2_layer(h_prev: Tensor, knn: KnnIndex, p: GlaLayerParams) -> Tensor:
     h_bar = layer_norm(h_prev, p.ln1_gamma, p.ln1_beta)
     h_hat = add(gla(h_bar, knn, p), h_prev)
     h_bar2 = layer_norm(h_hat, p.ln2_gamma, p.ln2_beta)
-    ff = add(matmul(gelu(add(matmul(h_bar2, p.ff_w1), p.ff_b1)), p.ff_w2), p.ff_b2)
+    ff = linear(gelu(linear(h_bar2, p.ff_w1, p.ff_b1)), p.ff_w2, p.ff_b2)
     return add(ff, h_hat)

@@ -260,11 +260,14 @@ def cmd_dump_mask(args) -> int:
 # Parser
 # ---------------------------------------------------------------------------
 
+def _positive_int(text: str) -> int:
+    if not text.strip().isdecimal() or int(text) < 1:
+        raise argparse.ArgumentTypeError(f"not a positive integer: {text}")
+    return int(text)
+
+
 def _int_list(text: str) -> list[int]:
-    try:
-        return [int(v) for v in text.split(",") if v.strip()]
-    except ValueError as exc:
-        raise argparse.ArgumentTypeError(f"not a comma-separated int list: {text}") from exc
+    return [_positive_int(v) for v in text.split(",") if v.strip()]
 
 
 def _run_parser(sub, name: str, text: str, func, *, epochs: int):
@@ -334,9 +337,9 @@ def build_parser() -> argparse.ArgumentParser:
                    help="M values for global/pairwise")
     p.add_argument("--k-values", dest="k_values", type=_int_list,
                    default=[8, 16, 32], help="K values for local")
-    p.add_argument("--local-m", dest="local_m", type=int, default=2048)
+    p.add_argument("--local-m", dest="local_m", type=_positive_int, default=2048)
     p.add_argument("--hidden", type=int, default=ModelConfig.hidden)
-    p.add_argument("--repeats", type=int, default=5)
+    p.add_argument("--repeats", type=_positive_int, default=5)
     p.set_defaults(func=cmd_bench)
 
     p = sub.add_parser("dump-mask", help="print per-layer mask fractions")

@@ -1,4 +1,4 @@
-"""Point sets, pairwise distances, and exact K-nearest-neighbor indexing.
+"""Point sets and exact K-nearest-neighbor indexing.
 
 Neighbor order is fully deterministic: each point is its own first neighbor,
 the rest follow in non-decreasing distance with ties broken by ascending
@@ -17,8 +17,8 @@ from scipy.spatial import cKDTree
 
 from .tensor import Tensor, TensorError
 
-__all__ = ["PointSet", "KnnIndex", "pairwise_distances", "knn_indices",
-           "knn_indices_accelerated", "relabel_knn"]
+__all__ = ["PointSet", "KnnIndex", "knn_indices", "knn_indices_accelerated",
+           "relabel_knn"]
 
 
 @dataclass(frozen=True)
@@ -75,12 +75,6 @@ def _squared_distance_matrix(coords: np.ndarray) -> np.ndarray:
     # matrix (and every tie) comes out identical to per-pair evaluation.
     diff = coords[:, None, :] - coords[None, :, :]
     return np.einsum("ijc,ijc->ij", diff, diff)
-
-
-def pairwise_distances(x: PointSet) -> Tensor:
-    """Full Euclidean distance matrix [M, M]: symmetric, zero diagonal."""
-    d2 = _squared_distance_matrix(x.coords.data)
-    return Tensor(np.sqrt(d2))
 
 
 def _self_first(order: np.ndarray, k: int) -> np.ndarray:

@@ -18,14 +18,7 @@ import numpy as np
 
 from .attention import GlaLayerParams, la2_layer
 from .geometry import KnnIndex, PointSet
-from .tensor import (
-    Tensor,
-    TensorError,
-    add,
-    concat_lastdim,
-    gelu,
-    matmul,
-)
+from .tensor import Tensor, TensorError, concat_lastdim, gelu, linear
 
 __all__ = ["ModelConfig", "OperatorModel", "init_block", "init_model", "encode",
            "forward", "mask_trajectory", "save_checkpoint", "load_checkpoint",
@@ -170,8 +163,8 @@ def encode(f_in: Tensor, x: PointSet, m: OperatorModel) -> Tensor:
         raise TensorError(
             f"expected {m.config.in_channels} input channels, got {f_in.shape[1]}")
     z = concat_lastdim(f_in, x.coords)
-    h = gelu(add(matmul(z, m.enc_w1), m.enc_b1))
-    return add(matmul(h, m.enc_w2), m.enc_b2)
+    h = gelu(linear(z, m.enc_w1, m.enc_b1))
+    return linear(h, m.enc_w2, m.enc_b2)
 
 
 def forward(m: OperatorModel, f_in: Tensor, x: PointSet, knn: KnnIndex,
@@ -184,7 +177,7 @@ def forward(m: OperatorModel, f_in: Tensor, x: PointSet, knn: KnnIndex,
         h = la2_layer(h, knn, blk)
         if layer_hook is not None:
             layer_hook(i, h)
-    return add(matmul(h, m.proj_w), m.proj_b)
+    return linear(h, m.proj_w, m.proj_b)
 
 
 def mask_trajectory(m: OperatorModel) -> list[float]:

@@ -27,7 +27,7 @@ __all__ = [
     "Tensor",
     "GradTape",
     "TensorError",
-    "matmul",
+    "linear",
     "knn_attention",
     "linear_attention",
     "layer_norm",
@@ -189,22 +189,28 @@ def _check_tensor(t, name: str) -> None:
 # Linear algebra and structure ops
 # ---------------------------------------------------------------------------
 
-def matmul(a: Tensor, b: Tensor) -> Tensor:
-    """Matrix product ``a @ b``; `a` may carry leading batch axes, `b` is 2-D."""
-    _check_tensor(a, "a")
-    _check_tensor(b, "b")
-    if a.ndim < 2 or b.ndim != 2:
-        raise TensorError(f"matmul needs a >=2-D and b 2-D, got {a.shape} @ {b.shape}")
-    if a.shape[-1] != b.shape[0]:
-        raise TensorError(f"matmul inner dims disagree: {a.shape} @ {b.shape}")
-    ad, bd = a.data, b.data
+def linear(x: Tensor, w: Tensor, b: Tensor | None = None) -> Tensor:
+    """``x @ w + b`` with the bias added in place into the product, so no
+    pre-bias copy is taped. `x` is [..., n], `w` is [n, out] and `b` is [out]
+    or None; the input gradient is formed only if `x` requires one."""
+    inputs = (x, w) if b is None else (x, w, b)
+    for t, name in zip(inputs, "xwb"):
+        _check_tensor(t, name)
+    if x.ndim < 2 or w.ndim != 2 or x.shape[-1] != w.shape[0]:
+        raise TensorError(f"linear needs x [..., n] and w [n, out], got {x.shape}, {w.shape}")
+    if b is not None and b.shape != (w.shape[1],):
+        raise TensorError(f"linear bias must have shape ({w.shape[1]},), got {b.shape}")
+    xd, wd, need_gx = x.data, w.data, x.requires_grad
+    out = xd @ wd
+    if b is not None:
+        out += b.data
 
     def rule(g):
-        ga = g @ bd.T
-        gb = ad.reshape(-1, ad.shape[-1]).T @ g.reshape(-1, g.shape[-1])
-        return ga, gb
+        gx = g @ wd.T if need_gx else None
+        gw = xd.reshape(-1, xd.shape[-1]).T @ g.reshape(-1, g.shape[-1])
+        return (gx, gw) if b is None else (gx, gw, g.sum(axis=tuple(range(g.ndim - 1))))
 
-    return _result(ad @ bd, (a, b), rule)
+    return _result(out, inputs, rule)
 
 
 def concat_lastdim(a: Tensor, b: Tensor) -> Tensor:
@@ -226,7 +232,8 @@ def concat_lastdim(a: Tensor, b: Tensor) -> Tensor:
 # ---------------------------------------------------------------------------
 
 def layer_norm(x: Tensor, gamma: Tensor, beta: Tensor, eps: float = 1e-5) -> Tensor:
-    """Per-last-axis normalization (biased variance) with affine scale/shift."""
+    """Per-last-axis normalization (biased variance) with affine scale/shift.
+    Backward recomputes the normalized input from `x`, which the tape holds."""
     _check_tensor(x, "x")
     _check_tensor(gamma, "gamma")
     _check_tensor(beta, "beta")
@@ -236,14 +243,15 @@ def layer_norm(x: Tensor, gamma: Tensor, beta: Tensor, eps: float = 1e-5) -> Ten
             f"layer_norm over width {c} needs gamma/beta of shape ({c},)")
     if eps <= 0:
         raise TensorError("layer_norm eps must be positive")
-    mu = x.data.mean(axis=-1, keepdims=True)
-    xc = x.data - mu
-    var = (xc * xc).mean(axis=-1, keepdims=True)
+    xd, gd = x.data, gamma.data
+    mu = xd.mean(axis=-1, keepdims=True)
+    xhat = xd - mu
+    var = (xhat * xhat).mean(axis=-1, keepdims=True)
     inv = 1.0 / np.sqrt(var + eps)
-    xhat = xc * inv
-    gd = gamma.data
+    xhat *= inv
 
     def rule(g):
+        xhat = (xd - mu) * inv                      # the forward's, recomputed
         g2 = g.reshape(-1, c)
         dbeta = g2.sum(axis=0)
         dgamma = (g2 * xhat.reshape(-1, c)).sum(axis=0)

@@ -375,6 +375,23 @@ class TestBench:
         assert calls == []
         assert not (tmp_path / "b" / "bench.csv").exists()
 
+    @pytest.mark.parametrize("flag,value", [
+        ("--repeats", "0"), ("--sizes", "64,0"), ("--k-values", "4,-8"),
+        ("--local-m", "-64")], ids=["repeats", "sizes", "k_values", "local_m"])
+    def test_non_positive_value_rejected(self, tmp_path, monkeypatch, capsys, flag, value):
+        calls = []
+        for kind in ("global", "local", "pairwise"):
+            monkeypatch.setattr(la2.bench, f"bench_{kind}",
+                                lambda *a, kind=kind: calls.append(kind) or 1.0)
+        argv = {"--repeats": "1", "--sizes": "64", "--k-values": "4", "--local-m": "64"}
+        argv[flag] = value
+        rc = main(["bench", "--out", str(tmp_path / "b"), "--kind", "all",
+                   "--hidden", "16", *(a for kv in argv.items() for a in kv)])
+        assert rc == EXIT_USAGE
+        assert f"argument {flag}: not a positive integer" in capsys.readouterr().err
+        assert calls == []
+        assert not (tmp_path / "b" / "bench.csv").exists()
+
     def test_bench_flags(self):
         # Seven flags; --hidden defaults to the model's width.
         args = la2.cli.build_parser().parse_args(["bench", "--out", "x"])

@@ -5,14 +5,19 @@ import math
 import numpy as np
 import pytest
 
-from la2.geometry import (KnnIndex, PointSet, knn_indices,
-                          knn_indices_accelerated, pairwise_distances,
-                          relabel_knn)
+from la2.geometry import (KnnIndex, PointSet, _squared_distance_matrix,
+                          knn_indices, knn_indices_accelerated, relabel_knn)
 from la2.tensor import Tensor, TensorError
 
 
 def points(arr):
     return PointSet(Tensor(np.asarray(arr, dtype=float)))
+
+
+def pairwise_distances(x):
+    """Full Euclidean distance matrix [M, M], from the squared distances both
+    KNN paths rank by."""
+    return np.sqrt(_squared_distance_matrix(x.coords.data))
 
 
 def random_points(rng, m, dim=2):
@@ -36,18 +41,18 @@ class TestPointSet:
 
 class TestPairwiseDistances:
     def test_345_triangle(self):
-        d = pairwise_distances(points([[0, 0], [3, 4]])).data
+        d = pairwise_distances(points([[0, 0], [3, 4]]))
         assert np.array_equal(d, [[0.0, 5.0], [5.0, 0.0]])
 
     def test_exact_symmetry_and_diagonal(self, rng):
         x = random_points(rng, 40)
-        d = pairwise_distances(x).data
+        d = pairwise_distances(x)
         assert np.array_equal(d, d.T)
         assert np.array_equal(np.diag(d), np.zeros(40))
 
     def test_matches_per_pair_oracle(self, rng):
         x = random_points(rng, 10, dim=3)
-        d = pairwise_distances(x).data
+        d = pairwise_distances(x)
         c = x.coords.data
         for i in range(10):
             for j in range(10):
@@ -75,7 +80,7 @@ class TestKnnIndices:
     def test_monotone_distances(self, rng):
         x = random_points(rng, 30)
         knn = knn_indices(x, 7)
-        d = pairwise_distances(x).data
+        d = pairwise_distances(x)
         rows = d[np.arange(30)[:, None], knn.idx]
         assert (np.diff(rows, axis=1) >= 0).all()
 
@@ -189,9 +194,9 @@ class TestKnnIndexType:
         perm = rng.permutation(24)
         permuted = points(x.coords.data[perm])
         rel = relabel_knn(knn, perm)
-        d = pairwise_distances(permuted).data
+        d = pairwise_distances(permuted)
         # Relabeled rows carry the same neighbor geometry.
-        dorig = pairwise_distances(x).data
+        dorig = pairwise_distances(x)
         for new_a in range(24):
             old_a = perm[new_a]
             assert np.allclose(d[new_a, rel.idx[new_a]], dorig[old_a, knn.idx[old_a]])

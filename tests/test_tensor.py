@@ -34,34 +34,65 @@ class TestConstruction:
             Tensor([1.0, np.inf])
 
 
-class TestMatmul:
+class TestLinear:
     def test_identity(self):
         eye = Tensor(np.eye(2))
         b = Tensor(np.reshape([5, 6, 7, 8], (2, 2)))
-        assert np.array_equal(T.matmul(eye, b).data, b.data)
+        assert np.array_equal(T.linear(eye, b).data, b.data)
 
     def test_hand_product(self):
         a = Tensor(np.reshape([1, 2], (1, 2)))
-        b = Tensor(np.reshape([3, 4], (2, 1)))
-        assert T.matmul(a, b).data.ravel() == pytest.approx([11.0])
+        w = Tensor(np.reshape([3, 4, 5, 6], (2, 2)))
+        assert T.linear(a, w).data.ravel() == pytest.approx([13.0, 16.0])
+        out = T.linear(a, w, Tensor([0.5, -1.0])).data
+        assert out.ravel() == pytest.approx([13.5, 15.0])
 
     def test_dim_mismatch(self):
         with pytest.raises(TensorError):
-            T.matmul(Tensor(np.ones((2, 3))), Tensor(np.ones((2, 2))))
+            T.linear(Tensor(np.ones((2, 3))), Tensor(np.ones((2, 2))))
+
+    @pytest.mark.parametrize("shape", [(3,), (1, 2), (2, 1)])
+    def test_bias_shape(self, shape):
+        with pytest.raises(TensorError, match="bias"):
+            T.linear(Tensor(np.ones((4, 3))), Tensor(np.ones((3, 2))),
+                     Tensor(np.ones(shape)))
 
     def test_gradient(self, rng):
-        a = leaf(None, rng, (3, 4))
-        b = leaf(None, rng, (4, 2))
+        x = leaf(None, rng, (3, 4))
+        w = leaf(None, rng, (4, 2))
+        b = leaf(None, rng, (2,))
         r = Tensor(rng.uniform(-1, 1, (3, 2)))
-        gradcheck(lambda: T.reduce_sum(T.mul(T.matmul(a, b), r)), [a, b],
+        gradcheck(lambda: T.reduce_sum(T.mul(T.linear(x, w, b), r)), [x, w, b],
                   tol=1e-6)
 
     def test_batched_gradient(self, rng):
-        a = leaf(None, rng, (2, 3, 4))
-        b = leaf(None, rng, (4, 2))
+        x = leaf(None, rng, (2, 3, 4))
+        w = leaf(None, rng, (4, 2))
+        b = leaf(None, rng, (2,))
         r = Tensor(rng.uniform(-1, 1, (2, 3, 2)))
-        gradcheck(lambda: T.reduce_sum(T.mul(T.matmul(a, b), r)), [a, b],
+        gradcheck(lambda: T.reduce_sum(T.mul(T.linear(x, w, b), r)), [x, w, b],
                   tol=1e-6)
+
+    def test_gradient_without_bias(self, rng):
+        x = leaf(None, rng, (3, 4))
+        w = leaf(None, rng, (4, 2))
+        r = Tensor(rng.uniform(-1, 1, (3, 2)))
+        gradcheck(lambda: T.reduce_sum(T.mul(T.linear(x, w), r)), [x, w],
+                  tol=1e-6)
+
+    def test_constant_input_gets_no_gradient(self, rng):
+        x = Tensor(rng.uniform(-1, 1, (3, 4)))
+        w = leaf(None, rng, (4, 2))
+        b = leaf(None, rng, (2,))
+        with GradTape() as tape:
+            out = T.linear(x, w, b)
+            grads = backward(T.reduce_sum(out), tape)
+        assert set(grads) == {w, b}
+        assert np.array_equal(grads[w], x.data.T @ np.ones((3, 2)))
+        assert np.array_equal(grads[b], [3.0, 3.0])
+        # The rule does not form the input gradient that nothing reads.
+        (_, _, rule), = (e for e in tape._entries if e[0] is out)
+        assert rule(np.ones((3, 2)))[0] is None
 
 
 def knn_attention_reference(q, k, v, idx, w, r):
@@ -442,7 +473,7 @@ class TestDeterminism:
         w = Tensor(rng.uniform(0.0, 1.0, 4))
 
         def compute():
-            h = T.matmul(T.gelu(a), b)
+            h = T.linear(T.gelu(a), b)
             return T.knn_attention(h, h, h, idx, w, 1).data.copy()
 
         first = compute()
