@@ -131,9 +131,12 @@ def gla(h_bar: Tensor, knn: KnnIndex, p: GlaLayerParams) -> Tensor:
 
 
 def la2_layer(h_prev: Tensor, knn: KnnIndex, p: GlaLayerParams) -> Tensor:
-    """Pre-norm two-stage block: attention residual, then feed-forward residual."""
-    h_bar = layer_norm(h_prev, p.ln1_gamma, p.ln1_beta)
-    h_hat = add(gla(h_bar, knn, p), h_prev)
-    h_bar2 = layer_norm(h_hat, p.ln2_gamma, p.ln2_beta)
-    ff = linear(gelu(linear(h_bar2, p.ff_w1, p.ff_b1)), p.ff_w2, p.ff_b2)
+    """Pre-norm two-stage block: attention residual, then feed-forward residual.
+
+    The normalized inputs are passed on, not bound to names, so that off the
+    tape each is freed as soon as its consumer returns.
+    """
+    h_hat = add(gla(layer_norm(h_prev, p.ln1_gamma, p.ln1_beta), knn, p), h_prev)
+    ff = linear(gelu(linear(layer_norm(h_hat, p.ln2_gamma, p.ln2_beta),
+                            p.ff_w1, p.ff_b1)), p.ff_w2, p.ff_b2)
     return add(ff, h_hat)

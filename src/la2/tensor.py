@@ -17,6 +17,7 @@ its heads handled inside: ``linear_attention`` (global) and ``knn_attention``
 
 from __future__ import annotations
 
+import threading
 from typing import Callable
 
 import numpy as np
@@ -44,6 +45,9 @@ __all__ = [
 
 _INV_SQRT2 = 1.0 / np.sqrt(2.0)
 _INV_SQRT_2PI = 1.0 / np.sqrt(2.0 * np.pi)
+# Rows per block of knn_attention's score gather: 1 MiB at K=8, dh=32, and no
+# slower than one whole [M*H, K, dh] gather at M=4096.
+_SCORE_BLOCK_ROWS = 512
 
 
 class TensorError(ValueError):
@@ -91,15 +95,22 @@ class Tensor:
 # Tape machinery
 # ---------------------------------------------------------------------------
 
-_ACTIVE_TAPE: "GradTape | None" = None
+class _ActiveTape(threading.local):
+    """Each thread's active tape: ops record only on their own thread's tape."""
+
+    tape: "GradTape | None" = None
+
+
+_ACTIVE_TAPE = _ActiveTape()
 
 
 class GradTape:
     """Ordered record of executed ops with their backward rules.
 
     Entries are ``(out, inputs, rule)``; ``rule(out_grad)`` returns one
-    gradient array (or None) per input. A tape is confined to one logical
-    execution context and is cleared/discarded after each backward pass.
+    gradient array (or None) per input. A tape records the ops of the thread
+    that entered it, at most one tape is active per thread, and a tape is
+    discarded after its backward pass.
     """
 
     def __init__(self):
@@ -109,15 +120,13 @@ class GradTape:
         return len(self._entries)
 
     def __enter__(self) -> "GradTape":
-        global _ACTIVE_TAPE
-        if _ACTIVE_TAPE is not None:
+        if _ACTIVE_TAPE.tape is not None:
             raise TensorError("a GradTape is already active")
-        _ACTIVE_TAPE = self
+        _ACTIVE_TAPE.tape = self
         return self
 
     def __exit__(self, *exc) -> None:
-        global _ACTIVE_TAPE
-        _ACTIVE_TAPE = None
+        _ACTIVE_TAPE.tape = None
 
 
 def _result(data: np.ndarray, inputs: tuple[Tensor, ...],
@@ -128,8 +137,9 @@ def _result(data: np.ndarray, inputs: tuple[Tensor, ...],
     out = Tensor.__new__(Tensor)
     out.data = np.ascontiguousarray(data)
     out.requires_grad = any(t.requires_grad for t in inputs)
-    if rule is not None and _ACTIVE_TAPE is not None and out.requires_grad:
-        _ACTIVE_TAPE._entries.append((out, inputs, rule))
+    tape = _ACTIVE_TAPE.tape
+    if rule is not None and tape is not None and out.requires_grad:
+        tape._entries.append((out, inputs, rule))
     return out
 
 
@@ -138,7 +148,8 @@ def backward(loss: Tensor, tape: GradTape) -> dict[Tensor, np.ndarray]:
 
     The map holds every requires_grad leaf tensor that appears on the tape,
     keyed by tensor identity: its accumulated gradient if reachable from the
-    loss, zeros otherwise.
+    loss, zeros otherwise. A rule may hand one array to several inputs (`add`
+    does), so gradients accumulate out of place and never write through it.
     """
     if loss.data.size != 1:
         raise TensorError(f"loss must be scalar, got shape {loss.shape}")
@@ -155,10 +166,8 @@ def backward(loss: Tensor, tape: GradTape) -> dict[Tensor, np.ndarray]:
             if g is None or not t.requires_grad:
                 continue
             acc = grads.get(id(t))
-            if acc is None:
-                grads[id(t)] = np.ascontiguousarray(g, dtype=np.float64)
-            else:
-                acc += g
+            grads[id(t)] = (np.ascontiguousarray(g, dtype=np.float64) if acc is None
+                            else acc + g)
 
     result: dict[Tensor, np.ndarray] = {}
     for _, inputs, _ in tape._entries:
@@ -303,9 +312,13 @@ def knn_attention(q: Tensor, k: Tensor, v: Tensor, idx: np.ndarray, w: Tensor,
     c = wd * inv_sqrt_d
     # np.sum's pairwise order keeps scores bit-equal to mul + reduce_sum; the model
     # amplifies last-bit score changes (einsum's order moved an M=4096 output 2.5e-10).
-    kq = kd[idx]
-    kq *= qd[:, None, :]
-    dots = kq.sum(axis=-1)
+    # The [rows, K, dh] gather is formed a block of rows at a time, which leaves
+    # each row's sum order as it is and caps the transient at the block's size.
+    dots = np.empty((rows, kk))
+    for r in range(0, rows, _SCORE_BLOCK_ROWS):
+        kq = kd[idx[r:r + _SCORE_BLOCK_ROWS]]
+        kq *= qd[r:r + _SCORE_BLOCK_ROWS, None, :]
+        kq.sum(axis=-1, out=dots[r:r + _SCORE_BLOCK_ROWS])
     s = dots * c
     e = np.exp(s - s.max(axis=1, keepdims=True))
     att = e / e.sum(axis=1, keepdims=True)

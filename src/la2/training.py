@@ -9,6 +9,8 @@ fixed sample order, global-norm clipping, and a cosine learning-rate decay.
 from __future__ import annotations
 
 import math
+import os
+import threading
 import time
 from dataclasses import dataclass, field, asdict
 
@@ -37,6 +39,13 @@ __all__ = ["TrainConfig", "TrainReport", "TrainingError", "relative_l2_loss",
 BETA1 = 0.9
 BETA2 = 0.999
 ADAM_EPS = 1e-8
+
+# Points x hidden width of one sample from which `evaluate` uses threads.
+# Two threads against one, forward passes at C=64 (2 CPUs, 1 BLAS thread,
+# two sweeps, BENCH_12.json): 0.92-1.16x at M=256, where the GIL dominates
+# and the tail latency of 16-sample calls rose; 1.28-1.58x at M=576,
+# 1.44-1.72x at 1024, 1.84-1.95x at 2304 and 1.66-1.85x at 4096.
+_THREAD_MIN_ACTIVATIONS = 512 * 64
 
 
 class TrainingError(RuntimeError):
@@ -180,6 +189,48 @@ def check_compatible(cfg: ModelConfig, ds: data_mod.Dataset) -> None:
         raise TrainingError(f"patch size {cfg.k} exceeds {ds.geometry.m} points")
 
 
+def _eval_workers(n_samples: int, activations: int) -> int:
+    """Threads `evaluate` runs `n_samples` samples on, its caller included:
+    one below `_THREAD_MIN_ACTIVATIONS` points x hidden width per sample,
+    else one per CPU this process may run on, at most one per sample."""
+    if activations < _THREAD_MIN_ACTIVATIONS or not hasattr(os, "sched_getaffinity"):
+        return 1
+    return min(len(os.sched_getaffinity(0)), n_samples)
+
+
+def _map_in_order(fn, items, workers: int) -> list:
+    """``[fn(x) for x in items]``, with the items dealt round-robin to
+    `workers` threads, the calling thread among them.
+
+    Every thread is joined before this returns or raises. A thread stops at
+    its first error, and the error of the lowest failing position is raised,
+    the one a serial loop would raise.
+    """
+    results = [None] * len(items)
+    errors = {}
+
+    def run(first):
+        for j in range(first, len(items), workers):
+            try:
+                results[j] = fn(items[j])
+            except BaseException as exc:
+                errors[j] = exc
+                return
+
+    threads = []
+    try:
+        for w in range(1, workers):
+            threads.append(threading.Thread(target=run, args=(w,)))
+            threads[-1].start()
+        run(0)
+    finally:
+        for t in threads:
+            t.join()
+    if errors:
+        raise errors[min(errors)]
+    return results
+
+
 def evaluate(m: OperatorModel, ds: data_mod.Dataset, split: str = "test") -> dict:
     """Mean and per-sample root-ratio relative L2 on de-normalized fields.
 
@@ -187,6 +238,11 @@ def evaluate(m: OperatorModel, ds: data_mod.Dataset, split: str = "test") -> dic
     trained in), useful as a scale-free baseline. `split` is "train", "test",
     "all", or a 1-D integer list of sample indices in [0, N); anything else
     raises TrainingError. The KNN index is cached on the geometry.
+
+    Samples run on `_eval_workers` threads, the caller's among them; numpy
+    releases the GIL in the kernels that dominate a large forward pass. Each
+    sample's result is computed alone and kept in index order, so the output
+    is the same for any thread count.
     """
     check_compatible(m.config, ds)
     if isinstance(split, str):
@@ -206,21 +262,23 @@ def evaluate(m: OperatorModel, ds: data_mod.Dataset, split: str = "test") -> dic
     if len(indices) == 0:
         raise TrainingError(f"split {split!r} selects no samples")
     knn = knn_indices_accelerated(ds.geometry, m.config.k)
-
     stats = ds.stats
-    per_sample = []
-    per_sample_norm = []
-    for i in indices:
+
+    def rel_errors(i):
         x_norm = data_mod.normalize(ds.inputs.data[i], stats["input_mean"],
                                     stats["input_std"])
         pred_norm = forward(m, Tensor(x_norm), ds.geometry, knn).data
         raw = ds.outputs.data[i]
         pred = data_mod.denormalize(pred_norm, stats["output_mean"],
                                     stats["output_std"])
-        per_sample.append(float(np.linalg.norm(pred - raw) / np.linalg.norm(raw)))
         y_norm = data_mod.normalize(raw, stats["output_mean"], stats["output_std"])
-        per_sample_norm.append(
-            float(np.linalg.norm(pred_norm - y_norm) / np.linalg.norm(y_norm)))
+        return (float(np.linalg.norm(pred - raw) / np.linalg.norm(raw)),
+                float(np.linalg.norm(pred_norm - y_norm) / np.linalg.norm(y_norm)))
+
+    workers = _eval_workers(len(indices), ds.geometry.m * m.config.hidden)
+    pairs = _map_in_order(rel_errors, indices, workers)
+    per_sample = [raw for raw, _ in pairs]
+    per_sample_norm = [norm for _, norm in pairs]
     return {
         "rel_l2": float(np.mean(per_sample)),
         "per_sample": per_sample,

@@ -2,6 +2,7 @@
 
 import ast
 import math
+import threading
 from pathlib import Path
 
 import numpy as np
@@ -183,6 +184,18 @@ class TestKnnAttention:
             parts[4] += grads[wh]
         for g, expect in zip(got, parts):
             assert np.abs(g - expect).max() <= 1e-12 * np.abs(expect).max()
+
+    def test_score_blocks_leave_output_bit_equal(self, rng, monkeypatch):
+        # Scores are gathered a block of rows at a time; a block edge inside
+        # the rows (and inside one row's heads) must not change a bit.
+        q = leaf(rng.standard_normal((4, 6)))
+        k = leaf(rng.standard_normal((6, 6)))
+        v = leaf(rng.standard_normal((6, 6)))
+        w = leaf(rng.uniform(0.2, 1.0, 3))
+        whole = T.knn_attention(q, k, v, self.IDX, w, 2).data
+        monkeypatch.setattr(T, "_SCORE_BLOCK_ROWS", 3)
+        blocked = T.knn_attention(q, k, v, self.IDX, w, 2).data
+        assert whole.tobytes() == blocked.tobytes()
 
     @pytest.mark.parametrize("case", [
         "index_too_large", "index_negative", "float_index", "index_1d",
@@ -445,6 +458,67 @@ class TestBackward:
     def test_reuse_accumulates(self, rng):
         x = leaf(None, rng, (4,))
         gradcheck(lambda: T.reduce_sum(T.add(T.mul(x, x), x)), [x])
+
+    def test_shared_output_gradient_is_not_written_through(self):
+        # `add` hands one array to both inputs; a's later contribution from
+        # mul must not land in b's gradient.
+        a = Tensor([1.0], requires_grad=True)
+        b = Tensor([2.0], requires_grad=True)
+        with GradTape() as tape:
+            t = T.mul(a, Tensor([10.0]))
+            loss = T.reduce_sum(T.add(T.add(a, b), t))
+            gmap = backward(loss, tape)
+        assert np.array_equal(gmap[a], [11.0])
+        assert np.array_equal(gmap[b], [1.0])
+
+
+class TestTapeThreads:
+    """The active tape is per thread: each thread records only its own ops."""
+
+    def test_other_threads_ops_are_not_recorded(self):
+        x = Tensor([1.0, 2.0], requires_grad=True)
+        with GradTape() as tape:
+            done = []
+            worker = threading.Thread(target=lambda: done.append(T.mul(x, x)))
+            worker.start()
+            worker.join(timeout=10)
+            assert done and len(tape) == 0
+            T.mul(x, x)
+        assert len(tape) == 1
+
+    def test_concurrent_tapes_backward_alone(self):
+        # Both tapes are active at once: each thread holds its tape open until
+        # the other has recorded into its own.
+        inputs = [Tensor([1.0, -2.0], requires_grad=True),
+                  Tensor([3.0, 0.5, 4.0], requires_grad=True)]
+        recorded = threading.Barrier(2, timeout=10)
+        grads = [None, None]
+
+        def run(j):
+            x = inputs[j]
+            with GradTape() as tape:
+                loss = T.reduce_sum(T.mul(x, x))
+                recorded.wait()
+                grads[j] = (len(tape), backward(loss, tape)[x])
+
+        workers = [threading.Thread(target=run, args=(j,)) for j in range(2)]
+        for w in workers:
+            w.start()
+        for w in workers:
+            w.join(timeout=10)
+            assert not w.is_alive()
+        for x, (entries, g) in zip(inputs, grads):
+            assert entries == 2
+            assert np.array_equal(g, 2.0 * x.data)
+
+    def test_second_tape_in_one_thread_rejected(self):
+        with GradTape():
+            with pytest.raises(TensorError, match="already active"):
+                with GradTape():
+                    pass
+        with GradTape() as tape:                  # the failed entry left none active
+            T.mul(Tensor([1.0], requires_grad=True), Tensor([2.0]))
+        assert len(tape) == 1
 
 
 class TestEngineSurface:

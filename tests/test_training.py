@@ -1,6 +1,9 @@
 """Loss semantics, optimizer behavior, and the training loop contract."""
 
 import math
+import os
+import sys
+import threading
 
 import numpy as np
 import pytest
@@ -213,6 +216,132 @@ class TestEvaluate:
         m = tiny_model(tiny_darcy)
         with pytest.raises(TR.TrainingError):
             TR.evaluate(m, tiny_darcy, bad(tiny_darcy.n))
+
+
+@pytest.fixture(scope="module")
+def wide_darcy():
+    # One sample has 576 points x width 64, above evaluate's thread cutoff.
+    ds = D.generate_darcy(n=5, g=24, seed=23)
+    m = tiny_model(ds, layers=1, hidden=64)
+    assert ds.geometry.m * m.config.hidden >= TR._THREAD_MIN_ACTIVATIONS
+    return ds, m
+
+
+def result_bytes(res):
+    return (np.array(res["per_sample"]).tobytes(),
+            np.array([res["rel_l2"], res["rel_l2_normalized"]]).tobytes(), res["n"])
+
+
+class TestParallelEvaluate:
+    """evaluate spreads samples over threads; its results must not show it."""
+
+    def cpus(self, monkeypatch, n):
+        monkeypatch.setattr(os, "sched_getaffinity", lambda pid: set(range(n)))
+
+    def test_one_and_two_cpus_give_the_same_bytes(self, wide_darcy, monkeypatch):
+        ds, m = wide_darcy
+        seen = set()
+        real = TR.forward
+
+        def recording(*args, **kwargs):
+            seen.add(threading.get_ident())
+            return real(*args, **kwargs)
+
+        monkeypatch.setattr(TR, "forward", recording)
+        results = {}
+        for n in (1, 2):
+            self.cpus(monkeypatch, n)
+            seen.clear()
+            results[n] = result_bytes(TR.evaluate(m, ds, "all"))
+            assert len(seen) == n
+        assert results[1] == results[2]
+
+    def test_matches_one_sample_calls(self, wide_darcy):
+        # Unpatched: this runs threaded on a multi-CPU host and serially
+        # under `taskset -c 0`; a one-sample call always runs serially.
+        ds, m = wide_darcy
+        res = TR.evaluate(m, ds, "all")
+        alone = [TR.evaluate(m, ds, [i])["per_sample"][0] for i in range(ds.n)]
+        assert np.array(res["per_sample"]).tobytes() == np.array(alone).tobytes()
+
+    def test_worker_error_reaches_caller(self, wide_darcy, monkeypatch):
+        # Positions 1 and 2 fail; position 1 runs on the started thread and is
+        # the error a serial loop would raise first.
+        ds, m = wide_darcy
+        self.cpus(monkeypatch, 2)
+        real = TR.forward
+        where = {}
+
+        def failing(model, f_in, pts, knn, layer_hook=None):
+            i = next(i for i in range(ds.n) if np.array_equal(
+                f_in.data, D.normalize(ds.inputs.data[i], ds.stats["input_mean"],
+                                       ds.stats["input_std"])))
+            where[i] = threading.get_ident()
+            if i in (1, 2):
+                raise TensorError(f"overflow in sample {i}")
+            return real(model, f_in, pts, knn, layer_hook)
+
+        monkeypatch.setattr(TR, "forward", failing)
+        before = threading.active_count()
+        with pytest.raises(TensorError) as info:
+            TR.evaluate(m, ds, "all")
+        assert type(info.value) is TensorError
+        assert str(info.value) == "overflow in sample 1"
+        assert where[1] != threading.get_ident()
+        assert threading.active_count() == before
+
+    def test_no_thread_outlives_the_call(self, wide_darcy, monkeypatch):
+        ds, m = wide_darcy
+        self.cpus(monkeypatch, 2)
+        before = threading.active_count()
+        TR.evaluate(m, ds, "all")
+        assert threading.active_count() == before
+
+    def test_threads_started_are_capped_by_samples(self, wide_darcy, monkeypatch):
+        ds, m = wide_darcy
+        self.cpus(monkeypatch, 10_000)
+        started = []
+        start = threading.Thread.start
+
+        def counted(thread):
+            started.append(thread)
+            start(thread)
+
+        monkeypatch.setattr(threading.Thread, "start", counted)
+        TR.evaluate(m, ds, [0, 1, 2])
+        assert len(started) == 2
+
+    def test_map_in_order_under_contention(self):
+        # More threads than cores and a short switch interval: every result
+        # lands at its own position, and the lowest failing position's error
+        # is the one raised.
+        items = list(range(2000))
+
+        def square_unless_bad(x):
+            if x in (1500, 777, 1201):
+                raise TR.TrainingError(f"bad item {x}")
+            return x * x
+
+        old = sys.getswitchinterval()
+        sys.setswitchinterval(1e-6)
+        try:
+            assert TR._map_in_order(lambda x: x * x, items, 8) == [x * x for x in items]
+            with pytest.raises(TR.TrainingError, match="^bad item 777$"):
+                TR._map_in_order(square_unless_bad, items, 8)
+        finally:
+            sys.setswitchinterval(old)
+
+    def test_worker_count(self, monkeypatch):
+        # Pure arithmetic: computing the count starts no thread.
+        self.cpus(monkeypatch, 10_000)
+        big = TR._THREAD_MIN_ACTIVATIONS
+        before = threading.active_count()
+        assert TR._eval_workers(3, big) == 3
+        assert TR._eval_workers(20_000, big) == 10_000
+        assert TR._eval_workers(16, big - 1) == 1
+        self.cpus(monkeypatch, 1)
+        assert TR._eval_workers(3, big) == 1
+        assert threading.active_count() == before
 
 
 class TestTrainLoop:
