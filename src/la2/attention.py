@@ -1,12 +1,13 @@
-"""Soft-masked KNN features plus fused global (linear) and local attention.
+"""One LA2 block: fused global (linear) and soft-masked local attention.
 
 One block runs, pre-norm: a linear-attention global branch beside a
 per-patch softmax local branch over each point's K neighbors, attenuated by a
-learnable rank-decay mask; the two are concatenated and projected back to the
-hidden width, and a GELU feed-forward finishes the block. The global branch
-uses positive `gelu(x) + 1` query/key features, so its denominator is
-positive by construction. Both branches use width d = C/2, split across the
-heads inside one engine op per branch (`linear_attention`, `knn_attention`).
+learnable rank-decay mask (the engine op `soft_mask`); the two are
+concatenated and projected back to the hidden width, and a GELU feed-forward
+finishes the block. The global branch uses positive `gelu(x) + 1` query/key
+features, so its denominator is positive by construction. Both branches use
+width d = C/2, split across the heads inside one engine op per branch
+(`linear_attention`, `knn_attention`).
 A block's tensors are one flat `GlaLayerParams` record; its hyperparameters
 come from `model.ModelConfig`, and `model.init_block` draws its weights.
 """
@@ -15,8 +16,6 @@ from __future__ import annotations
 
 from dataclasses import dataclass, fields
 from typing import Iterator
-
-import numpy as np
 
 from .geometry import KnnIndex
 from .tensor import (
@@ -29,28 +28,10 @@ from .tensor import (
     layer_norm,
     linear,
     linear_attention,
-    scale,
-    sigmoid,
-    sub,
+    soft_mask,
 )
 
-__all__ = ["GlaLayerParams", "soft_mask", "global_attention", "local_attention",
-           "gla", "la2_layer"]
-
-
-def soft_mask(s: Tensor, k: int, alpha: float) -> Tensor:
-    """Rank weights w_r = sigmoid(-alpha * (r - sigmoid(s)*(K-1) - 1)), r=1..K.
-
-    Strictly decreasing in rank for alpha > 0, every weight in (0, 1);
-    differentiable in the shape-(1,) logit s through both sigmoid applications.
-    """
-    if k < 1:
-        raise TensorError("soft mask needs K >= 1")
-    ranks = Tensor(np.arange(1.0, k + 1.0))
-    frac = sigmoid(s)                                  # sigma(s), shape (1,)
-    thresh = add(scale(frac, k - 1.0), Tensor(np.ones(1)))
-    arg = scale(sub(thresh, ranks), alpha)
-    return sigmoid(arg)
+__all__ = ["GlaLayerParams", "global_attention", "local_attention", "gla", "la2_layer"]
 
 
 @dataclass

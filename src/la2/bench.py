@@ -14,10 +14,10 @@ from typing import Callable
 
 import numpy as np
 
-from .attention import global_attention, local_attention, soft_mask
+from .attention import global_attention, local_attention
 from .geometry import PointSet, knn_indices_accelerated
 from .model import ModelConfig, init_block
-from .tensor import Tensor, TensorError
+from .tensor import Tensor, TensorError, soft_mask
 
 __all__ = ["time_median", "bench_global", "bench_local", "bench_pairwise",
            "bench_case", "full_pairwise_attention", "check_memory_cap"]

@@ -18,7 +18,7 @@ import numpy as np
 
 from .attention import GlaLayerParams, la2_layer
 from .geometry import KnnIndex, PointSet
-from .tensor import Tensor, TensorError, concat_lastdim, gelu, linear
+from .tensor import Tensor, TensorError, _sigmoid, concat_lastdim, gelu, linear
 
 __all__ = ["ModelConfig", "OperatorModel", "init_block", "init_model", "encode",
            "forward", "mask_trajectory", "save_checkpoint", "load_checkpoint",
@@ -181,8 +181,9 @@ def forward(m: OperatorModel, f_in: Tensor, x: PointSet, knn: KnnIndex,
 
 
 def mask_trajectory(m: OperatorModel) -> list[float]:
-    """Per-layer effective-neighbor fraction sigmoid(s), each in (0, 1)."""
-    return [1.0 / (1.0 + math.exp(-blk.mask_s.item())) for blk in m.blocks]
+    """Per-layer effective-neighbor fraction sigmoid(s), each in [0, 1]: the
+    sigma(s) that `soft_mask` computes, bit for bit."""
+    return [float(_sigmoid(blk.mask_s.data)[0]) for blk in m.blocks]
 
 
 def save_checkpoint(m: OperatorModel, path) -> None:

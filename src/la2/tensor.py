@@ -5,14 +5,15 @@ a ``GradTape`` is active (entered as a context manager) every op whose inputs
 require gradients pushes a backward rule onto the tape, and ``backward(loss,
 tape)`` replays those rules in reverse and returns the leaf gradients.
 
-Binary ops broadcast numpy-style (right-aligned), which covers the scalar and
-trailing-axis cases the model needs; gradients are summed back over broadcast
-axes. Any op that produces a non-finite value on finite inputs raises
-``TensorError`` instead of propagating NaN/Inf.
+The ops are the model's kernels and nothing more. Any op that produces a
+non-finite value on finite inputs raises ``TensorError`` instead of
+propagating NaN/Inf.
 
 Each attention branch is one fused op with a hand-written backward rule and
 its heads handled inside: ``linear_attention`` (global) and ``knn_attention``
-(local, over each row's K indexed rows).
+(local, over each row's K indexed rows). The learnable rank mask
+(``soft_mask``) and the training loss (``relative_l2_loss``) are one op each
+as well.
 """
 
 from __future__ import annotations
@@ -32,14 +33,11 @@ __all__ = [
     "knn_attention",
     "linear_attention",
     "layer_norm",
-    "sigmoid",
+    "soft_mask",
     "gelu",
     "add",
-    "sub",
-    "mul",
-    "scale",
-    "reduce_sum",
     "concat_lastdim",
+    "relative_l2_loss",
     "backward",
 ]
 
@@ -178,17 +176,6 @@ def backward(loss: Tensor, tape: GradTape) -> dict[Tensor, np.ndarray]:
     return result
 
 
-def _unbroadcast(g: np.ndarray, shape: tuple[int, ...]) -> np.ndarray:
-    """Sum a broadcast gradient back down to `shape`."""
-    extra = g.ndim - len(shape)
-    if extra > 0:
-        g = g.sum(axis=tuple(range(extra)))
-    axes = tuple(i for i, (gs, ss) in enumerate(zip(g.shape, shape)) if ss == 1 and gs != 1)
-    if axes:
-        g = g.sum(axis=axes, keepdims=True)
-    return g.reshape(shape)
-
-
 def _check_tensor(t, name: str) -> None:
     if not isinstance(t, Tensor):
         raise TensorError(f"{name} must be a Tensor, got {type(t).__name__}")
@@ -310,10 +297,11 @@ def knn_attention(q: Tensor, k: Tensor, v: Tensor, idx: np.ndarray, w: Tensor,
     wd = w.data
     inv_sqrt_d = 1.0 / np.sqrt(dh)
     c = wd * inv_sqrt_d
-    # np.sum's pairwise order keeps scores bit-equal to mul + reduce_sum; the model
-    # amplifies last-bit score changes (einsum's order moved an M=4096 output 2.5e-10).
-    # The [rows, K, dh] gather is formed a block of rows at a time, which leaves
-    # each row's sum order as it is and caps the transient at the block's size.
+    # Scores are a product, then np.sum's pairwise order over dh; the model
+    # amplifies last-bit score changes (einsum's order moved an M=4096 output
+    # 2.5e-10). The [rows, K, dh] gather is formed a block of rows at a time,
+    # which leaves each row's sum order as it is and caps the transient at the
+    # block's size.
     dots = np.empty((rows, kk))
     for r in range(0, rows, _SCORE_BLOCK_ROWS):
         kq = kd[idx[r:r + _SCORE_BLOCK_ROWS]]
@@ -396,22 +384,43 @@ def linear_attention(q: Tensor, k: Tensor, v: Tensor, heads: int) -> Tensor:
 
 
 # ---------------------------------------------------------------------------
-# Elementwise ops
+# Elementwise ops and the loss
 # ---------------------------------------------------------------------------
 
-def sigmoid(x: Tensor) -> Tensor:
-    _check_tensor(x, "x")
-    xd = x.data
-    y = np.empty_like(xd)
-    pos = xd >= 0
-    y[pos] = 1.0 / (1.0 + np.exp(-xd[pos]))
-    ex = np.exp(xd[~pos])
+def _sigmoid(x: np.ndarray) -> np.ndarray:
+    """Logistic function of an array, without overflow at any finite x."""
+    y = np.empty_like(x)
+    pos = x >= 0
+    y[pos] = 1.0 / (1.0 + np.exp(-x[pos]))
+    ex = np.exp(x[~pos])
     y[~pos] = ex / (1.0 + ex)
+    return y
+
+
+def soft_mask(s: Tensor, k: int, alpha: float) -> Tensor:
+    """Rank weights w_r = sigmoid(-alpha * (r - sigmoid(s)*(K-1) - 1)), r=1..K.
+
+    Strictly decreasing in rank for alpha > 0, every weight in (0, 1);
+    differentiable in the shape-(1,) logit s through both sigmoids.
+    """
+    _check_tensor(s, "s")
+    if k < 1:
+        raise TensorError("soft mask needs K >= 1")
+    alpha = float(alpha)
+    frac = _sigmoid(s.data)                          # sigma(s), shape (1,)
+    with np.errstate(over="ignore", invalid="ignore"):
+        arg = (frac * (k - 1.0) + 1.0 - np.arange(1.0, k + 1.0)) * alpha
+    if not np.all(np.isfinite(arg)):
+        raise TensorError("soft mask argument is not finite (alpha too large?)")
+    w = _sigmoid(arg)
 
     def rule(g):
-        return (g * y * (1.0 - y),)
+        gs = g * w * (1.0 - w) * alpha
+        if k != 1:                  # a one-element sum would turn -0.0 into 0.0
+            gs = gs.sum(axis=0, keepdims=True)
+        return (gs * (k - 1.0) * frac * (1.0 - frac),)
 
-    return _result(y, (x,), rule)
+    return _result(w, (s,), rule)
 
 
 def _gelu_cdf(x: np.ndarray) -> np.ndarray:
@@ -432,55 +441,39 @@ def gelu(x: Tensor) -> Tensor:
     return _result(xd * cdf, (x,), lambda g: (g * _gelu_grad(xd, cdf),))
 
 
-def scale(x: Tensor, c: float) -> Tensor:
-    """Multiply by a python scalar constant."""
-    _check_tensor(x, "x")
-    c = float(c)
-    if not np.isfinite(c):
-        raise TensorError("scale factor must be finite")
-    return _result(x.data * c, (x,), lambda g: (g * c,))
-
-
-def _binary(a: Tensor, b: Tensor, fwd, da, db) -> Tensor:
+def add(a: Tensor, b: Tensor) -> Tensor:
+    """Elementwise sum of two tensors of one shape."""
     _check_tensor(a, "a")
     _check_tensor(b, "b")
-    try:
-        # Overflow surfaces as a TensorError from the finite check, not a
-        # numpy warning.
-        with np.errstate(over="ignore", invalid="ignore", divide="ignore"):
-            out = fwd(a.data, b.data)
-    except ValueError as exc:
-        raise TensorError(f"shapes {a.shape} and {b.shape} do not broadcast") from exc
-    sa, sb = a.shape, b.shape
+    if a.shape != b.shape:
+        raise TensorError(f"add needs equal shapes, got {a.shape} and {b.shape}")
+    # Overflow surfaces as a TensorError from the finite check, not a numpy
+    # warning.
+    with np.errstate(over="ignore", invalid="ignore"):
+        out = a.data + b.data
+    return _result(out, (a, b), lambda g: (g, g))
+
+
+def relative_l2_loss(pred: Tensor, target: Tensor) -> Tensor:
+    """Squared-ratio relative L2 discrepancy over the whole field, shape (1,).
+
+    |pred - target|^2 / |target|^2. The target is data: no gradient flows
+    into it.
+    """
+    _check_tensor(pred, "pred")
+    _check_tensor(target, "target")
+    if pred.shape != target.shape:
+        raise TensorError(f"loss shapes disagree: {pred.shape} vs {target.shape}")
+    den_sq = float(np.sum(target.data * target.data))
+    if den_sq <= 0.0:
+        raise TensorError("relative L2 needs a nonzero target")
+    c = 1.0 / den_sq
+    with np.errstate(over="ignore", invalid="ignore"):
+        diff = pred.data - target.data
+        loss = (diff * diff).sum() * c
 
     def rule(g):
-        return _unbroadcast(da(g), sa), _unbroadcast(db(g), sb)
+        gd = g * c * diff
+        return (gd + gd,)
 
-    return _result(out, (a, b), rule)
-
-
-def add(a: Tensor, b: Tensor) -> Tensor:
-    return _binary(a, b, np.add, lambda g: g, lambda g: g)
-
-
-def sub(a: Tensor, b: Tensor) -> Tensor:
-    return _binary(a, b, np.subtract, lambda g: g, lambda g: -g)
-
-
-def mul(a: Tensor, b: Tensor) -> Tensor:
-    _check_tensor(a, "a")
-    _check_tensor(b, "b")
-    x, y = a.data, b.data
-    return _binary(a, b, np.multiply, lambda g: g * y, lambda g: g * x)
-
-
-# ---------------------------------------------------------------------------
-# Reductions
-# ---------------------------------------------------------------------------
-
-def reduce_sum(x: Tensor) -> Tensor:
-    """Sum of all entries, as a 0-d tensor."""
-    _check_tensor(x, "x")
-    shape = x.shape
-    return _result(x.data.sum(), (x,), lambda g: (np.broadcast_to(g, shape).copy(),))
-
+    return _result(loss, (pred,), rule)

@@ -1,7 +1,8 @@
-"""Relative-L2 loss, AdamW-style optimizer, training loop, and evaluation.
+"""AdamW-style optimizer, training loop, and evaluation.
 
-Training minimizes the squared-ratio relative L2 loss on z-normalized fields;
-the reported metric is the root-ratio relative L2 on de-normalized fields.
+Training minimizes the squared-ratio relative L2 loss (the engine op
+`relative_l2_loss`) on z-normalized fields; the reported metric is the
+root-ratio relative L2 on de-normalized fields.
 One optimizer step per mini-batch with per-sample gradient accumulation in
 fixed sample order, global-norm clipping, and a cosine learning-rate decay.
 """
@@ -20,18 +21,11 @@ from . import data as data_mod
 from .geometry import knn_indices_accelerated
 from .model import (ModelConfig, OperatorModel, forward, mask_trajectory,
                     save_checkpoint)
-from .tensor import (
-    GradTape,
-    Tensor,
-    TensorError,
-    backward,
-    mul,
-    reduce_sum,
-    scale,
-    sub,
-)
+# `train` calls the loss through this module's global name, which a caller may
+# rebind to observe each training sample.
+from .tensor import GradTape, Tensor, backward, relative_l2_loss
 
-__all__ = ["TrainConfig", "TrainReport", "TrainingError", "relative_l2_loss",
+__all__ = ["TrainConfig", "TrainReport", "TrainingError",
            "AdamState", "adam_step", "clip_gradients", "cosine_lr",
            "check_compatible", "train", "evaluate"]
 
@@ -91,11 +85,6 @@ class TrainReport:
     def epochs(self) -> int:
         return len(self.train_loss)
 
-    def numeric_rows(self) -> list[tuple]:
-        """Deterministic columns only (timing excluded)."""
-        return [(i, self.train_loss[i], self.test_rel_l2[i], tuple(self.mask_sigma[i]))
-                for i in range(self.epochs)]
-
     def write_csv(self, path) -> None:
         layers = len(self.mask_sigma[0]) if self.mask_sigma else 0
         cols = ["epoch", "train_loss", "test_rel_l2"]
@@ -108,21 +97,6 @@ class TrainReport:
                 row += [repr(s) for s in self.mask_sigma[i]]
                 row += [f"{self.epoch_seconds[i]:.6f}"]
                 fh.write(",".join(row) + "\n")
-
-
-def relative_l2_loss(pred: Tensor, target: Tensor) -> Tensor:
-    """Squared-ratio relative L2 discrepancy over the whole field.
-
-    |pred - target|^2 / |target|^2, where the target norm is a constant (no
-    gradient flows into it).
-    """
-    if pred.shape != target.shape:
-        raise TensorError(f"loss shapes disagree: {pred.shape} vs {target.shape}")
-    den_sq = float(np.sum(target.data * target.data))
-    if den_sq <= 0.0:
-        raise TensorError("relative L2 needs a nonzero target")
-    diff = sub(pred, target)
-    return scale(reduce_sum(mul(diff, diff)), 1.0 / den_sq)
 
 
 class AdamState:

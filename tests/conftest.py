@@ -6,7 +6,7 @@ import struct
 import numpy as np
 import pytest
 
-from la2.tensor import GradTape, backward
+from la2.tensor import GradTape, Tensor, backward, relative_l2_loss
 
 
 def fd_gradient(loss_fn, tensor, step=1e-6):
@@ -57,6 +57,13 @@ def gradcheck(build_loss, wrt, step=1e-6, tol=1e-5):
         worst = max(worst, rel_error(a, numeric))
     assert worst < tol, f"gradient mismatch: {worst:.3e} >= {tol:.0e}"
     return worst
+
+
+def gradcheck_op(op, wrt, rng, **kwargs):
+    """`gradcheck` of relative_l2_loss(op(), r), with r a fixed random field of
+    op()'s shape: a scalar loss that every output entry reaches."""
+    r = Tensor(rng.uniform(-1.0, 1.0, op().shape))
+    return gradcheck(lambda: relative_l2_loss(op(), r), wrt, **kwargs)
 
 
 def edit_header(path, edit):

@@ -6,11 +6,11 @@ import numpy as np
 import pytest
 from scipy.special import erf
 
-from conftest import assert_mask_monotone, gradcheck
-from la2.attention import gla, global_attention, la2_layer, local_attention, soft_mask
+from conftest import assert_mask_monotone, gradcheck_op
+from la2.attention import gla, global_attention, la2_layer, local_attention
 from la2.geometry import KnnIndex, PointSet, knn_indices, relabel_knn
 from la2.model import ModelConfig, init_block
-from la2.tensor import Tensor, TensorError, mul, reduce_sum
+from la2.tensor import Tensor, TensorError, soft_mask
 
 
 def sig(v):
@@ -68,8 +68,7 @@ class TestSoftMask:
 
     def test_gradient_through_both_sigmoids(self, rng):
         s = logit(0.37)
-        r = Tensor(rng.uniform(-1, 1, 6))
-        gradcheck(lambda: reduce_sum(mul(soft_mask(s, 6, 3.0), r)), [s])
+        gradcheck_op(lambda: soft_mask(s, 6, 3.0), [s], rng)
 
     def test_validation(self):
         # alpha > 0 and the (1,) shape of s are checked where they enter:
@@ -160,9 +159,8 @@ class TestGlobalAttention:
     def test_gradients(self, rng):
         p = make_params(rng, 4)
         h = Tensor(rng.uniform(-2, 2, (5, 4)), requires_grad=True)
-        r = Tensor(rng.uniform(-1, 1, (5, 2)))
         wrt = [h, p.w_qg, p.b_qg, p.w_kg, p.b_kg, p.w_vg, p.b_vg]
-        gradcheck(lambda: reduce_sum(mul(global_attention(h, p), r)), wrt)
+        gradcheck_op(lambda: global_attention(h, p), wrt, rng)
 
 
 def dense_local_reference(h, idx, w, p):
@@ -254,10 +252,9 @@ class TestLocalAttention:
         p.mask_s.data[:] = 0.4
         knn = random_knn(rng, 5, 3)
         h = Tensor(rng.uniform(-2, 2, (5, 4)), requires_grad=True)
-        r = Tensor(rng.uniform(-1, 1, (5, 2)))
         wrt = [h, p.w_ql, p.b_ql, p.w_kl, p.w_vl, p.mask_s]
-        gradcheck(lambda: reduce_sum(mul(
-            local_attention(h, knn, soft_mask(p.mask_s, 3, p.alpha), p), r)), wrt)
+        gradcheck_op(lambda: local_attention(h, knn, soft_mask(p.mask_s, 3, p.alpha), p),
+                     wrt, rng)
 
 
 class TestGla:
@@ -280,10 +277,9 @@ class TestGla:
         p = make_params(rng, 4, alpha=5.0)
         knn = random_knn(rng, 6, 3)
         h = Tensor(rng.uniform(-2, 2, (6, 4)), requires_grad=True)
-        r = Tensor(rng.uniform(-1, 1, (6, 4)))
         wrt = [h, p.w_qg, p.b_qg, p.w_kg, p.w_vg, p.w_ql, p.w_kl, p.w_vl,
                p.w_out, p.b_out, p.mask_s]
-        gradcheck(lambda: reduce_sum(mul(gla(h, knn, p), r)), wrt)
+        gradcheck_op(lambda: gla(h, knn, p), wrt, rng)
 
 
 class TestLa2Layer:
@@ -318,9 +314,8 @@ class TestLa2Layer:
         p = make_params(rng, 4, alpha=5.0)
         knn = random_knn(rng, 5, 3)
         h = Tensor(rng.uniform(-2, 2, (5, 4)), requires_grad=True)
-        r = Tensor(rng.uniform(-1, 1, (5, 4)))
         wrt = [h] + [t for _, t in p.named_params()]
-        gradcheck(lambda: reduce_sum(mul(la2_layer(h, knn, p), r)), wrt)
+        gradcheck_op(lambda: la2_layer(h, knn, p), wrt, rng)
 
 
 class TestBlockParams:
@@ -345,6 +340,5 @@ class TestMultiHead:
         p = make_params(rng, 8, heads=2, alpha=5.0)
         knn = random_knn(rng, 5, 3)
         h = Tensor(rng.uniform(-1, 1, (5, 8)), requires_grad=True)
-        r = Tensor(rng.uniform(-1, 1, (5, 8)))
         wrt = [h, p.w_qg, p.w_kg, p.w_vg, p.w_ql, p.w_kl, p.w_vl]
-        gradcheck(lambda: reduce_sum(mul(gla(h, knn, p), r)), wrt)
+        gradcheck_op(lambda: gla(h, knn, p), wrt, rng)

@@ -410,3 +410,15 @@ class TestDumpMask:
         lines = capsys.readouterr().out.strip().splitlines()
         assert len(lines) == 2
         assert all("sigma(s)" in line for line in lines)
+
+    def test_saturated_logit(self, tmp_path, capsys):
+        # A saturated logit is a valid checkpoint: sigma(-800) prints as 0
+        # rather than overflowing exp(800).
+        m = init_model(ModelConfig(1, 2, 1, k=4, layers=2, hidden=8))
+        m.blocks[0].mask_s.data[:] = -800.0
+        path = tmp_path / "m.la2c"
+        save_checkpoint(m, path)
+        rc = main(["dump-mask", "--checkpoint", str(path)])
+        assert rc == EXIT_OK
+        assert capsys.readouterr().out.splitlines() == [
+            "layer 1: sigma(s) = 0.000000", "layer 2: sigma(s) = 0.500000"]

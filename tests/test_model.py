@@ -7,14 +7,14 @@ import tracemalloc
 import numpy as np
 import pytest
 
-from conftest import edit_header, gradcheck
+from conftest import edit_header, gradcheck_op
 from la2.data import generate_darcy
 from la2.geometry import PointSet, knn_indices, knn_indices_accelerated, relabel_knn
 from la2.model import (CheckpointError, ModelConfig, OperatorModel, encode,
                        forward, init_model, load_checkpoint, mask_trajectory,
                        save_checkpoint)
-from la2.tensor import GradTape, Tensor, TensorError, backward, mul, reduce_sum
-from la2.training import relative_l2_loss
+from la2.tensor import (GradTape, Tensor, TensorError, _sigmoid, backward, relative_l2_loss,
+                        soft_mask)
 
 
 def tiny_config(**kw):
@@ -165,10 +165,8 @@ class TestForward:
         m = init_model(cfg)
         pts, knn, f_in = darcy_like_instance(rng, 16, cfg)
         f_in.requires_grad = True
-        r = Tensor(rng.uniform(-1, 1, (16, 1)))
         wrt = [f_in] + [t for _, t in m.named_parameters()]
-        worst = gradcheck(lambda: reduce_sum(mul(forward(m, f_in, pts, knn), r)),
-                          wrt, tol=1e-4)
+        worst = gradcheck_op(lambda: forward(m, f_in, pts, knn), wrt, rng, tol=1e-4)
         assert worst < 1e-4
 
     def test_tape_length_independent_of_heads(self):
@@ -180,7 +178,8 @@ class TestForward:
             m = init_model(cfg)
             pts, knn, f_in = darcy_like_instance(np.random.default_rng(0), 16, cfg)
             with GradTape() as tape:
-                backward(reduce_sum(forward(m, f_in, pts, knn)), tape)
+                backward(relative_l2_loss(forward(m, f_in, pts, knn), Tensor(np.ones((16, 1)))),
+                         tape)
             lengths.append(len(tape))
         assert lengths[0] == lengths[1]
 
@@ -188,8 +187,8 @@ class TestForward:
         # A block's tape holds what its backward rules read and no more: no
         # pre-bias GEMM output, no normalized copy inside layer_norm. That is
         # about 22.3 [M, C] float64 arrays per block; keeping both copies
-        # measured 31.3. Entries: 23 per block, 4 for encoder and projection,
-        # 4 for the loss.
+        # measured 31.3. Entries: 18 per block, 4 for encoder and projection,
+        # 1 for the loss.
         layers, c = 2, 64
         ds = generate_darcy(n=1, g=32, seed=3)
         cfg = ModelConfig(in_channels=1, coord_channels=2, out_channels=1, k=8,
@@ -206,7 +205,7 @@ class TestForward:
             tracemalloc.stop()
         array_bytes = 8 * ds.geometry.m * c
         assert live <= 23 * array_bytes * layers, live / (array_bytes * layers)
-        assert len(tape) == 8 + 23 * layers
+        assert len(tape) == 5 + 18 * layers
 
 
 class TestMaskTrajectory:
@@ -221,6 +220,28 @@ class TestMaskTrajectory:
         traj = mask_trajectory(m)
         assert all(0.0 < t < 1.0 for t in traj)
         assert traj[0] > 0.9 and traj[1] < 0.1
+
+    def test_is_the_mask_ops_sigma(self, rng):
+        # Bit for bit the sigma(s) that soft_mask uses: its rank weights are
+        # sigmoid((sigma(s)*(K-1) + 1 - r) * alpha).
+        m = init_model(tiny_config(layers=3, alpha=3.0))
+        ranks = np.arange(1.0, m.config.k + 1.0)
+        for _ in range(200):
+            values = rng.uniform(-40.0, 40.0, 3)
+            for blk, v in zip(m.blocks, values):
+                blk.mask_s.data[:] = v
+            for blk, sig in zip(m.blocks, mask_trajectory(m)):
+                assert sig == _sigmoid(blk.mask_s.data)[0]
+                w = soft_mask(blk.mask_s, m.config.k, blk.alpha).data
+                expect = _sigmoid((sig * (m.config.k - 1.0) + 1.0 - ranks) * blk.alpha)
+                assert np.array_equal(w, expect)
+
+    def test_saturated_logit(self):
+        # exp(800) overflows a float; the stable sigmoid does not.
+        m = init_model(tiny_config())
+        m.blocks[0].mask_s.data[:] = -800.0
+        m.blocks[1].mask_s.data[:] = 800.0
+        assert mask_trajectory(m) == [0.0, 1.0]
 
 
 class TestCheckpoint:

@@ -12,6 +12,7 @@ from la2 import data as D
 from la2 import training as TR
 from la2 import geometry as G
 from la2.model import ModelConfig, init_model, load_checkpoint
+from la2 import tensor as T
 from la2.tensor import GradTape, Tensor, TensorError, backward
 
 
@@ -28,6 +29,19 @@ def tiny_model(ds, **kw):
 
 
 class TestRelativeL2Loss:
+    def test_train_calls_the_module_global(self, tiny_darcy, monkeypatch):
+        # `train` reaches the loss as `training.relative_l2_loss`, so rebinding
+        # that name observes every training sample.
+        calls = []
+
+        def counted(pred, target):
+            calls.append(pred.shape)
+            return T.relative_l2_loss(pred, target)
+
+        monkeypatch.setattr(TR, "relative_l2_loss", counted)
+        TR.train(tiny_model(tiny_darcy), tiny_darcy, TR.TrainConfig(epochs=2, batch_size=4))
+        assert len(calls) == 2 * len(tiny_darcy.train_indices)
+
     def test_identical_fields(self, rng):
         t = Tensor(rng.standard_normal((6, 2)))
         assert TR.relative_l2_loss(t, t).item() == 0.0
@@ -364,7 +378,7 @@ class TestTrainLoop:
         for _ in range(2):
             m = tiny_model(tiny_darcy)
             report = TR.train(m, tiny_darcy, TR.TrainConfig(epochs=2, seed=5))
-            runs.append(report.numeric_rows())
+            runs.append((report.train_loss, report.test_rel_l2, report.mask_sigma))
         assert runs[0] == runs[1]
 
     def test_builds_knn_once(self, monkeypatch):
