@@ -18,7 +18,8 @@ import numpy as np
 
 from .attention import GlaLayerParams, la2_layer
 from .geometry import KnnIndex, PointSet
-from .tensor import Tensor, TensorError, _sigmoid, concat_lastdim, gelu, linear
+from .tensor import (Tensor, TensorError, _sigmoid, concat_lastdim, gelu, linear,
+                     recompute)
 
 __all__ = ["ModelConfig", "OperatorModel", "init_block", "init_model", "encode",
            "forward", "mask_trajectory", "save_checkpoint", "load_checkpoint",
@@ -168,13 +169,23 @@ def encode(f_in: Tensor, x: PointSet, m: OperatorModel) -> Tensor:
 
 
 def forward(m: OperatorModel, f_in: Tensor, x: PointSet, knn: KnnIndex,
-            layer_hook: Callable[[int, Tensor], None] | None = None) -> Tensor:
-    """Apply encoder, the L blocks in order, and the output projection."""
+            layer_hook: Callable[[int, Tensor], None] | None = None,
+            recompute_blocks: bool = False) -> Tensor:
+    """Apply encoder, the L blocks in order, and the output projection.
+
+    With `recompute_blocks`, each block is one `recompute` tape entry, re-run
+    in backward: an active tape then holds a block's input and output instead
+    of its intermediates, and the gradients are the same bit for bit.
+    """
     if knn.m != x.m:
         raise TensorError("KNN index does not match the point set")
     h = encode(f_in, x, m)
     for i, blk in enumerate(m.blocks):
-        h = la2_layer(h, knn, blk)
+        if recompute_blocks:
+            h = recompute(lambda t, blk=blk: la2_layer(t, knn, blk), h,
+                          [p for _, p in blk.named_params()])
+        else:
+            h = la2_layer(h, knn, blk)
         if layer_hook is not None:
             layer_hook(i, h)
     return linear(h, m.proj_w, m.proj_b)
@@ -250,6 +261,8 @@ def load_checkpoint(path) -> OperatorModel:
             raise CheckpointError("truncated checkpoint data")
         t.data = np.frombuffer(blob[start:end], dtype="<f8").reshape(shape).astype(
             np.float64)
+        if not np.all(np.isfinite(t.data)):
+            raise CheckpointError(f"parameter {e['name']} holds non-finite values")
     if end != len(blob):
         raise CheckpointError(f"{len(blob) - end} bytes trail the last parameter")
     return m

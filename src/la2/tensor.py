@@ -13,13 +13,16 @@ Each attention branch is one fused op with a hand-written backward rule and
 its heads handled inside: ``linear_attention`` (global) and ``knn_attention``
 (local, over each row's K indexed rows). The learnable rank mask
 (``soft_mask``) and the training loss (``relative_l2_loss``) are one op each
-as well.
+as well. ``recompute(fn, x, params)`` tapes a whole sub-computation as one
+entry and re-runs it in backward, trading a second forward pass for a tape
+that keeps none of its intermediates.
 """
 
 from __future__ import annotations
 
 import threading
-from typing import Callable
+from contextlib import contextmanager
+from typing import Callable, Iterable
 
 import numpy as np
 from scipy.sparse import csr_matrix
@@ -38,6 +41,7 @@ __all__ = [
     "add",
     "concat_lastdim",
     "relative_l2_loss",
+    "recompute",
     "backward",
 ]
 
@@ -141,6 +145,32 @@ def _result(data: np.ndarray, inputs: tuple[Tensor, ...],
     return out
 
 
+@contextmanager
+def _tape_suspended():
+    """Run the body with no active tape on this thread, then restore it."""
+    saved, _ACTIVE_TAPE.tape = _ACTIVE_TAPE.tape, None
+    try:
+        yield
+    finally:
+        _ACTIVE_TAPE.tape = saved
+
+
+def _backprop(tape: GradTape, grads: dict[int, np.ndarray]) -> dict[int, np.ndarray]:
+    """Reverse-replay `tape` from the seed gradients `grads`, keyed by tensor
+    identity, which it updates and returns."""
+    for out, inputs, rule in reversed(tape._entries):
+        gout = grads.pop(id(out), None)
+        if gout is None:
+            continue
+        for t, g in zip(inputs, rule(gout)):
+            if g is None or not t.requires_grad:
+                continue
+            acc = grads.get(id(t))
+            grads[id(t)] = (np.ascontiguousarray(g, dtype=np.float64) if acc is None
+                            else acc + g)
+    return grads
+
+
 def backward(loss: Tensor, tape: GradTape) -> dict[Tensor, np.ndarray]:
     """Reverse-replay `tape` from scalar `loss`; return leaf gradients.
 
@@ -155,17 +185,7 @@ def backward(loss: Tensor, tape: GradTape) -> dict[Tensor, np.ndarray]:
     if id(loss) not in produced:
         raise TensorError("loss was not recorded on this tape")
 
-    grads: dict[int, np.ndarray] = {id(loss): np.ones_like(loss.data)}
-    for out, inputs, rule in reversed(tape._entries):
-        gout = grads.pop(id(out), None)
-        if gout is None:
-            continue
-        for t, g in zip(inputs, rule(gout)):
-            if g is None or not t.requires_grad:
-                continue
-            acc = grads.get(id(t))
-            grads[id(t)] = (np.ascontiguousarray(g, dtype=np.float64) if acc is None
-                            else acc + g)
+    grads = _backprop(tape, {id(loss): np.ones_like(loss.data)})
 
     result: dict[Tensor, np.ndarray] = {}
     for _, inputs, _ in tape._entries:
@@ -477,3 +497,33 @@ def relative_l2_loss(pred: Tensor, target: Tensor) -> Tensor:
         return (gd + gd,)
 
     return _result(loss, (pred,), rule)
+
+
+# ---------------------------------------------------------------------------
+# Recomputation
+# ---------------------------------------------------------------------------
+
+def recompute(fn: Callable[[Tensor], Tensor], x: Tensor,
+              params: Iterable[Tensor]) -> Tensor:
+    """``fn(x)`` as one tape entry that keeps only `x` and the output.
+
+    `fn` runs with this thread's tape suspended, so none of its ops are
+    recorded. The backward rule re-runs `fn(x)` on a fresh tape (the caller's
+    active tape, if any, set aside meanwhile) and replays it from the output
+    gradient; it returns the gradients of `x` and of `params`, which must
+    list every tensor besides `x` that `fn` reads and that needs a gradient.
+    `fn` must be deterministic, so that the re-run reproduces the output and
+    the gradients are those of the full tape, bit for bit.
+    """
+    _check_tensor(x, "x")
+    inputs = (x, *params)
+    with _tape_suspended():
+        out = fn(x)
+
+    def rule(g):
+        with _tape_suspended(), GradTape() as tape:
+            y = fn(x)
+        grads = _backprop(tape, {id(y): g})
+        return tuple(grads.get(id(t)) for t in inputs)
+
+    return _result(out.data, inputs, rule)

@@ -5,6 +5,7 @@ Training minimizes the squared-ratio relative L2 loss (the engine op
 root-ratio relative L2 on de-normalized fields.
 One optimizer step per mini-batch with per-sample gradient accumulation in
 fixed sample order, global-norm clipping, and a cosine learning-rate decay.
+Large samples run on parallel threads, in `train` as in `evaluate`.
 """
 
 from __future__ import annotations
@@ -34,11 +35,14 @@ BETA1 = 0.9
 BETA2 = 0.999
 ADAM_EPS = 1e-8
 
-# Points x hidden width of one sample from which `evaluate` uses threads.
-# Two threads against one, forward passes at C=64 (2 CPUs, 1 BLAS thread,
-# two sweeps, BENCH_12.json): 0.92-1.16x at M=256, where the GIL dominates
-# and the tail latency of 16-sample calls rose; 1.28-1.58x at M=576,
-# 1.44-1.72x at 1024, 1.84-1.95x at 2304 and 1.66-1.85x at 4096.
+# Points x hidden width of one sample from which `evaluate` and `train` use
+# threads. Two threads against one at C=64 (2 CPUs, 1 BLAS thread): forward
+# passes (two sweeps, BENCH_12.json) ran 0.92-1.16x at M=256, where the GIL
+# dominates and the tail latency of 16-sample calls rose; 1.28-1.58x at
+# M=576, 1.44-1.72x at 1024, 1.84-1.95x at 2304 and 1.66-1.85x at 4096.
+# Training with recomputed blocks on two threads against serial full-tape
+# training (BENCH_14.json) ran 0.84x at M=256, 1.05x at 576, 1.20x at 1024
+# and 1.44x at 4096.
 _THREAD_MIN_ACTIVATIONS = 512 * 64
 
 
@@ -163,10 +167,10 @@ def check_compatible(cfg: ModelConfig, ds: data_mod.Dataset) -> None:
         raise TrainingError(f"patch size {cfg.k} exceeds {ds.geometry.m} points")
 
 
-def _eval_workers(n_samples: int, activations: int) -> int:
-    """Threads `evaluate` runs `n_samples` samples on, its caller included:
-    one below `_THREAD_MIN_ACTIVATIONS` points x hidden width per sample,
-    else one per CPU this process may run on, at most one per sample."""
+def _sample_workers(n_samples: int, activations: int) -> int:
+    """Threads `evaluate` or `train` runs `n_samples` samples on, the caller
+    included: one below `_THREAD_MIN_ACTIVATIONS` points x hidden width per
+    sample, else one per CPU this process may run on, at most one per sample."""
     if activations < _THREAD_MIN_ACTIVATIONS or not hasattr(os, "sched_getaffinity"):
         return 1
     return min(len(os.sched_getaffinity(0)), n_samples)
@@ -213,7 +217,7 @@ def evaluate(m: OperatorModel, ds: data_mod.Dataset, split: str = "test") -> dic
     "all", or a 1-D integer list of sample indices in [0, N); anything else
     raises TrainingError. The KNN index is cached on the geometry.
 
-    Samples run on `_eval_workers` threads, the caller's among them; numpy
+    Samples run on `_sample_workers` threads, the caller's among them; numpy
     releases the GIL in the kernels that dominate a large forward pass. Each
     sample's result is computed alone and kept in index order, so the output
     is the same for any thread count.
@@ -249,7 +253,7 @@ def evaluate(m: OperatorModel, ds: data_mod.Dataset, split: str = "test") -> dic
         return (float(np.linalg.norm(pred - raw) / np.linalg.norm(raw)),
                 float(np.linalg.norm(pred_norm - y_norm) / np.linalg.norm(y_norm)))
 
-    workers = _eval_workers(len(indices), ds.geometry.m * m.config.hidden)
+    workers = _sample_workers(len(indices), ds.geometry.m * m.config.hidden)
     pairs = _map_in_order(rel_errors, indices, workers)
     per_sample = [raw for raw, _ in pairs]
     per_sample_norm = [norm for _, norm in pairs]
@@ -270,6 +274,13 @@ def train(m: OperatorModel, ds: data_mod.Dataset, cfg: TrainConfig,
     the per-layer mask fractions are logged every epoch; the best checkpoint
     (lowest test metric) is written to `checkpoint_path` when given. Every
     step and per-epoch evaluation uses the geometry's one cached KNN index.
+
+    A batch's samples run on `_sample_workers` threads, the caller's among
+    them, in waves of one sample per thread. With more than one thread each
+    block is recomputed in backward (`forward(..., recompute_blocks=True)`),
+    so the concurrent tapes together hold less than one full tape. Each
+    wave's gradients and losses are added in sample order once the wave has
+    ended, so every result is the same for any thread count.
     """
     check_compatible(m.config, ds)
     train_idx = ds.train_indices
@@ -280,11 +291,25 @@ def train(m: OperatorModel, ds: data_mod.Dataset, cfg: TrainConfig,
     y_norm = data_mod.normalize(ds.outputs.data, stats["output_mean"], stats["output_std"])
 
     knn = knn_indices_accelerated(ds.geometry, m.config.k)
-    names_params = list(m.named_parameters())
-    params = [p for _, p in names_params]
+    params = [p for _, p in m.named_parameters()]
     state = AdamState(params)
     rng = np.random.default_rng(cfg.seed)
     report = TrainReport()
+    activations = ds.geometry.m * m.config.hidden
+
+    def sample_grads(i):
+        """Sample i's loss value and per-parameter gradients (None if unreached),
+        in the loop's current `epoch` and with its current `workers`."""
+        with GradTape() as tape:
+            pred = forward(m, Tensor(x_norm[i]), ds.geometry, knn,
+                           recompute_blocks=workers > 1)
+            loss = relative_l2_loss(pred, Tensor(y_norm[i]))
+            value = loss.item()
+            if not math.isfinite(value):
+                raise TrainingError(
+                    f"non-finite loss at epoch {epoch + 1}, sample {i}")
+            grad_map = backward(loss, tape)
+        return value, [grad_map.get(p) for p in params]
 
     for epoch in range(cfg.epochs):
         tic = time.perf_counter()
@@ -296,20 +321,15 @@ def train(m: OperatorModel, ds: data_mod.Dataset, cfg: TrainConfig,
             batch = order[start:start + cfg.batch_size]
             grads = [np.zeros_like(p.data) for p in params]
             batch_loss = 0.0
-            for i in batch:
-                with GradTape() as tape:
-                    pred = forward(m, Tensor(x_norm[i]), ds.geometry, knn)
-                    loss = relative_l2_loss(pred, Tensor(y_norm[i]))
-                    value = loss.item()
-                    if not math.isfinite(value):
-                        raise TrainingError(
-                            f"non-finite loss at epoch {epoch + 1}, sample {i}")
-                    grad_map = backward(loss, tape)
-                for g_acc, p in zip(grads, params):
-                    g = grad_map.get(p)
-                    if g is not None:
-                        g_acc += g
-                batch_loss += value
+            workers = _sample_workers(len(batch), activations)
+            # One wave at a time bounds the gradient maps held at once.
+            for first in range(0, len(batch), workers):
+                wave = batch[first:first + workers]
+                for value, sample in _map_in_order(sample_grads, wave, len(wave)):
+                    for g_acc, g in zip(grads, sample):
+                        if g is not None:
+                            g_acc += g
+                    batch_loss += value
             inv = 1.0 / len(batch)
             for g in grads:
                 g *= inv

@@ -269,6 +269,22 @@ class TestEval:
         assert rc == EXIT_USAGE
         assert "layers must be an integer" in capsys.readouterr().err
 
+    @pytest.mark.parametrize("command", ["eval", "dump-mask"])
+    def test_non_finite_parameter_rejected(self, dataset_dir, tmp_path, capsys, command):
+        # A file that holds an inf weight is malformed: both commands exit 2
+        # before any work, where eval used to fail at run time and dump-mask
+        # to print it.
+        m = init_model(ModelConfig(1, 2, 1, k=4, layers=1, hidden=8))
+        m.blocks[0].w_qg.data[0, 0] = np.inf
+        path = tmp_path / "m.la2c"
+        save_checkpoint(m, path)
+        data = ["--data", str(dataset_dir)] if command == "eval" else []
+        rc = main([command, *data, "--checkpoint", str(path)])
+        assert rc == EXIT_USAGE
+        captured = capsys.readouterr()
+        assert "blocks.0.w_qg holds non-finite values" in captured.err
+        assert captured.out == ""
+
     def test_version_1_checkpoint_rejected(self, dataset_dir, tmp_path):
         # Version 1 has the same layout but weights for the old signed global
         # branch; loading it must fail rather than serve a different function.

@@ -10,11 +10,13 @@ import pytest
 from conftest import edit_header, gradcheck_op
 from la2.data import generate_darcy
 from la2.geometry import PointSet, knn_indices, knn_indices_accelerated, relabel_knn
+from la2.attention import la2_layer
 from la2.model import (CheckpointError, ModelConfig, OperatorModel, encode,
-                       forward, init_model, load_checkpoint, mask_trajectory,
-                       save_checkpoint)
-from la2.tensor import (GradTape, Tensor, TensorError, _sigmoid, backward, relative_l2_loss,
-                        soft_mask)
+                       forward, init_block, init_model, load_checkpoint,
+                       mask_trajectory, save_checkpoint)
+from la2.tensor import (GradTape, Tensor, TensorError, _sigmoid, backward, recompute,
+                        relative_l2_loss, soft_mask)
+from la2.training import _THREAD_MIN_ACTIVATIONS
 
 
 def tiny_config(**kw):
@@ -183,29 +185,79 @@ class TestForward:
             lengths.append(len(tape))
         assert lengths[0] == lengths[1]
 
-    def test_tape_footprint(self):
-        # A block's tape holds what its backward rules read and no more: no
-        # pre-bias GEMM output, no normalized copy inside layer_norm. That is
-        # about 22.3 [M, C] float64 arrays per block; keeping both copies
-        # measured 31.3. Entries: 18 per block, 4 for encoder and projection,
-        # 1 for the loss.
-        layers, c = 2, 64
+    @staticmethod
+    def taped_bytes(recompute_blocks):
+        """Tape length and live bytes after one forward pass and loss, L=2,
+        C=64, M=1024, and the bytes of one [M, C] float64 array."""
         ds = generate_darcy(n=1, g=32, seed=3)
         cfg = ModelConfig(in_channels=1, coord_channels=2, out_channels=1, k=8,
-                          layers=layers, hidden=c, seed=0)
+                          layers=2, hidden=64, seed=0)
         m = init_model(cfg)
         knn = knn_indices_accelerated(ds.geometry, cfg.k)
         f_in, target = Tensor(ds.inputs.data[0]), Tensor(ds.outputs.data[0])
         tracemalloc.start()
         try:
             with GradTape() as tape:
-                relative_l2_loss(forward(m, f_in, ds.geometry, knn), target)
+                relative_l2_loss(forward(m, f_in, ds.geometry, knn,
+                                         recompute_blocks=recompute_blocks), target)
                 live, _ = tracemalloc.get_traced_memory()
         finally:
             tracemalloc.stop()
-        array_bytes = 8 * ds.geometry.m * c
+        return len(tape), live, 8 * ds.geometry.m * cfg.hidden
+
+    def test_tape_footprint(self):
+        # The serial (full) tape, which `train` records on one thread: a
+        # block's tape holds what its backward rules read and no more: no
+        # pre-bias GEMM output, no normalized copy inside layer_norm. That is
+        # about 22.3 [M, C] float64 arrays per block; keeping both copies
+        # measured 31.3. Entries: 18 per block, 4 for encoder and projection,
+        # 1 for the loss.
+        layers = 2
+        entries, live, array_bytes = self.taped_bytes(False)
         assert live <= 23 * array_bytes * layers, live / (array_bytes * layers)
-        assert len(tape) == 5 + 18 * layers
+        assert entries == 5 + 18 * layers
+
+    def test_recomputed_tape_footprint(self):
+        # With recompute_blocks a block is one entry that keeps its input and
+        # output, so each block adds one [M, C] array, where the full tape
+        # keeps about 22.3; the encoder's entries hold 4 more. Measured: 6.09
+        # arrays in all at L=2.
+        layers = 2
+        entries, live, array_bytes = self.taped_bytes(True)
+        assert live <= (4.5 + layers) * array_bytes, live / array_bytes
+        assert entries == 5 + layers
+
+
+class TestRecompute:
+    @pytest.mark.parametrize("heads", [1, 2])
+    def test_block_gradients_equal_the_full_tape(self, heads):
+        # M x C = 576 x 64 is at least the size from which `train` runs
+        # samples on threads and recomputes its blocks.
+        ds = generate_darcy(n=1, g=24, seed=3)
+        cfg = ModelConfig(1, 2, 1, k=8, hidden=64, heads=heads, seed=2)
+        assert ds.geometry.m * cfg.hidden >= _THREAD_MIN_ACTIVATIONS
+        rng = np.random.default_rng(4)
+        blk = init_block(rng, cfg)
+        blk.mask_s.data[:] = 0.4                 # off zero: a generic mask gradient
+        knn = knn_indices_accelerated(ds.geometry, cfg.k)
+        x = Tensor(rng.standard_normal((ds.geometry.m, cfg.hidden)), requires_grad=True)
+        target = Tensor(rng.standard_normal(x.shape))
+        params = [t for _, t in blk.named_params()]
+
+        def run(block):
+            with GradTape() as tape:
+                loss = relative_l2_loss(block(x), target)
+                grads = backward(loss, tape)
+            return len(tape), loss.data, [grads[t] for t in [x, *params]]
+
+        def layer(t):
+            return la2_layer(t, knn, blk)
+
+        full = run(layer)
+        once = run(lambda t: recompute(layer, t, params))
+        assert (full[0], once[0]) == (19, 2)
+        assert np.array_equal(full[1], once[1])
+        assert all(np.array_equal(a, b) for a, b in zip(full[2], once[2]))
 
 
 class TestMaskTrajectory:
@@ -319,6 +371,16 @@ class TestCheckpoint:
 
         edit_header(path, edit)
         with pytest.raises(CheckpointError, match="blocks.0.mask_s has shape"):
+            load_checkpoint(path)
+
+    @pytest.mark.parametrize("value", [np.inf, -np.inf, np.nan])
+    def test_rejects_non_finite_value(self, tmp_path, value):
+        m = init_model(tiny_config())
+        m.blocks[1].w_qg.data[0, 0] = value
+        path = tmp_path / "model.la2c"
+        save_checkpoint(m, path)
+        with pytest.raises(CheckpointError,
+                           match="parameter blocks.1.w_qg holds non-finite values"):
             load_checkpoint(path)
 
     @pytest.mark.parametrize("damage", ["overlap", "gap", "trailing"])

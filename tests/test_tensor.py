@@ -521,6 +521,53 @@ class TestBackward:
         assert np.array_equal(gmap[b], [6.0])
 
 
+class TestRecompute:
+    """One tape entry for a whole sub-computation, re-run in backward."""
+
+    @staticmethod
+    def block(w, b):
+        # x reaches the output twice, so its gradient accumulates on the
+        # rule's own tape.
+        return lambda t: T.add(T.gelu(T.linear(t, w, b)), t)
+
+    @staticmethod
+    def leaves(rng):
+        return leaf(None, rng, (5, 3)), leaf(None, rng, (3, 3)), leaf(None, rng, (3,))
+
+    def test_gradcheck(self, rng):
+        x, w, b = self.leaves(rng)
+        gradcheck_op(lambda: T.recompute(self.block(w, b), x, [w, b]), [x, w, b], rng)
+
+    def test_backward_inside_an_active_tape(self, rng):
+        # `train` calls backward inside its `with GradTape()`: the rule runs
+        # its own tape, then hands this thread's tape back.
+        x, w, b = self.leaves(rng)
+        r = Tensor(rng.uniform(-1.0, 1.0, (5, 3)))
+        with GradTape() as tape:
+            full = backward(T.relative_l2_loss(self.block(w, b)(x), r), tape)
+        with GradTape() as tape:
+            loss = T.relative_l2_loss(T.recompute(self.block(w, b), x, [w, b]), r)
+            assert len(tape) == 2
+            grads = backward(loss, tape)
+            T.add(x, x)
+            assert len(tape) == 3
+        for t in (x, w, b):
+            assert np.array_equal(grads[t], full[t])
+
+    def test_error_in_fn_restores_the_tape(self, rng):
+        x, w, b = self.leaves(rng)
+        with GradTape() as tape:
+            with pytest.raises(TensorError, match="add needs equal shapes"):
+                T.recompute(lambda t: T.add(t, w), x, [w])
+            T.add(x, x)
+        assert len(tape) == 1
+
+    def test_input_without_gradient(self, rng):
+        x, w, b = self.leaves(rng)
+        x.requires_grad = False
+        gradcheck_op(lambda: T.recompute(self.block(w, b), x, [w, b]), [w, b], rng)
+
+
 class TestTapeThreads:
     """The active tape is per thread: each thread records only its own ops."""
 

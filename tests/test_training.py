@@ -11,7 +11,7 @@ import pytest
 from la2 import data as D
 from la2 import training as TR
 from la2 import geometry as G
-from la2.model import ModelConfig, init_model, load_checkpoint
+from la2.model import ModelConfig, init_model, load_checkpoint, save_checkpoint
 from la2 import tensor as T
 from la2.tensor import GradTape, Tensor, TensorError, backward
 
@@ -350,12 +350,100 @@ class TestParallelEvaluate:
         self.cpus(monkeypatch, 10_000)
         big = TR._THREAD_MIN_ACTIVATIONS
         before = threading.active_count()
-        assert TR._eval_workers(3, big) == 3
-        assert TR._eval_workers(20_000, big) == 10_000
-        assert TR._eval_workers(16, big - 1) == 1
+        assert TR._sample_workers(3, big) == 3
+        assert TR._sample_workers(20_000, big) == 10_000
+        assert TR._sample_workers(16, big - 1) == 1
         self.cpus(monkeypatch, 1)
-        assert TR._eval_workers(3, big) == 1
+        assert TR._sample_workers(3, big) == 1
         assert threading.active_count() == before
+
+
+class TestParallelTrain:
+    """train spreads a batch's samples over threads, recomputing each block in
+    backward; its results must not show it."""
+
+    cpus = TestParallelEvaluate.cpus
+
+    def run(self, ds, monkeypatch, n, tmp_path=None):
+        # Batches of 3 from 4 train samples, then a one-sample batch. On 2 CPUs
+        # the first batch is a wave of 2 and a partial wave of 1; on 3 CPUs it
+        # is one wave of 3, whose sum is the first that is not commutative.
+        self.cpus(monkeypatch, n)
+        m = tiny_model(ds, layers=1, hidden=64)
+        ckpt = None if tmp_path is None else tmp_path / f"best{n}.la2c"
+        report = TR.train(m, ds, TR.TrainConfig(epochs=2, batch_size=3, seed=4),
+                          checkpoint_path=ckpt)
+        return m, report, ckpt
+
+    def test_one_two_and_three_cpus_give_the_same_bytes(self, wide_darcy, monkeypatch,
+                                                       tmp_path):
+        ds, _ = wide_darcy
+        assert len(ds.train_indices) == 4
+        seen = []
+        real = TR.forward
+
+        def recording(*args, recompute_blocks=False, **kwargs):
+            seen.append((threading.get_ident(), recompute_blocks))
+            return real(*args, recompute_blocks=recompute_blocks, **kwargs)
+
+        monkeypatch.setattr(TR, "forward", recording)
+        results = {}
+        for n in (1, 2, 3):
+            seen.clear()
+            m, report, ckpt = self.run(ds, monkeypatch, n, tmp_path)
+            final = tmp_path / f"final{n}.la2c"
+            save_checkpoint(m, final)
+            results[n] = (final.read_bytes(), ckpt.read_bytes(), report.train_loss,
+                          report.test_rel_l2, report.mask_sigma)
+            # Per epoch: 4 training samples, then evaluate's one test sample.
+            assert len(seen) == 2 * (4 + 1)
+            threads = {t for t, rc in seen if rc}
+            assert len(threads) == (n if n > 1 else 0)
+        assert results[1] == results[2] == results[3]
+
+    def test_non_finite_loss_same_error(self, wide_darcy, monkeypatch):
+        # The second sample of the first batch, which runs on the started
+        # thread, gives a NaN loss; the serial loop raises the same error.
+        ds, _ = wide_darcy
+        first = ds.train_indices[np.random.default_rng(4).permutation(4)]
+        bad = first[1]
+        y_bad = D.normalize(ds.outputs.data[bad], ds.stats["output_mean"],
+                            ds.stats["output_std"])
+        where = []
+
+        def nan_for_bad(pred, target):
+            loss = T.relative_l2_loss(pred, target)
+            if np.array_equal(target.data, y_bad):
+                where.append(threading.get_ident())
+                loss.data = np.full(1, np.nan)
+            return loss
+
+        monkeypatch.setattr(TR, "relative_l2_loss", nan_for_bad)
+        before = threading.active_count()
+        messages = {}
+        for n in (1, 2):
+            where.clear()
+            with pytest.raises(TR.TrainingError) as info:
+                self.run(ds, monkeypatch, n)
+            messages[n] = str(info.value)
+            assert threading.active_count() == before
+            assert (where[0] != threading.get_ident()) == (n == 2)
+        assert messages[1] == messages[2] == f"non-finite loss at epoch 1, sample {bad}"
+
+    def test_workers_call_the_module_global_loss(self, wide_darcy, monkeypatch):
+        # The benchmark's step clock hooks `training.relative_l2_loss` to
+        # count samples; worker threads must call it there too.
+        ds, _ = wide_darcy
+        threads = []
+
+        def counted(pred, target):
+            threads.append(threading.get_ident())
+            return T.relative_l2_loss(pred, target)
+
+        monkeypatch.setattr(TR, "relative_l2_loss", counted)
+        self.run(ds, monkeypatch, 2)
+        assert len(threads) == 2 * 4
+        assert len(set(threads)) == 2
 
 
 class TestTrainLoop:
