@@ -20,7 +20,6 @@ from typing import Iterator
 from .geometry import KnnIndex
 from .tensor import (
     Tensor,
-    TensorError,
     add,
     concat_lastdim,
     gelu,
@@ -95,9 +94,6 @@ def local_attention(h_bar: Tensor, knn: KnnIndex, w: Tensor,
     heads run as one sparse `knn_attention` op, in which w scales the
     [M, K] scores and attention weights; no [M, K, d] array is taped.
     """
-    if h_bar.ndim != 2 or knn.m != h_bar.shape[0] or w.shape != (knn.k,):
-        raise TensorError(f"local attention needs [M,C], [M,K] index, [K] weights, "
-                          f"got {h_bar.shape}, {knn.idx.shape}, {w.shape}")
     q = linear(h_bar, p.w_ql, p.b_ql)
     k = linear(h_bar, p.w_kl)
     v = linear(h_bar, p.w_vl)

@@ -19,8 +19,7 @@ from .geometry import PointSet, knn_indices_accelerated
 from .model import ModelConfig, init_block
 from .tensor import Tensor, TensorError, soft_mask
 
-__all__ = ["time_median", "bench_global", "bench_local", "bench_pairwise",
-           "bench_case", "full_pairwise_attention", "check_memory_cap"]
+__all__ = ["time_median", "bench_case", "full_pairwise_attention", "check_memory_cap"]
 
 MEMORY_CAP = 2 << 30  # bytes of the dominant working array
 
@@ -45,28 +44,6 @@ def time_median(fn: Callable[[], object], repeats: int) -> float:
     return float(np.median(times))
 
 
-def bench_global(m: int, hidden: int, repeats: int) -> float:
-    """Median forward time of the linear global branch at M points."""
-    check_memory_cap("global", m, 0, hidden)
-    rng = np.random.default_rng(m + hidden)
-    p = init_block(rng, ModelConfig(1, 2, 1, hidden=hidden))
-    h = Tensor(rng.standard_normal((m, hidden)))
-    return time_median(lambda: global_attention(h, p), repeats)
-
-
-def bench_local(m: int, k: int, hidden: int, repeats: int) -> float:
-    """Median forward time of the local branch (soft mask, projections, sparse patch attention)."""
-    check_memory_cap("local", m, k, hidden)
-    rng = np.random.default_rng(m * 31 + k)
-    p = init_block(rng, ModelConfig(1, 2, 1, hidden=hidden))
-    h = Tensor(rng.standard_normal((m, hidden)))
-    pts = PointSet(Tensor(rng.uniform(0.0, 1.0, size=(m, 2))))
-    knn = knn_indices_accelerated(pts, k)
-
-    return time_median(
-        lambda: local_attention(h, knn, soft_mask(p.mask_s, k, p.alpha), p), repeats)
-
-
 def full_pairwise_attention(h: np.ndarray, w_q: np.ndarray, w_k: np.ndarray,
                             w_v: np.ndarray) -> np.ndarray:
     """Dense softmax attention over all M^2 pairs (reference, forward-only)."""
@@ -80,21 +57,23 @@ def full_pairwise_attention(h: np.ndarray, w_q: np.ndarray, w_k: np.ndarray,
     return att @ v
 
 
-def bench_pairwise(m: int, hidden: int, repeats: int) -> float:
-    """Median forward time of the dense full-pairwise reference at M points."""
-    check_memory_cap("pairwise", m, 0, hidden)
-    rng = np.random.default_rng(m * 17 + hidden)
-    d = hidden // 2
-    h = rng.standard_normal((m, hidden))
-    w_q = rng.standard_normal((hidden, d)) / math.sqrt(hidden)
-    w_k = rng.standard_normal((hidden, d)) / math.sqrt(hidden)
-    w_v = rng.standard_normal((hidden, d)) / math.sqrt(hidden)
-    return time_median(lambda: full_pairwise_attention(h, w_q, w_k, w_v), repeats)
-
-
 def bench_case(kind: str, m: int, k: int, hidden: int, repeats: int) -> float:
-    """`bench_global`, `bench_local` or `bench_pairwise` by kind; `k` counts
-    for the local kind only."""
-    if kind == "local":
-        return bench_local(m, k, hidden, repeats)
-    return {"global": bench_global, "pairwise": bench_pairwise}[kind](m, hidden, repeats)
+    """Median forward time at M points of the linear global branch, the local
+    branch (soft mask, projections, sparse patch attention over K neighbors)
+    or the dense full-pairwise reference, by kind; `k` counts for the local
+    kind only."""
+    check_memory_cap(kind, m, k, hidden)
+    if kind == "pairwise":
+        rng = np.random.default_rng(m * 17 + hidden)
+        h = rng.standard_normal((m, hidden))
+        w_q, w_k, w_v = (rng.standard_normal((hidden, hidden // 2)) / math.sqrt(hidden)
+                         for _ in range(3))
+        return time_median(lambda: full_pairwise_attention(h, w_q, w_k, w_v), repeats)
+    rng = np.random.default_rng(m * 31 + k if kind == "local" else m + hidden)
+    p = init_block(rng, ModelConfig(1, 2, 1, hidden=hidden))
+    h = Tensor(rng.standard_normal((m, hidden)))
+    if kind == "global":
+        return time_median(lambda: global_attention(h, p), repeats)
+    knn = knn_indices_accelerated(PointSet(Tensor(rng.uniform(0.0, 1.0, size=(m, 2)))), k)
+    return time_median(
+        lambda: local_attention(h, knn, soft_mask(p.mask_s, k, p.alpha), p), repeats)

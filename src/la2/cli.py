@@ -13,7 +13,7 @@ import json
 import sys
 import traceback
 from contextlib import contextmanager
-from dataclasses import MISSING, fields
+from dataclasses import MISSING, asdict, fields
 from pathlib import Path
 
 import numpy as np
@@ -161,7 +161,7 @@ def cmd_train(args) -> int:
     csv_path = out / "report.csv"
     report.write_csv(csv_path)
     save_checkpoint(model, out / "final.la2c")
-    _write_sidecar(csv_path, {"model": mcfg.to_dict(), "train": tcfg.to_dict(),
+    _write_sidecar(csv_path, {"model": asdict(mcfg), "train": asdict(tcfg),
                               "data": str(args.data)})
     print(f"final test rel L2: {report.test_rel_l2[-1]:.6f} "
           f"(best {report.best_test_rel_l2:.6f} at epoch {report.best_epoch})")
@@ -195,7 +195,7 @@ def _sweep(args, name: str, columns: tuple[str, ...], runs: list[dict]) -> int:
     for run, mcfg in zip(runs, configs):
         with _running():
             report = train(init_model(mcfg), ds, tcfg)
-        labels = [str({**mcfg.to_dict(), **run}[c]) for c in columns]
+        labels = [str({**asdict(mcfg), **run}[c]) for c in columns]
         err, sec = report.test_rel_l2[-1], float(np.mean(report.epoch_seconds))
         rows.append(",".join(labels) + f",{err!r},{sec:.6f}")
         print(" ".join(f"{c}={v}" for c, v in zip(columns, labels))
@@ -206,7 +206,7 @@ def _sweep(args, name: str, columns: tuple[str, ...], runs: list[dict]) -> int:
         fh.writelines(row + "\n" for row in rows)
     _write_sidecar(csv_path, {
         "data": str(args.data),
-        "runs": [{"model": mcfg.to_dict(), "train": tcfg.to_dict()}
+        "runs": [{"model": asdict(mcfg), "train": asdict(tcfg)}
                  for mcfg in configs]})
     return EXIT_OK
 
@@ -225,6 +225,7 @@ def cmd_scale_study(args) -> int:
 
 
 def cmd_bench(args) -> int:
+    ModelConfig(1, 2, 1, hidden=args.hidden)        # every kind's width, checked once
     kinds = ("global", "local", "pairwise") if args.kind == "all" else (args.kind,)
     cases = []                                      # (kind, M, K); K is 0 unless local
     for kind in kinds:

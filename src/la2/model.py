@@ -12,7 +12,7 @@ import math
 import numbers
 import struct
 from dataclasses import asdict, dataclass, fields
-from typing import Callable, Iterator
+from typing import Iterator
 
 import numpy as np
 
@@ -35,6 +35,18 @@ class CheckpointError(ValueError):
     """Malformed or truncated checkpoint file."""
 
 
+def _check_field_types(record, error: type[Exception]) -> None:
+    """Raise `error` unless every field of dataclass `record` holds its type:
+    a real number for a "float" field, an integer (not a bool) for the rest."""
+    for f in fields(record):
+        value = getattr(record, f.name)
+        real = f.type == "float"
+        if isinstance(value, bool) or not isinstance(
+                value, numbers.Real if real else numbers.Integral):
+            kind = "a real number" if real else "an integer"
+            raise error(f"{f.name} must be {kind}, got {value!r}")
+
+
 @dataclass
 class ModelConfig:
     in_channels: int          # C_f, input function channels
@@ -54,15 +66,9 @@ class ModelConfig:
         self.validate()
 
     def validate(self) -> None:
-        for f in fields(self):
-            value = getattr(self, f.name)
-            real = f.type == "float"
-            if isinstance(value, bool) or not isinstance(
-                    value, numbers.Real if real else numbers.Integral):
-                kind = "a real number" if real else "an integer"
-                raise TensorError(f"{f.name} must be {kind}, got {value!r}")
-        if self.hidden % 2 != 0:
-            raise TensorError(f"hidden width must be even, got {self.hidden}")
+        _check_field_types(self, TensorError)
+        if self.hidden < 2 or self.hidden % 2 != 0:
+            raise TensorError(f"hidden width must be even and positive, got {self.hidden}")
         if self.layers < 1:
             raise TensorError("need at least one layer")
         if self.k < 1:
@@ -76,13 +82,6 @@ class ModelConfig:
             raise TensorError(f"feed-forward width must be >= 1, got {self.ff_hidden}")
         if not 0 < self.alpha < math.inf:
             raise TensorError("alpha must be positive and finite")
-
-    def to_dict(self) -> dict:
-        return asdict(self)
-
-    @classmethod
-    def from_dict(cls, d: dict) -> "ModelConfig":
-        return cls(**d)
 
 
 @dataclass
@@ -169,7 +168,6 @@ def encode(f_in: Tensor, x: PointSet, m: OperatorModel) -> Tensor:
 
 
 def forward(m: OperatorModel, f_in: Tensor, x: PointSet, knn: KnnIndex,
-            layer_hook: Callable[[int, Tensor], None] | None = None,
             recompute_blocks: bool = False) -> Tensor:
     """Apply encoder, the L blocks in order, and the output projection.
 
@@ -180,14 +178,12 @@ def forward(m: OperatorModel, f_in: Tensor, x: PointSet, knn: KnnIndex,
     if knn.m != x.m:
         raise TensorError("KNN index does not match the point set")
     h = encode(f_in, x, m)
-    for i, blk in enumerate(m.blocks):
+    for blk in m.blocks:
         if recompute_blocks:
             h = recompute(lambda t, blk=blk: la2_layer(t, knn, blk), h,
                           [p for _, p in blk.named_params()])
         else:
             h = la2_layer(h, knn, blk)
-        if layer_hook is not None:
-            layer_hook(i, h)
     return linear(h, m.proj_w, m.proj_b)
 
 
@@ -204,7 +200,7 @@ def save_checkpoint(m: OperatorModel, path) -> None:
     for name, t in params:
         header_params.append({"name": name, "shape": list(t.shape), "offset": offset})
         offset += t.size * 8
-    header = json.dumps({"config": m.config.to_dict(),
+    header = json.dumps({"config": asdict(m.config),
                          "params": header_params}).encode("utf-8")
     with open(path, "wb") as fh:
         fh.write(CHECKPOINT_MAGIC)
@@ -228,7 +224,7 @@ def load_checkpoint(path) -> OperatorModel:
         raise CheckpointError("truncated checkpoint header")
     try:
         header = json.loads(blob[16:16 + hlen].decode("utf-8"))
-        cfg = ModelConfig.from_dict(header["config"])
+        cfg = ModelConfig(**header["config"])
         entries = header["params"]
     except (ValueError, KeyError, TypeError) as exc:
         raise CheckpointError(f"malformed checkpoint header: {exc}") from exc

@@ -50,6 +50,7 @@ _INV_SQRT_2PI = 1.0 / np.sqrt(2.0 * np.pi)
 # Rows per block of knn_attention's score gather: 1 MiB at K=8, dh=32, and no
 # slower than one whole [M*H, K, dh] gather at M=4096.
 _SCORE_BLOCK_ROWS = 512
+_LN_EPS = 1e-5  # added to layer_norm's variance
 
 
 class TensorError(ValueError):
@@ -247,8 +248,8 @@ def concat_lastdim(a: Tensor, b: Tensor) -> Tensor:
 # Normalization and attention
 # ---------------------------------------------------------------------------
 
-def layer_norm(x: Tensor, gamma: Tensor, beta: Tensor, eps: float = 1e-5) -> Tensor:
-    """Per-last-axis normalization (biased variance) with affine scale/shift.
+def layer_norm(x: Tensor, gamma: Tensor, beta: Tensor) -> Tensor:
+    """Per-last-axis normalization (biased variance + `_LN_EPS`), affine scale/shift.
     Backward recomputes the normalized input from `x`, which the tape holds."""
     _check_tensor(x, "x")
     _check_tensor(gamma, "gamma")
@@ -257,13 +258,11 @@ def layer_norm(x: Tensor, gamma: Tensor, beta: Tensor, eps: float = 1e-5) -> Ten
     if c < 1 or gamma.shape != (c,) or beta.shape != (c,):
         raise TensorError(
             f"layer_norm over width {c} needs gamma/beta of shape ({c},)")
-    if eps <= 0:
-        raise TensorError("layer_norm eps must be positive")
     xd, gd = x.data, gamma.data
     mu = xd.mean(axis=-1, keepdims=True)
     xhat = xd - mu
     var = (xhat * xhat).mean(axis=-1, keepdims=True)
-    inv = 1.0 / np.sqrt(var + eps)
+    inv = 1.0 / np.sqrt(var + _LN_EPS)
     xhat *= inv
 
     def rule(g):

@@ -14,14 +14,14 @@ import math
 import os
 import threading
 import time
-from dataclasses import dataclass, field, asdict
+from dataclasses import dataclass, field
 
 import numpy as np
 
 from . import data as data_mod
 from .geometry import knn_indices_accelerated
-from .model import (ModelConfig, OperatorModel, forward, mask_trajectory,
-                    save_checkpoint)
+from .model import (ModelConfig, OperatorModel, _check_field_types, forward,
+                    mask_trajectory, save_checkpoint)
 # `train` calls the loss through this module's global name, which a caller may
 # rebind to observe each training sample.
 from .tensor import GradTape, Tensor, backward, relative_l2_loss
@@ -61,6 +61,7 @@ class TrainConfig:
     seed: int = 0
 
     def __post_init__(self):
+        _check_field_types(self, TrainingError)
         if self.epochs < 1:
             raise TrainingError("epochs must be >= 1")
         if self.batch_size < 1:
@@ -69,9 +70,6 @@ class TrainConfig:
             raise TrainingError("rates and clip norm must be positive and finite")
         if not 0 <= self.weight_decay < math.inf:
             raise TrainingError("weight decay must be non-negative and finite")
-
-    def to_dict(self) -> dict:
-        return asdict(self)
 
 
 @dataclass
@@ -113,12 +111,10 @@ class AdamState:
 
 
 def adam_step(params: list[Tensor], grads: list[np.ndarray], state: AdamState,
-              cfg: TrainConfig, lr: float | None = None) -> None:
-    """Decoupled-weight-decay Adam update, in place."""
+              cfg: TrainConfig, lr: float) -> None:
+    """Decoupled-weight-decay Adam update at rate `lr`, in place."""
     if len(params) != len(grads) or len(params) != len(state.m):
         raise TrainingError("parameter/gradient/state lists must align")
-    if lr is None:
-        lr = cfg.lr
     state.step += 1
     t = state.step
     bc1 = 1.0 - BETA1 ** t

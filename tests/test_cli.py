@@ -381,9 +381,7 @@ class TestBench:
     def test_every_cap_checked_before_timing(self, tmp_path, monkeypatch):
         # The over-cap pairwise size comes last; no earlier case may be timed.
         calls = []
-        for kind in ("global", "local", "pairwise"):
-            monkeypatch.setattr(la2.bench, f"bench_{kind}",
-                                lambda *a, kind=kind: calls.append(kind) or 1.0)
+        monkeypatch.setattr(la2.bench, "bench_case", lambda *a: calls.append(a) or 1.0)
         rc = main(["bench", "--out", str(tmp_path / "b"), "--kind", "all",
                    "--sizes", "64,20000", "--k-values", "4", "--local-m", "64",
                    "--hidden", "16", "--repeats", "1"])
@@ -396,15 +394,25 @@ class TestBench:
         ("--local-m", "-64")], ids=["repeats", "sizes", "k_values", "local_m"])
     def test_non_positive_value_rejected(self, tmp_path, monkeypatch, capsys, flag, value):
         calls = []
-        for kind in ("global", "local", "pairwise"):
-            monkeypatch.setattr(la2.bench, f"bench_{kind}",
-                                lambda *a, kind=kind: calls.append(kind) or 1.0)
+        monkeypatch.setattr(la2.bench, "bench_case", lambda *a: calls.append(a) or 1.0)
         argv = {"--repeats": "1", "--sizes": "64", "--k-values": "4", "--local-m": "64"}
         argv[flag] = value
         rc = main(["bench", "--out", str(tmp_path / "b"), "--kind", "all",
                    "--hidden", "16", *(a for kv in argv.items() for a in kv)])
         assert rc == EXIT_USAGE
         assert f"argument {flag}: not a positive integer" in capsys.readouterr().err
+        assert calls == []
+        assert not (tmp_path / "b" / "bench.csv").exists()
+
+    @pytest.mark.parametrize("hidden", ["0", "-2", "3"])
+    def test_bad_width_rejected(self, tmp_path, monkeypatch, capsys, hidden):
+        # The pairwise kind builds no block, but takes the same widths.
+        calls = []
+        monkeypatch.setattr(la2.bench, "bench_case", lambda *a: calls.append(a) or 1.0)
+        rc = main(["bench", "--out", str(tmp_path / "b"), "--kind", "pairwise",
+                   "--sizes", "64", "--repeats", "1", f"--hidden={hidden}"])
+        assert rc == EXIT_USAGE
+        assert "hidden width must be even and positive" in capsys.readouterr().err
         assert calls == []
         assert not (tmp_path / "b" / "bench.csv").exists()
 

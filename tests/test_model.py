@@ -10,6 +10,7 @@ import pytest
 from conftest import edit_header, gradcheck_op
 from la2.data import generate_darcy
 from la2.geometry import PointSet, knn_indices, knn_indices_accelerated, relabel_knn
+import la2.model
 from la2.attention import la2_layer
 from la2.model import (CheckpointError, ModelConfig, OperatorModel, encode,
                        forward, init_block, init_model, load_checkpoint,
@@ -142,13 +143,19 @@ class TestForward:
         pts, knn, f_in = darcy_like_instance(rng, 64, cfg)
         assert forward(m, f_in, pts, knn).shape == (64, 1)
 
-    def test_applies_every_block(self, rng):
+    def test_applies_every_block(self, rng, monkeypatch):
         cfg = tiny_config(layers=5)
         m = init_model(cfg)
         pts, knn, f_in = darcy_like_instance(rng, 12, cfg)
         seen = []
-        forward(m, f_in, pts, knn, layer_hook=lambda i, h: seen.append(i))
-        assert seen == [0, 1, 2, 3, 4]
+
+        def counting(h, knn, p):
+            seen.append(p)
+            return la2_layer(h, knn, p)
+
+        monkeypatch.setattr(la2.model, "la2_layer", counting)
+        forward(m, f_in, pts, knn)
+        assert seen == m.blocks
 
     def test_joint_permutation_equivariance(self, rng):
         cfg = tiny_config()

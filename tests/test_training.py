@@ -84,7 +84,7 @@ class TestRelativeL2Loss:
 
 class TestAdam:
     def cfg(self, **kw):
-        base = dict(epochs=1, lr=0.1, weight_decay=0.0)
+        base = dict(epochs=1, weight_decay=0.0)
         base.update(kw)
         return TR.TrainConfig(**base)
 
@@ -92,20 +92,20 @@ class TestAdam:
         p = Tensor([1.0, -2.0], requires_grad=True)
         state = TR.AdamState([p])
         before = p.data.copy()
-        TR.adam_step([p], [np.zeros(2)], state, self.cfg())
+        TR.adam_step([p], [np.zeros(2)], state, self.cfg(), lr=0.1)
         assert np.array_equal(p.data, before)
 
     def test_first_step_magnitude(self):
         p = Tensor([0.0], requires_grad=True)
         state = TR.AdamState([p])
-        TR.adam_step([p], [np.ones(1)], state, self.cfg())
+        TR.adam_step([p], [np.ones(1)], state, self.cfg(), lr=0.1)
         # Bias-corrected m/sqrt(v) is 1, so the step is -lr/(1+eps).
         assert p.data[0] == pytest.approx(-0.1, abs=1e-8)
 
     def test_decoupled_weight_decay(self):
         p = Tensor([2.0], requires_grad=True)
         state = TR.AdamState([p])
-        TR.adam_step([p], [np.zeros(1)], state, self.cfg(weight_decay=0.5))
+        TR.adam_step([p], [np.zeros(1)], state, self.cfg(weight_decay=0.5), lr=0.1)
         assert p.data[0] == pytest.approx(2.0 - 0.1 * 0.5 * 2.0)
 
     def test_determinism(self, rng):
@@ -115,7 +115,7 @@ class TestAdam:
             p = Tensor(np.linspace(-1, 1, 5), requires_grad=True)
             state = TR.AdamState([p])
             for _ in range(7):
-                TR.adam_step([p], [g], state, self.cfg())
+                TR.adam_step([p], [g], state, self.cfg(), lr=0.1)
             results.append(p.data.copy())
         assert np.array_equal(results[0], results[1])
 
@@ -123,7 +123,7 @@ class TestAdam:
         p = Tensor([1.0], requires_grad=True)
         state = TR.AdamState([p])
         with pytest.raises(TR.TrainingError):
-            TR.adam_step([p], [np.zeros(3)], state, self.cfg())
+            TR.adam_step([p], [np.zeros(3)], state, self.cfg(), lr=0.1)
 
 
 class TestClipAndSchedule:
@@ -171,6 +171,13 @@ class TestTrainConfig:
         with pytest.raises(TR.TrainingError):
             TR.TrainConfig(epochs=1, **{key: value})
 
+    @pytest.mark.parametrize("key,value", [
+        ("epochs", 2.5), ("epochs", True), ("batch_size", 2.5), ("lr", "1e-3")],
+        ids=["float_epochs", "bool_epochs", "float_batch_size", "string_lr"])
+    def test_mistyped_field_rejected(self, key, value):
+        with pytest.raises(TR.TrainingError, match=f"{key} must be"):
+            TR.TrainConfig(**{"epochs": 1, key: value})
+
     def test_non_finite_alpha_rejected(self):
         with pytest.raises(TensorError):
             ModelConfig(1, 2, 1, alpha=math.nan)
@@ -187,7 +194,7 @@ class TestEvaluate:
         stats = tiny_darcy.stats
         order = iter(tiny_darcy.test_indices)
 
-        def fake_forward(model, f_in, pts, knn, layer_hook=None):
+        def fake_forward(model, f_in, pts, knn):
             i = next(order)
             y = D.normalize(tiny_darcy.outputs.data[i],
                             stats["output_mean"], stats["output_std"])
@@ -286,14 +293,14 @@ class TestParallelEvaluate:
         real = TR.forward
         where = {}
 
-        def failing(model, f_in, pts, knn, layer_hook=None):
+        def failing(model, f_in, pts, knn):
             i = next(i for i in range(ds.n) if np.array_equal(
                 f_in.data, D.normalize(ds.inputs.data[i], ds.stats["input_mean"],
                                        ds.stats["input_std"])))
             where[i] = threading.get_ident()
             if i in (1, 2):
                 raise TensorError(f"overflow in sample {i}")
-            return real(model, f_in, pts, knn, layer_hook)
+            return real(model, f_in, pts, knn)
 
         monkeypatch.setattr(TR, "forward", failing)
         before = threading.active_count()
