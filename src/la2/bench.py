@@ -19,14 +19,17 @@ from .geometry import PointSet, knn_indices_accelerated
 from .model import ModelConfig, init_block
 from .tensor import Tensor, TensorError, soft_mask
 
-__all__ = ["time_median", "bench_case", "full_pairwise_attention", "check_memory_cap"]
+__all__ = ["time_median", "bench_case", "full_pairwise_attention", "check_case"]
 
 MEMORY_CAP = 2 << 30  # bytes of the dominant working array
 
 
-def check_memory_cap(kind: str, m: int, k: int, hidden: int) -> None:
-    """Reject a benchmark case before its dominant working array is allocated;
-    `k` counts for the local kind only."""
+def check_case(kind: str, m: int, k: int, hidden: int) -> None:
+    """Reject a benchmark case before anything is timed or allocated: a patch
+    size K outside [1, M] for the local kind (`k` counts for it only), or a
+    dominant working array above `MEMORY_CAP`."""
+    if kind == "local" and not 1 <= k <= m:
+        raise TensorError(f"need 1 <= K <= M, got K={k}, M={m}")
     nbytes = 8 * {"global": m * hidden * 4, "local": m * k * hidden * 3,
                   "pairwise": m * m * 2}[kind]
     if nbytes > MEMORY_CAP:
@@ -62,7 +65,7 @@ def bench_case(kind: str, m: int, k: int, hidden: int, repeats: int) -> float:
     branch (soft mask, projections, sparse patch attention over K neighbors)
     or the dense full-pairwise reference, by kind; `k` counts for the local
     kind only."""
-    check_memory_cap(kind, m, k, hidden)
+    check_case(kind, m, k, hidden)
     if kind == "pairwise":
         rng = np.random.default_rng(m * 17 + hidden)
         h = rng.standard_normal((m, hidden))

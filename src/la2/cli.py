@@ -232,7 +232,7 @@ def cmd_bench(args) -> int:
         cases += ([(kind, args.local_m, k) for k in args.k_values] if kind == "local"
                   else [(kind, m, 0) for m in args.sizes])
     for case in cases:                              # every case, before any timing
-        bench_mod.check_memory_cap(*case, args.hidden)
+        bench_mod.check_case(*case, args.hidden)
     times = [bench_mod.bench_case(*case, args.hidden, args.repeats) for case in cases]
     out = Path(args.out)
     out.mkdir(parents=True, exist_ok=True)

@@ -18,8 +18,8 @@ import numpy as np
 
 from .attention import GlaLayerParams, la2_layer
 from .geometry import KnnIndex, PointSet
-from .tensor import (Tensor, TensorError, _sigmoid, concat_lastdim, gelu, linear,
-                     recompute)
+from .tensor import (Tensor, TensorError, _map_in_order, _sigmoid, concat_lastdim,
+                     concat_rows, gelu, linear, recompute, row_blocks, take_rows)
 
 __all__ = ["ModelConfig", "OperatorModel", "init_block", "init_model", "encode",
            "forward", "mask_trajectory", "save_checkpoint", "load_checkpoint",
@@ -154,8 +154,9 @@ def init_model(cfg: ModelConfig) -> OperatorModel:
     )
 
 
-def encode(f_in: Tensor, x: PointSet, m: OperatorModel) -> Tensor:
-    """Concatenate coordinates to the input field and lift to width C."""
+def encode(f_in: Tensor, x: PointSet, m: OperatorModel, row_workers: int = 1) -> Tensor:
+    """Concatenate coordinates to the input field and lift to width C, each
+    point on its own, so on `row_blocks(M, row_workers)` threads."""
     if f_in.ndim != 2 or f_in.shape[0] != x.m:
         raise TensorError(
             f"input field rows {f_in.shape} must align with {x.m} points")
@@ -163,27 +164,35 @@ def encode(f_in: Tensor, x: PointSet, m: OperatorModel) -> Tensor:
         raise TensorError(
             f"expected {m.config.in_channels} input channels, got {f_in.shape[1]}")
     z = concat_lastdim(f_in, x.coords)
-    h = gelu(linear(z, m.enc_w1, m.enc_b1))
-    return linear(h, m.enc_w2, m.enc_b2)
+
+    def lift(rows):
+        h = gelu(linear(take_rows(z, rows), m.enc_w1, m.enc_b1))
+        return linear(h, m.enc_w2, m.enc_b2)
+
+    blocks = row_blocks(x.m, row_workers)
+    return concat_rows(_map_in_order(lift, blocks, len(blocks)))
 
 
 def forward(m: OperatorModel, f_in: Tensor, x: PointSet, knn: KnnIndex,
-            recompute_blocks: bool = False) -> Tensor:
+            recompute_blocks: bool = False, row_workers: int = 1) -> Tensor:
     """Apply encoder, the L blocks in order, and the output projection.
 
     With `recompute_blocks`, each block is one `recompute` tape entry, re-run
     in backward: an active tape then holds a block's input and output instead
-    of its intermediates, and the gradients are the same bit for bit.
+    of its intermediates, and the gradients are the same bit for bit. The
+    encoder and each block split the rows across `row_workers` threads
+    (`la2_layer`), except under an active tape; the output is the same bit
+    for bit.
     """
     if knn.m != x.m:
         raise TensorError("KNN index does not match the point set")
-    h = encode(f_in, x, m)
+    h = encode(f_in, x, m, row_workers)
     for blk in m.blocks:
         if recompute_blocks:
-            h = recompute(lambda t, blk=blk: la2_layer(t, knn, blk), h,
+            h = recompute(lambda t, blk=blk: la2_layer(t, knn, blk, row_workers), h,
                           [p for _, p in blk.named_params()])
         else:
-            h = la2_layer(h, knn, blk)
+            h = la2_layer(h, knn, blk, row_workers)
     return linear(h, m.proj_w, m.proj_b)
 
 

@@ -22,7 +22,7 @@ from __future__ import annotations
 
 import threading
 from contextlib import contextmanager
-from typing import Callable, Iterable
+from typing import Callable, Iterable, NamedTuple
 
 import numpy as np
 from scipy.sparse import csr_matrix
@@ -35,11 +35,15 @@ __all__ = [
     "linear",
     "knn_attention",
     "linear_attention",
+    "linear_attention_sums",
     "layer_norm",
     "soft_mask",
     "gelu",
     "add",
     "concat_lastdim",
+    "row_blocks",
+    "take_rows",
+    "concat_rows",
     "relative_l2_loss",
     "recompute",
     "backward",
@@ -51,6 +55,11 @@ _INV_SQRT_2PI = 1.0 / np.sqrt(2.0 * np.pi)
 # slower than one whole [M*H, K, dh] gather at M=4096.
 _SCORE_BLOCK_ROWS = 512
 _LN_EPS = 1e-5  # added to layer_norm's variance
+# Row blocks start at multiples of this. A BLAS matrix-vector product (numpy
+# runs [M, n] @ [n, 1] as one) sums a row in an order that depends on the
+# row's place in a group of rows, 4 in OpenBLAS's Haswell kernel; a block that
+# starts on a group boundary sees every row in the place the whole array does.
+_ROW_ALIGN = 64
 
 
 class TensorError(ValueError):
@@ -156,6 +165,39 @@ def _tape_suspended():
         _ACTIVE_TAPE.tape = saved
 
 
+def _map_in_order(fn, items, workers: int) -> list:
+    """``[fn(x) for x in items]``, with the items dealt round-robin to
+    `workers` threads, the calling thread among them.
+
+    Every thread is joined before this returns or raises. A thread stops at
+    its first error, and the error of the lowest failing position is raised,
+    the one a serial loop would raise.
+    """
+    results = [None] * len(items)
+    errors = {}
+
+    def run(first):
+        for j in range(first, len(items), workers):
+            try:
+                results[j] = fn(items[j])
+            except BaseException as exc:
+                errors[j] = exc
+                return
+
+    threads = []
+    try:
+        for w in range(1, workers):
+            threads.append(threading.Thread(target=run, args=(w,)))
+            threads[-1].start()
+        run(0)
+    finally:
+        for t in threads:
+            t.join()
+    if errors:
+        raise errors[min(errors)]
+    return results
+
+
 def _backprop(tape: GradTape, grads: dict[int, np.ndarray]) -> dict[int, np.ndarray]:
     """Reverse-replay `tape` from the seed gradients `grads`, keyed by tensor
     identity, which it updates and returns."""
@@ -242,6 +284,43 @@ def concat_lastdim(a: Tensor, b: Tensor) -> Tensor:
         return g[..., :d1], g[..., d1:]
 
     return _result(np.concatenate([a.data, b.data], axis=-1), (a, b), rule)
+
+
+def row_blocks(m: int, parts: int) -> list[slice]:
+    """Up to `parts` contiguous ranges that cover rows [0, m), each starting
+    at a multiple of `_ROW_ALIGN`, the last one taking the remainder. While a
+    GradTape is active on this thread the answer is one block,
+    ``slice(None)``: a taped pass never splits rows, because `take_rows` and
+    `concat_rows` are not taped."""
+    units = m // _ROW_ALIGN
+    parts = min(parts, units)
+    if parts <= 1 or _ACTIVE_TAPE.tape is not None:
+        return [slice(None)]
+    bounds = [_ROW_ALIGN * (units * i // parts) for i in range(parts)] + [m]
+    return [slice(a, b) for a, b in zip(bounds, bounds[1:])]
+
+
+def _untaped(data: np.ndarray, requires_grad: bool) -> Tensor:
+    out = Tensor.__new__(Tensor)
+    out.data = data
+    out.requires_grad = requires_grad
+    return out
+
+
+def take_rows(x: Tensor, rows: slice) -> Tensor:
+    """The `rows` of `x`, a block from `row_blocks`, as an untaped view;
+    `x` itself for ``slice(None)``."""
+    _check_tensor(x, "x")
+    return x if rows == slice(None) else _untaped(x.data[rows], x.requires_grad)
+
+
+def concat_rows(parts: list[Tensor]) -> Tensor:
+    """Row blocks joined in order, untaped; the one block itself if there is
+    only one, so a pass on one block copies nothing."""
+    if len(parts) == 1:
+        return parts[0]
+    return _untaped(np.concatenate([t.data for t in parts]),
+                    any(t.requires_grad for t in parts))
 
 
 # ---------------------------------------------------------------------------
@@ -346,60 +425,109 @@ def knn_attention(q: Tensor, k: Tensor, v: Tensor, idx: np.ndarray, w: Tensor,
     return _result((a_mat @ vd).reshape(m, d), (q, k, v, w), rule)
 
 
-def linear_attention(q: Tensor, k: Tensor, v: Tensor, heads: int) -> Tensor:
+def _split_heads(x: np.ndarray, heads: int) -> np.ndarray:
+    """[M, d] -> [H, M, dh], a view."""
+    return x.reshape(x.shape[0], heads, -1).transpose(1, 0, 2)
+
+
+def _merge_heads(x: np.ndarray) -> np.ndarray:
+    """[H, M, dh] -> [M, d]."""
+    return x.transpose(1, 0, 2).reshape(x.shape[1], -1)
+
+
+def _positive_features(x: np.ndarray):
+    """Rows of gelu(x) + 1, each normalized to sum 1, with the gelu CDF and
+    the row sums that backward needs: (cdf, features, sums)."""
+    cdf = _gelu_cdf(x)
+    phi = x * cdf + 1.0
+    s = phi.sum(axis=-1, keepdims=True)
+    return cdf, phi / s, s
+
+
+class _KeySums(NamedTuple):
+    """The key side of `linear_attention`, over all N rows of `k` and `v`."""
+
+    k: Tensor
+    v: Tensor
+    heads: int
+    kx: np.ndarray          # [H, N, dh] keys
+    kcdf: np.ndarray
+    kn: np.ndarray          # Kn, the key features
+    ks: np.ndarray
+    vh: np.ndarray          # [H, N, dh] values
+    kv: np.ndarray          # [H, dh, dh]: Kn^T V
+    zt: np.ndarray          # [H, 1, dh]: (Kn^T 1)^T
+
+
+def linear_attention_sums(k: Tensor, v: Tensor, heads: int,
+                          row_workers: int = 1) -> _KeySums:
+    """The reductions over all rows of `linear_attention`: each head's key
+    features Kn and the sums Kn^T V and Kn^T 1, for `k` and `v` [N, d].
+
+    Computed once, they serve any number of query row blocks; the taped op
+    forms them itself when it is given none. The features of each row are
+    its own, so they are formed on `row_blocks(N, row_workers)` threads.
+    """
+    for t, name in ((k, "k"), (v, "v")):
+        _check_tensor(t, name)
+    if k.ndim != 2 or v.shape != k.shape or min(k.shape) < 1:
+        raise TensorError(f"linear_attention needs equal [N,d] k and v with N, d >= 1, "
+                          f"got {k.shape}, {v.shape}")
+    n, d = k.shape
+    _check_heads(heads, d)
+    rows = k.data.reshape(n, heads, d // heads)             # [N, H, dh]
+    blocks = row_blocks(n, row_workers)
+    parts = _map_in_order(lambda r: _positive_features(rows[r]), blocks, len(blocks))
+    kcdf, kn, ks = ((a[0] if len(a) == 1 else np.concatenate(a)).transpose(1, 0, 2)
+                    for a in zip(*parts))
+    vh = _split_heads(v.data, heads)
+    return _KeySums(k, v, heads, rows.transpose(1, 0, 2), kcdf, kn, ks, vh,
+                    kn.transpose(0, 2, 1) @ vh, kn.sum(axis=1, keepdims=True))
+
+
+def linear_attention(q: Tensor, k: Tensor, v: Tensor, heads: int,
+                     sums: _KeySums | None = None) -> Tensor:
     """Positive-feature linear attention per head: Qn (Kn^T V) / (Qn Kn^T 1) + Qn.
 
-    `q`, `k` and `v` are [M, d]; head h owns columns [h*dh, (h+1)*dh) with
-    dh = d/heads, viewed as [H, M, dh]. Qn and Kn are the rows of gelu(x) + 1
-    of each head's queries and keys, each normalized to sum 1. gelu is bounded
-    below by about -0.17, so every feature is at least 0.83 and the
-    denominator is positive by construction. Cost O(M*d*dh): the M x M score
-    matrix is never formed. The backward rule is hand-written.
+    `q` is [M, d] and `k`, `v` are [N, d]; head h owns columns
+    [h*dh, (h+1)*dh) with dh = d/heads, viewed as [H, M, dh]. Qn and Kn are
+    the rows of gelu(x) + 1 of each head's queries and keys, each normalized
+    to sum 1. gelu is bounded below by about -0.17, so every feature is at
+    least 0.83 and the denominator is positive by construction. Cost
+    O((M + N)*d*dh): the M x N score matrix is never formed. `sums`, from
+    `linear_attention_sums(k, v, heads)`, spares recomputing the key side
+    when several row blocks of queries share `k` and `v`; each output row
+    depends on its own query row and the sums only. The backward rule is
+    hand-written.
     """
-    for t, name in ((q, "q"), (k, "k"), (v, "v")):
-        _check_tensor(t, name)
-    if q.ndim != 2 or k.shape != q.shape or v.shape != q.shape or q.shape[1] < 1:
-        raise TensorError(f"linear_attention needs equal [M,d] q, k, v with d >= 1, "
-                          f"got {q.shape}, {k.shape}, {v.shape}")
-    m, d = q.shape
-    _check_heads(heads, d)
-    dh = d // heads
-
-    def split(x):                                   # [M, d] -> [H, M, dh]
-        return x.reshape(m, heads, dh).transpose(1, 0, 2)
-
-    def merge(x):                                   # [H, M, dh] -> [M, d]
-        return x.transpose(1, 0, 2).reshape(m, d)
-
-    def features(x):
-        cdf = _gelu_cdf(x)
-        phi = x * cdf + 1.0
-        s = phi.sum(axis=-1, keepdims=True)
-        return cdf, phi / s, s
-
-    def features_grad(x, cdf, n, s, gn):                # through n = phi / sum(phi)
-        gphi = (gn - (gn * n).sum(axis=-1, keepdims=True)) / s
-        return merge(gphi * _gelu_grad(x, cdf))
-
-    qx, kx, vh = split(q.data), split(k.data), split(v.data)
-    qcdf, qn, qs = features(qx)
-    kcdf, kn, ks = features(kx)
-    kv = kn.transpose(0, 2, 1) @ vh                 # [H, dh, dh]
-    zt = kn.sum(axis=1, keepdims=True)              # [H, 1, dh]: (Kn^T 1)^T
+    if sums is None:
+        sums = linear_attention_sums(k, v, heads)
+    elif sums.k is not k or sums.v is not v or sums.heads != heads:
+        raise TensorError("linear_attention sums were formed for other keys, values or heads")
+    _check_tensor(q, "q")
+    if q.ndim != 2 or q.shape[1] != k.shape[1]:
+        raise TensorError(f"linear_attention needs q [M,{k.shape[1]}], got {q.shape}")
+    kx, kcdf, kn, ks, vh, kv, zt = sums[3:]
+    qx = _split_heads(q.data, heads)
+    qcdf, qn, qs = _positive_features(qx)
     den = qn @ zt.transpose(0, 2, 1)                # [H, M, 1]
     ratio = (qn @ kv) / den
 
+    def features_grad(x, cdf, n, s, gn):                # through n = phi / sum(phi)
+        gphi = (gn - (gn * n).sum(axis=-1, keepdims=True)) / s
+        return _merge_heads(gphi * _gelu_grad(x, cdf))
+
     def rule(g):
-        gh = split(g)
+        gh = _split_heads(g, heads)
         gnum = gh / den
         gden = -(gh * ratio).sum(axis=-1, keepdims=True) / den
         gqn = gh + gnum @ kv.transpose(0, 2, 1) + gden * zt
         gkv = qn.transpose(0, 2, 1) @ gnum
         gkn = vh @ gkv.transpose(0, 2, 1) + gden.transpose(0, 2, 1) @ qn
         return (features_grad(qx, qcdf, qn, qs, gqn),
-                features_grad(kx, kcdf, kn, ks, gkn), merge(kn @ gkv))
+                features_grad(kx, kcdf, kn, ks, gkn), _merge_heads(kn @ gkv))
 
-    return _result(merge(ratio + qn), (q, k, v), rule)
+    return _result(_merge_heads(ratio + qn), (q, k, v), rule)
 
 
 # ---------------------------------------------------------------------------

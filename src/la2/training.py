@@ -12,7 +12,6 @@ from __future__ import annotations
 
 import math
 import os
-import threading
 import time
 from dataclasses import dataclass, field
 
@@ -24,7 +23,7 @@ from .model import (ModelConfig, OperatorModel, _check_field_types, forward,
                     mask_trajectory, save_checkpoint)
 # `train` calls the loss through this module's global name, which a caller may
 # rebind to observe each training sample.
-from .tensor import GradTape, Tensor, backward, relative_l2_loss
+from .tensor import GradTape, Tensor, _map_in_order, backward, relative_l2_loss
 
 __all__ = ["TrainConfig", "TrainReport", "TrainingError",
            "AdamState", "adam_step", "clip_gradients", "cosine_lr",
@@ -36,13 +35,18 @@ BETA2 = 0.999
 ADAM_EPS = 1e-8
 
 # Points x hidden width of one sample from which `evaluate` and `train` use
-# threads. Two threads against one at C=64 (2 CPUs, 1 BLAS thread): forward
+# threads, and the least work `evaluate` gives one row block of a sample.
+# Two threads against one at C=64 (2 CPUs, 1 BLAS thread): forward
 # passes (two sweeps, BENCH_12.json) ran 0.92-1.16x at M=256, where the GIL
 # dominates and the tail latency of 16-sample calls rose; 1.28-1.58x at
 # M=576, 1.44-1.72x at 1024, 1.84-1.95x at 2304 and 1.66-1.85x at 4096.
 # Training with recomputed blocks on two threads against serial full-tape
 # training (BENCH_14.json) ran 0.84x at M=256, 1.05x at 576, 1.20x at 1024
-# and 1.44x at 4096.
+# and 1.44x at 4096. One sample's forward (L=4, K=8) on two row blocks
+# against one, medians of 15 interleaved calls in three sweeps, ran
+# 0.89-1.15x at M=576 (blocks of 256 and 320 rows), 0.98-1.13x at 784,
+# 1.12-1.14x at 1024, 1.26-1.34x at 1600, 1.37-1.46x at 2304 and
+# 1.67-1.76x at 4096; so rows split in two from M=1024.
 _THREAD_MIN_ACTIVATIONS = 512 * 64
 
 
@@ -172,37 +176,14 @@ def _sample_workers(n_samples: int, activations: int) -> int:
     return min(len(os.sched_getaffinity(0)), n_samples)
 
 
-def _map_in_order(fn, items, workers: int) -> list:
-    """``[fn(x) for x in items]``, with the items dealt round-robin to
-    `workers` threads, the calling thread among them.
-
-    Every thread is joined before this returns or raises. A thread stops at
-    its first error, and the error of the lowest failing position is raised,
-    the one a serial loop would raise.
-    """
-    results = [None] * len(items)
-    errors = {}
-
-    def run(first):
-        for j in range(first, len(items), workers):
-            try:
-                results[j] = fn(items[j])
-            except BaseException as exc:
-                errors[j] = exc
-                return
-
-    threads = []
-    try:
-        for w in range(1, workers):
-            threads.append(threading.Thread(target=run, args=(w,)))
-            threads[-1].start()
-        run(0)
-    finally:
-        for t in threads:
-            t.join()
-    if errors:
-        raise errors[min(errors)]
-    return results
+def _row_workers(sample_workers: int, activations: int) -> int:
+    """Row blocks `evaluate` cuts each sample's blocks into: the CPUs that its
+    `sample_workers` sample threads leave idle, shared out, and at most one
+    block per `_THREAD_MIN_ACTIVATIONS` of the sample."""
+    if not hasattr(os, "sched_getaffinity"):
+        return 1
+    cpus = len(os.sched_getaffinity(0))
+    return max(1, min(cpus // sample_workers, activations // _THREAD_MIN_ACTIVATIONS))
 
 
 def evaluate(m: OperatorModel, ds: data_mod.Dataset, split: str = "test") -> dict:
@@ -214,9 +195,11 @@ def evaluate(m: OperatorModel, ds: data_mod.Dataset, split: str = "test") -> dic
     raises TrainingError. The KNN index is cached on the geometry.
 
     Samples run on `_sample_workers` threads, the caller's among them; numpy
-    releases the GIL in the kernels that dominate a large forward pass. Each
-    sample's result is computed alone and kept in index order, so the output
-    is the same for any thread count.
+    releases the GIL in the kernels that dominate a large forward pass. The
+    CPUs those leave idle split each sample's rows (`_row_workers`), as when
+    one large sample is evaluated alone. Each sample's result is computed
+    alone and kept in index order, so the output is the same for any thread
+    count.
     """
     check_compatible(m.config, ds)
     if isinstance(split, str):
@@ -237,11 +220,17 @@ def evaluate(m: OperatorModel, ds: data_mod.Dataset, split: str = "test") -> dic
         raise TrainingError(f"split {split!r} selects no samples")
     knn = knn_indices_accelerated(ds.geometry, m.config.k)
     stats = ds.stats
+    activations = ds.geometry.m * m.config.hidden
+    workers = _sample_workers(len(indices), activations)
+    rows = _row_workers(workers, activations)
+    # With unsplit rows the call keeps forward's four-argument form, which a
+    # caller's substitute for `forward` (a fake or a profiler) may take.
+    split = {"row_workers": rows} if rows > 1 else {}
 
     def rel_errors(i):
         x_norm = data_mod.normalize(ds.inputs.data[i], stats["input_mean"],
                                     stats["input_std"])
-        pred_norm = forward(m, Tensor(x_norm), ds.geometry, knn).data
+        pred_norm = forward(m, Tensor(x_norm), ds.geometry, knn, **split).data
         raw = ds.outputs.data[i]
         pred = data_mod.denormalize(pred_norm, stats["output_mean"],
                                     stats["output_std"])
@@ -249,7 +238,6 @@ def evaluate(m: OperatorModel, ds: data_mod.Dataset, split: str = "test") -> dic
         return (float(np.linalg.norm(pred - raw) / np.linalg.norm(raw)),
                 float(np.linalg.norm(pred_norm - y_norm) / np.linalg.norm(y_norm)))
 
-    workers = _sample_workers(len(indices), ds.geometry.m * m.config.hidden)
     pairs = _map_in_order(rel_errors, indices, workers)
     per_sample = [raw for raw, _ in pairs]
     per_sample_norm = [norm for _, norm in pairs]

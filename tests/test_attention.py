@@ -7,7 +7,7 @@ import pytest
 from scipy.special import erf
 
 from conftest import assert_mask_monotone, gradcheck_op
-from la2.attention import gla, global_attention, la2_layer, local_attention
+from la2.attention import global_attention, la2_layer, local_attention
 from la2.geometry import KnnIndex, PointSet, knn_indices, relabel_knn
 from la2.model import ModelConfig, init_block
 from la2.tensor import Tensor, TensorError, soft_mask
@@ -258,20 +258,25 @@ class TestLocalAttention:
 
 
 class TestGla:
+    """The fusion of both branches, Linear(Concat(global, local)), inside the block."""
+
     def test_output_shape_at_paper_width(self, rng):
         p = make_params(rng, 128)
         knn = random_knn(rng, 256, 8)
         h = Tensor(rng.standard_normal((256, 128)))
-        assert gla(h, knn, p).shape == (256, 128)
+        assert la2_layer(h, knn, p).shape == (256, 128)
 
     def test_zero_fusion_weight_leaves_bias(self, rng):
+        # With the feed-forward's output zeroed too, the block adds exactly
+        # the fusion bias to its input.
         p = make_params(rng, 8)
         p.w_out.data[:] = 0.0
         p.b_out.data[:] = rng.standard_normal(8)
+        p.ff_w2.data[:] = 0.0
         knn = random_knn(rng, 10, 3)
         h = Tensor(rng.standard_normal((10, 8)))
-        out = gla(h, knn, p).data
-        assert np.abs(out - p.b_out.data).max() == 0.0
+        out = la2_layer(h, knn, p).data
+        assert np.abs(out - (h.data + p.b_out.data)).max() == 0.0
 
     def test_full_gradcheck(self, rng):
         p = make_params(rng, 4, alpha=5.0)
@@ -279,7 +284,7 @@ class TestGla:
         h = Tensor(rng.uniform(-2, 2, (6, 4)), requires_grad=True)
         wrt = [h, p.w_qg, p.b_qg, p.w_kg, p.w_vg, p.w_ql, p.w_kl, p.w_vl,
                p.w_out, p.b_out, p.mask_s]
-        gradcheck_op(lambda: gla(h, knn, p), wrt, rng)
+        gradcheck_op(lambda: la2_layer(h, knn, p), wrt, rng)
 
 
 class TestLa2Layer:
@@ -341,4 +346,4 @@ class TestMultiHead:
         knn = random_knn(rng, 5, 3)
         h = Tensor(rng.uniform(-1, 1, (5, 8)), requires_grad=True)
         wrt = [h, p.w_qg, p.w_kg, p.w_vg, p.w_ql, p.w_kl, p.w_vl]
-        gradcheck_op(lambda: gla(h, knn, p), wrt, rng)
+        gradcheck_op(lambda: la2_layer(h, knn, p), wrt, rng)

@@ -389,6 +389,20 @@ class TestBench:
         assert calls == []
         assert not (tmp_path / "b" / "bench.csv").exists()
 
+    def test_every_patch_size_checked_before_timing(self, tmp_path, monkeypatch, capsys):
+        # K=100 exceeds --local-m 64; neither the global cases nor local K=4
+        # may be timed first.
+        def timed(*args):
+            raise AssertionError(f"bench_case{args} ran before every case was checked")
+
+        monkeypatch.setattr(la2.bench, "bench_case", timed)
+        rc = main(["bench", "--out", str(tmp_path / "b"), "--kind", "all",
+                   "--sizes", "1024,2048", "--k-values", "4,100", "--local-m", "64",
+                   "--hidden", "16", "--repeats", "3"])
+        assert rc == EXIT_USAGE
+        assert "need 1 <= K <= M, got K=100, M=64" in capsys.readouterr().err
+        assert not (tmp_path / "b" / "bench.csv").exists()
+
     @pytest.mark.parametrize("flag,value", [
         ("--repeats", "0"), ("--sizes", "64,0"), ("--k-values", "4,-8"),
         ("--local-m", "-64")], ids=["repeats", "sizes", "k_values", "local_m"])

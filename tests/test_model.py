@@ -2,6 +2,7 @@
 
 import json
 import struct
+import threading
 import tracemalloc
 
 import numpy as np
@@ -149,9 +150,9 @@ class TestForward:
         pts, knn, f_in = darcy_like_instance(rng, 12, cfg)
         seen = []
 
-        def counting(h, knn, p):
+        def counting(h, knn, p, row_workers):
             seen.append(p)
-            return la2_layer(h, knn, p)
+            return la2_layer(h, knn, p, row_workers)
 
         monkeypatch.setattr(la2.model, "la2_layer", counting)
         forward(m, f_in, pts, knn)
@@ -265,6 +266,88 @@ class TestRecompute:
         assert (full[0], once[0]) == (19, 2)
         assert np.array_equal(full[1], once[1])
         assert all(np.array_equal(a, b) for a, b in zip(full[2], once[2]))
+
+
+class TestRowWorkers:
+    """forward splits each block's rows across threads; its results must not show it."""
+
+    @staticmethod
+    def perturbed_model(heads, layers=2):
+        m = init_model(ModelConfig(1, 2, 1, k=8, layers=layers, hidden=64, heads=heads,
+                                   seed=2))
+        rng = np.random.default_rng(heads)
+        for _, p in m.named_parameters():      # off the zero biases and mask logits
+            p.data += 0.05 * rng.standard_normal(p.shape)
+        return m
+
+    @pytest.mark.parametrize("g, heads", [(33, 1), (33, 2), (64, 2)],
+                             ids=["M1089", "M1089-heads2", "M4096-heads2"])
+    def test_any_row_workers_give_the_same_bytes(self, g, heads):
+        # M=1089 is odd, so no cut is even; both sizes are above the 2 x 512
+        # x 64 points x width from which evaluate splits rows.
+        ds = generate_darcy(n=1, g=g, seed=6)
+        assert ds.geometry.m * 64 >= 2 * _THREAD_MIN_ACTIVATIONS
+        m = self.perturbed_model(heads)
+        knn = knn_indices_accelerated(ds.geometry, 8)
+        f_in = Tensor(ds.inputs.data[0])
+        before = threading.active_count()
+        one = forward(m, f_in, ds.geometry, knn).data
+        for workers in (2, 3):
+            out = forward(m, f_in, ds.geometry, knn, row_workers=workers).data
+            assert np.array_equal(out, one), workers
+        assert threading.active_count() == before
+
+    # numpy's overflow warnings: np.errstate would not reach the started thread.
+    @pytest.mark.filterwarnings("ignore::RuntimeWarning")
+    @pytest.mark.parametrize("stage", ["A", "B"])
+    def test_non_finite_in_second_block_raises_the_serial_error(self, stage):
+        # Row 3000 is in the second of two blocks. Stage A: its layer_norm
+        # mean overflows. Stage B: the attention residual overflows there,
+        # and nowhere else, since only that row is near the largest float.
+        rng = np.random.default_rng(8)
+        p = init_block(rng, ModelConfig(1, 2, 1, k=8, hidden=64, seed=2))
+        knn = knn_indices_accelerated(generate_darcy(n=1, g=64, seed=6).geometry, 8)
+        h = rng.standard_normal((4096, 64))
+        if stage == "A":
+            h[3000] = 1e307
+        else:
+            h[3000, 0] = 1.7e308
+            p.b_out.data[0] = 1e308
+        h = Tensor(h)
+        errors = {}
+        for workers in (1, 2):
+            before = threading.active_count()
+            with pytest.raises(TensorError) as info:
+                la2_layer(h, knn, p, row_workers=workers)
+            assert threading.active_count() == before
+            errors[workers] = (type(info.value), str(info.value))
+        assert errors[1] == errors[2]
+        assert errors[1][0] is TensorError
+
+    def test_rows_never_split_under_a_tape(self, monkeypatch):
+        ds = generate_darcy(n=1, g=33, seed=6)
+        m = self.perturbed_model(1)
+        knn = knn_indices_accelerated(ds.geometry, 8)
+        started = []
+        start = threading.Thread.start
+
+        def counted(thread):
+            started.append(thread)
+            start(thread)
+
+        monkeypatch.setattr(threading.Thread, "start", counted)
+        runs = []
+        for workers in (1, 3):
+            x = Tensor(ds.inputs.data[0])
+            with GradTape() as tape:
+                loss = relative_l2_loss(forward(m, x, ds.geometry, knn, row_workers=workers),
+                                        Tensor(ds.outputs.data[0]))
+                grads = backward(loss, tape)
+            runs.append((len(tape), loss.data, [grads[p] for _, p in m.named_parameters()]))
+        assert started == []
+        assert runs[0][0] == runs[1][0] == 5 + 18 * 2
+        assert np.array_equal(runs[0][1], runs[1][1])
+        assert all(np.array_equal(a, b) for a, b in zip(runs[0][2], runs[1][2]))
 
 
 class TestMaskTrajectory:

@@ -241,6 +241,27 @@ class TestLinearAttention:
         q, k, v = (leaf(None, rng, (5, 4)) for _ in range(3))
         gradcheck_op(lambda: T.linear_attention(q, k, v, heads), [q, k, v], rng)
 
+    @pytest.mark.parametrize("heads", [1, 2])
+    def test_query_rows_of_their_own(self, rng, heads):
+        # Queries need not be the keys' rows: a block of query rows against
+        # all keys, with the key side formed once, is the whole op's rows.
+        q, k, v = (leaf(None, rng, (m, 4)) for m in (3, 7, 7))
+        gradcheck_op(lambda: T.linear_attention(q, k, v, heads), [q, k, v], rng)
+        qk = Tensor(rng.uniform(-2, 2, (7, 4)))
+        whole = T.linear_attention(qk, k, v, heads).data
+        sums = T.linear_attention_sums(k, v, heads)
+        for rows in (slice(0, 2), slice(2, 7)):
+            part = T.linear_attention(Tensor(qk.data[rows]), k, v, heads, sums)
+            assert np.array_equal(part.data, whole[rows])
+
+    def test_sums_of_other_keys_rejected(self, rng):
+        q, k, v = (Tensor(rng.standard_normal((5, 4))) for _ in range(3))
+        sums = T.linear_attention_sums(k, v, 2)
+        with pytest.raises(TensorError, match="other keys"):
+            T.linear_attention(q, Tensor(k.data), v, 2, sums)
+        with pytest.raises(TensorError, match="other keys"):
+            T.linear_attention(q, k, v, 1, sums)
+
     @pytest.mark.parametrize("case", [
         "k_shape", "v_shape", "q_1d", "zero_width", "heads_not_dividing", "zero_heads",
         "not_a_tensor"])
@@ -264,6 +285,64 @@ class TestLinearAttention:
             k = k.data
         with pytest.raises(TensorError):
             T.linear_attention(q, k, v, heads)
+
+
+class TestRowBlocks:
+    """Row blocks of an untaped pass, and the products they must not change."""
+
+    @pytest.mark.parametrize("m", [4096, 4099, 1090])
+    @pytest.mark.parametrize("heads", [1, 2])
+    def test_row_sliced_products_bit_equal(self, m, heads):
+        # The products of one block at C=64, d=32, C_out=1, on the two row
+        # blocks `forward` cuts at M: each block's rows must equal the whole
+        # product's bit for bit, though BLAS may pick another kernel for each
+        # shape. The [.., 1] products run as matrix-vector kernels; at M=4099
+        # and 1090, halves not aligned to `_ROW_ALIGN` would fail them.
+        rng = np.random.default_rng(m + heads)
+        c, d = 64, 32
+        dh = d // heads
+        blocks = T.row_blocks(m, 2)
+        assert len(blocks) == 2
+        x = rng.standard_normal((m, c))
+        wide = rng.standard_normal((m, 2 * c))
+        # Positive rows summing to 1 in each head, as linear_attention's Qn.
+        qn = rng.uniform(0.83, 3.0, (m, d)).reshape(m, heads, dh).transpose(1, 0, 2)
+        qn = qn / qn.sum(axis=-1, keepdims=True)
+        products = [
+            (x, rng.standard_normal((c, d))),
+            (x, rng.standard_normal((c, 2 * c))),
+            (wide, rng.standard_normal((2 * c, c))),
+            (x, rng.standard_normal((c, 1))),
+            (qn, rng.standard_normal((heads, dh, dh))),
+            (qn, rng.standard_normal((heads, dh, 1))),
+        ]
+        for a, b in products:
+            whole = a @ b
+            for rows in blocks:
+                assert np.array_equal(a[..., rows, :] @ b, whole[..., rows, :]), \
+                    (a.shape, b.shape, rows)
+
+    def test_blocks_cover_rows_in_aligned_starts(self):
+        for m, parts in [(4096, 2), (4097, 3), (1089, 2), (130, 5)]:
+            blocks = T.row_blocks(m, parts)
+            assert blocks[0].start == 0 and blocks[-1].stop == m
+            assert all(a.stop == b.start for a, b in zip(blocks, blocks[1:]))
+            assert all(r.start % T._ROW_ALIGN == 0 for r in blocks)
+        assert len(T.row_blocks(4097, 3)) == 3
+        assert len(T.row_blocks(130, 5)) == 2                  # two aligned starts
+        assert T.row_blocks(127, 2) == T.row_blocks(4096, 1) == [slice(None)]
+
+    def test_one_block_and_any_tape_leave_tensors_as_they_are(self, rng):
+        x = leaf(None, rng, (256, 3))
+        assert T.row_blocks(256, 4) == [slice(0, 64), slice(64, 128),
+                                        slice(128, 192), slice(192, 256)]
+        with GradTape():
+            assert T.row_blocks(256, 4) == [slice(None)]
+        assert T.take_rows(x, slice(None)) is x
+        assert T.concat_rows([x]) is x
+        parts = [T.take_rows(x, r) for r in T.row_blocks(256, 4)]
+        assert np.shares_memory(parts[1].data, x.data)
+        assert np.array_equal(T.concat_rows(parts).data, x.data)
 
 
 class TestLayerNorm:

@@ -453,6 +453,54 @@ class TestParallelTrain:
         assert len(set(threads)) == 2
 
 
+class TestRowSplitEvaluate:
+    """One large sample's rows are split across the CPUs that sample threads
+    leave idle; the results must not show it."""
+
+    cpus = TestParallelEvaluate.cpus
+
+    def test_one_large_sample_same_bytes_on_one_two_and_three_cpus(self, monkeypatch):
+        # 1600 points x width 64 is three times the cutoff, room for three
+        # row blocks.
+        ds = D.generate_darcy(n=2, g=40, seed=24)
+        m = tiny_model(ds, layers=2, hidden=64, k=8)
+        started = []
+        start = threading.Thread.start
+
+        def counted(thread):
+            started.append(thread)
+            start(thread)
+
+        monkeypatch.setattr(threading.Thread, "start", counted)
+        results = {}
+        for n in (1, 2, 3):
+            self.cpus(monkeypatch, n)
+            started.clear()
+            before = threading.active_count()
+            results[n] = result_bytes(TR.evaluate(m, ds, [1]))
+            assert threading.active_count() == before
+            # n - 1 started threads in each of the encoder and, per block,
+            # stage A, the key features, stage B and stage C.
+            assert len(started) == (1 + 2 * 4) * (n - 1)
+        assert results[1] == results[2] == results[3]
+
+    def test_row_worker_count(self, monkeypatch):
+        # Pure arithmetic: computing the count starts no thread.
+        cut = TR._THREAD_MIN_ACTIVATIONS
+        before = threading.active_count()
+        self.cpus(monkeypatch, 2)
+        assert TR._row_workers(1, 8 * cut) == 2
+        assert TR._row_workers(2, 8 * cut) == 1
+        assert TR._row_workers(1, 2 * cut - 1) == 1
+        self.cpus(monkeypatch, 10_000)
+        assert TR._row_workers(1, 8 * cut) == 8
+        assert TR._row_workers(3, 8 * cut) == 8
+        assert TR._row_workers(3, cut) == 1
+        self.cpus(monkeypatch, 1)
+        assert TR._row_workers(1, 8 * cut) == 1
+        assert threading.active_count() == before
+
+
 class TestTrainLoop:
     def test_report_structure_and_learning(self, tiny_darcy, tmp_path):
         m = tiny_model(tiny_darcy)
