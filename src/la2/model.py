@@ -177,18 +177,19 @@ def forward(m: OperatorModel, f_in: Tensor, x: PointSet, knn: KnnIndex,
             recompute_blocks: bool = False, row_workers: int = 1) -> Tensor:
     """Apply encoder, the L blocks in order, and the output projection.
 
-    With `recompute_blocks`, each block is one `recompute` tape entry, re-run
-    in backward: an active tape then holds a block's input and output instead
-    of its intermediates, and the gradients are the same bit for bit. The
-    encoder and each block split the rows across `row_workers` threads
-    (`la2_layer`), except under an active tape; the output is the same bit
-    for bit.
+    With `recompute_blocks`, each block but the last is one `recompute` tape
+    entry, re-run in backward: an active tape then holds such a block's input
+    and output instead of its intermediates. The last block is taped in
+    full, since its backward starts as soon as the forward ends. The
+    gradients are the same bit for bit. The encoder and each block split the
+    rows across `row_workers` threads (`la2_layer`), except under an active
+    tape; the output is the same bit for bit.
     """
     if knn.m != x.m:
         raise TensorError("KNN index does not match the point set")
     h = encode(f_in, x, m, row_workers)
-    for blk in m.blocks:
-        if recompute_blocks:
+    for i, blk in enumerate(m.blocks):
+        if recompute_blocks and i < len(m.blocks) - 1:
             h = recompute(lambda t, blk=blk: la2_layer(t, knn, blk, row_workers), h,
                           [p for _, p in blk.named_params()])
         else:

@@ -121,12 +121,14 @@ class GradTape:
 
     Entries are ``(out, inputs, rule)``; ``rule(out_grad)`` returns one
     gradient array (or None) per input. A tape records the ops of the thread
-    that entered it, at most one tape is active per thread, and a tape is
-    discarded after its backward pass.
+    that entered it, and at most one tape is active per thread. `backward`
+    consumes the tape, popping each entry and so freeing what it saved as it
+    goes; a second backward on it is an error.
     """
 
     def __init__(self):
         self._entries: list[tuple[Tensor, tuple[Tensor, ...], Callable]] = []
+        self._consumed = False
 
     def __len__(self) -> int:
         return len(self._entries)
@@ -200,8 +202,11 @@ def _map_in_order(fn, items, workers: int) -> list:
 
 def _backprop(tape: GradTape, grads: dict[int, np.ndarray]) -> dict[int, np.ndarray]:
     """Reverse-replay `tape` from the seed gradients `grads`, keyed by tensor
-    identity, which it updates and returns."""
-    for out, inputs, rule in reversed(tape._entries):
+    identity, which it updates and returns. It pops each entry before its
+    rule runs; the caller keeps the leaves alive, so no key is reused."""
+    entries = tape._entries
+    while entries:
+        out, inputs, rule = entries.pop()
         gout = grads.pop(id(out), None)
         if gout is None:
             continue
@@ -221,22 +226,21 @@ def backward(loss: Tensor, tape: GradTape) -> dict[Tensor, np.ndarray]:
     keyed by tensor identity: its accumulated gradient if reachable from the
     loss, zeros otherwise. A rule may hand one array to several inputs (`add`
     does), so gradients accumulate out of place and never write through it.
+    The replay consumes the tape (see `GradTape`): it is empty afterwards.
     """
     if loss.data.size != 1:
         raise TensorError(f"loss must be scalar, got shape {loss.shape}")
+    if tape._consumed:
+        raise TensorError("tape already consumed by backward")
     produced = {id(out) for out, _, _ in tape._entries}
     if id(loss) not in produced:
         raise TensorError("loss was not recorded on this tape")
+    leaves = {id(t): t for _, inputs, _ in tape._entries for t in inputs
+              if t.requires_grad and id(t) not in produced}
 
+    tape._consumed = True
     grads = _backprop(tape, {id(loss): np.ones_like(loss.data)})
-
-    result: dict[Tensor, np.ndarray] = {}
-    for _, inputs, _ in tape._entries:
-        for t in inputs:
-            if t.requires_grad and id(t) not in produced and t not in result:
-                g = grads.get(id(t))
-                result[t] = np.zeros_like(t.data) if g is None else g
-    return result
+    return {t: grads[i] if i in grads else np.zeros_like(t.data) for i, t in leaves.items()}
 
 
 def _check_tensor(t, name: str) -> None:
@@ -345,16 +349,21 @@ def layer_norm(x: Tensor, gamma: Tensor, beta: Tensor) -> Tensor:
     xhat *= inv
 
     def rule(g):
-        xhat = (xd - mu) * inv                      # the forward's, recomputed
+        xhat = xd - mu                              # the forward's, recomputed
+        xhat *= inv
         g2 = g.reshape(-1, c)
         dbeta = g2.sum(axis=0)
         dgamma = (g2 * xhat.reshape(-1, c)).sum(axis=0)
         gh = g * gd
-        dx = inv * (gh - gh.mean(axis=-1, keepdims=True)
-                    - xhat * (gh * xhat).mean(axis=-1, keepdims=True))
-        return dx, dgamma, dbeta
+        xhat *= (gh * xhat).mean(axis=-1, keepdims=True)
+        gh -= gh.mean(axis=-1, keepdims=True)
+        gh -= xhat
+        gh *= inv
+        return gh, dgamma, dbeta
 
-    return _result(gd * xhat + beta.data, (x, gamma, beta), rule)
+    xhat *= gd
+    xhat += beta.data
+    return _result(xhat, (x, gamma, beta), rule)
 
 
 def _check_heads(heads: int, d: int) -> None:
@@ -439,9 +448,11 @@ def _positive_features(x: np.ndarray):
     """Rows of gelu(x) + 1, each normalized to sum 1, with the gelu CDF and
     the row sums that backward needs: (cdf, features, sums)."""
     cdf = _gelu_cdf(x)
-    phi = x * cdf + 1.0
+    phi = x * cdf
+    phi += 1.0
     s = phi.sum(axis=-1, keepdims=True)
-    return cdf, phi / s, s
+    phi /= s
+    return cdf, phi, s
 
 
 class _KeySums(NamedTuple):
@@ -514,8 +525,9 @@ def linear_attention(q: Tensor, k: Tensor, v: Tensor, heads: int,
     ratio = (qn @ kv) / den
 
     def features_grad(x, cdf, n, s, gn):                # through n = phi / sum(phi)
-        gphi = (gn - (gn * n).sum(axis=-1, keepdims=True)) / s
-        return _merge_heads(gphi * _gelu_grad(x, cdf))
+        gphi = gn - (gn * n).sum(axis=-1, keepdims=True)
+        gphi /= s
+        return _merge_heads(_gelu_grad(x, cdf, gphi))
 
     def rule(g):
         gh = _split_heads(g, heads)
@@ -570,14 +582,27 @@ def soft_mask(s: Tensor, k: int, alpha: float) -> Tensor:
     return _result(w, (s,), rule)
 
 
+# GELU kernels: the same steps in the same order, in place in arrays of their own.
+
 def _gelu_cdf(x: np.ndarray) -> np.ndarray:
-    """Standard normal CDF; gelu(x) = x * cdf(x)."""
-    return 0.5 * (1.0 + _erf(x * _INV_SQRT2))
+    """Standard normal CDF, 0.5 * (1 + erf(x / sqrt 2)); gelu(x) = x * cdf(x)."""
+    cdf = x * _INV_SQRT2
+    _erf(cdf, out=cdf)
+    cdf += 1.0
+    cdf *= 0.5
+    return cdf
 
 
-def _gelu_grad(x: np.ndarray, cdf: np.ndarray) -> np.ndarray:
-    """d gelu / dx = cdf(x) + x * pdf(x)."""
-    return cdf + x * (np.exp(-0.5 * x * x) * _INV_SQRT_2PI)
+def _gelu_grad(x: np.ndarray, cdf: np.ndarray, g: np.ndarray) -> np.ndarray:
+    """g * d gelu / dx = g * (cdf(x) + x * pdf(x))."""
+    d = -0.5 * x
+    d *= x
+    np.exp(d, out=d)
+    d *= _INV_SQRT_2PI
+    d *= x
+    d += cdf
+    d *= g
+    return d
 
 
 def gelu(x: Tensor) -> Tensor:
@@ -585,7 +610,7 @@ def gelu(x: Tensor) -> Tensor:
     _check_tensor(x, "x")
     xd = x.data
     cdf = _gelu_cdf(xd)
-    return _result(xd * cdf, (x,), lambda g: (g * _gelu_grad(xd, cdf),))
+    return _result(xd * cdf, (x,), lambda g: (_gelu_grad(xd, cdf, g),))
 
 
 def add(a: Tensor, b: Tensor) -> Tensor:

@@ -261,10 +261,10 @@ def train(m: OperatorModel, ds: data_mod.Dataset, cfg: TrainConfig,
 
     A batch's samples run on `_sample_workers` threads, the caller's among
     them, in waves of one sample per thread. With more than one thread each
-    block is recomputed in backward (`forward(..., recompute_blocks=True)`),
-    so the concurrent tapes together hold less than one full tape. Each
-    wave's gradients and losses are added in sample order once the wave has
-    ended, so every result is the same for any thread count.
+    block but the last is recomputed in backward (`forward(...,
+    recompute_blocks=True)`), so the concurrent tapes together hold less than
+    one full tape. Each wave's gradients and losses are added in sample order
+    once the wave has ended, so every result is the same for any thread count.
     """
     check_compatible(m.config, ds)
     train_idx = ds.train_indices

@@ -188,15 +188,16 @@ class TestForward:
             m = init_model(cfg)
             pts, knn, f_in = darcy_like_instance(np.random.default_rng(0), 16, cfg)
             with GradTape() as tape:
-                backward(relative_l2_loss(forward(m, f_in, pts, knn), Tensor(np.ones((16, 1)))),
-                         tape)
-            lengths.append(len(tape))
-        assert lengths[0] == lengths[1]
+                loss = relative_l2_loss(forward(m, f_in, pts, knn), Tensor(np.ones((16, 1))))
+                lengths.append(len(tape))           # backward consumes the tape
+                backward(loss, tape)
+        assert lengths[0] == lengths[1] == 5 + 18 * cfg.layers
 
     @staticmethod
     def taped_bytes(recompute_blocks):
         """Tape length and live bytes after one forward pass and loss, L=2,
-        C=64, M=1024, and the bytes of one [M, C] float64 array."""
+        C=64, M=1024, the peak bytes through the backward that follows, and
+        the bytes of one [M, C] float64 array."""
         ds = generate_darcy(n=1, g=32, seed=3)
         cfg = ModelConfig(in_channels=1, coord_channels=2, out_channels=1, k=8,
                           layers=2, hidden=64, seed=0)
@@ -206,12 +207,15 @@ class TestForward:
         tracemalloc.start()
         try:
             with GradTape() as tape:
-                relative_l2_loss(forward(m, f_in, ds.geometry, knn,
-                                         recompute_blocks=recompute_blocks), target)
+                loss = relative_l2_loss(forward(m, f_in, ds.geometry, knn,
+                                                recompute_blocks=recompute_blocks), target)
+                entries = len(tape)
                 live, _ = tracemalloc.get_traced_memory()
+                backward(loss, tape)
+                _, peak = tracemalloc.get_traced_memory()
         finally:
             tracemalloc.stop()
-        return len(tape), live, 8 * ds.geometry.m * cfg.hidden
+        return entries, live, peak, 8 * ds.geometry.m * cfg.hidden
 
     def test_tape_footprint(self):
         # The serial (full) tape, which `train` records on one thread: a
@@ -221,19 +225,23 @@ class TestForward:
         # measured 31.3. Entries: 18 per block, 4 for encoder and projection,
         # 1 for the loss.
         layers = 2
-        entries, live, array_bytes = self.taped_bytes(False)
+        entries, live, _, array_bytes = self.taped_bytes(False)
         assert live <= 23 * array_bytes * layers, live / (array_bytes * layers)
         assert entries == 5 + 18 * layers
 
     def test_recomputed_tape_footprint(self):
-        # With recompute_blocks a block is one entry that keeps its input and
-        # output, so each block adds one [M, C] array, where the full tape
-        # keeps about 22.3; the encoder's entries hold 4 more. Measured: 6.09
-        # arrays in all at L=2.
+        # With recompute_blocks each block but the last is one entry that
+        # keeps its input and output, one [M, C] array, where the full tape
+        # keeps about 22.3; the encoder's entries hold 4 more, and the last
+        # block is taped in full. Measured: 25.3 arrays at L=2 after the
+        # forward, and a peak of 30.0 through backward, which frees each
+        # entry's arrays as it passes. Recomputing every block and keeping
+        # the whole tape until backward ends peaked at 35.3.
         layers = 2
-        entries, live, array_bytes = self.taped_bytes(True)
-        assert live <= (4.5 + layers) * array_bytes, live / array_bytes
-        assert entries == 5 + layers
+        entries, live, peak, array_bytes = self.taped_bytes(True)
+        assert live <= (4.5 + (layers - 1) + 23) * array_bytes, live / array_bytes
+        assert peak <= 32 * array_bytes, peak / array_bytes
+        assert entries == 5 + (layers - 1) + 18
 
 
 class TestRecompute:
@@ -255,8 +263,9 @@ class TestRecompute:
         def run(block):
             with GradTape() as tape:
                 loss = relative_l2_loss(block(x), target)
+                entries = len(tape)
                 grads = backward(loss, tape)
-            return len(tape), loss.data, [grads[t] for t in [x, *params]]
+            return entries, loss.data, [grads[t] for t in [x, *params]]
 
         def layer(t):
             return la2_layer(t, knn, blk)
@@ -267,7 +276,35 @@ class TestRecompute:
         assert np.array_equal(full[1], once[1])
         assert all(np.array_equal(a, b) for a, b in zip(full[2], once[2]))
 
+    @pytest.mark.parametrize("layers", [1, 2, 3])
+    @pytest.mark.parametrize("heads", [1, 2])
+    def test_every_block_but_the_last_recomputed(self, layers, heads):
+        # The last block's backward starts right after the forward, so
+        # forward tapes it in full; the gradients stay the full tape's.
+        cfg = tiny_config(layers=layers, heads=heads, hidden=16)
+        m = init_model(cfg)
+        rng = np.random.default_rng(layers)
+        for _, p in m.named_parameters():      # off the zero biases and mask logits
+            p.data += 0.05 * rng.standard_normal(p.shape)
+        pts, knn, f_in = darcy_like_instance(rng, 40, cfg)
+        target = Tensor(rng.standard_normal((40, 1)))
+        runs = []
+        for recompute_blocks in (False, True):
+            with GradTape() as tape:
+                loss = relative_l2_loss(forward(m, f_in, pts, knn,
+                                                recompute_blocks=recompute_blocks), target)
+                rules = [rule.__qualname__ for _, _, rule in tape._entries]
+                grads = backward(loss, tape)
+            runs.append((rules, loss.data, [grads[p] for _, p in m.named_parameters()]))
+        (full, *_), (once, *_) = runs
+        assert len(full) == 5 + 18 * layers
+        assert len(once) == 5 + (layers - 1) + 18
+        assert once.count("recompute.<locals>.rule") == layers - 1
+        assert np.array_equal(runs[0][1], runs[1][1])
+        assert all(np.array_equal(a, b) for a, b in zip(runs[0][2], runs[1][2]))
 
+
+@pytest.mark.threads
 class TestRowWorkers:
     """forward splits each block's rows across threads; its results must not show it."""
 
@@ -342,8 +379,9 @@ class TestRowWorkers:
             with GradTape() as tape:
                 loss = relative_l2_loss(forward(m, x, ds.geometry, knn, row_workers=workers),
                                         Tensor(ds.outputs.data[0]))
+                entries = len(tape)
                 grads = backward(loss, tape)
-            runs.append((len(tape), loss.data, [grads[p] for _, p in m.named_parameters()]))
+            runs.append((entries, loss.data, [grads[p] for _, p in m.named_parameters()]))
         assert started == []
         assert runs[0][0] == runs[1][0] == 5 + 18 * 2
         assert np.array_equal(runs[0][1], runs[1][1])

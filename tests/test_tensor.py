@@ -83,13 +83,13 @@ class TestLinear:
         target = rng.uniform(-1, 1, (3, 2))
         with GradTape() as tape:
             out = T.linear(x, w, b)
+            (_, _, rule), = (e for e in tape._entries if e[0] is out)
             grads = backward(T.relative_l2_loss(out, Tensor(target)), tape)
         g = loss_grad(out.data, target)
         assert set(grads) == {w, b}
         assert grads[w] == pytest.approx(x.data.T @ g, rel=1e-14, abs=1e-15)
         assert grads[b] == pytest.approx(g.sum(axis=0), rel=1e-14, abs=1e-15)
         # The rule does not form the input gradient that nothing reads.
-        (_, _, rule), = (e for e in tape._entries if e[0] is out)
         assert rule(np.ones((3, 2)))[0] is None
 
 
@@ -287,6 +287,7 @@ class TestLinearAttention:
             T.linear_attention(q, k, v, heads)
 
 
+@pytest.mark.threads
 class TestRowBlocks:
     """Row blocks of an untaped pass, and the products they must not change."""
 
@@ -596,6 +597,144 @@ class TestBackward:
         assert np.array_equal(gmap[a], [12.0])
         assert np.array_equal(gmap[b], [6.0])
 
+    def test_second_backward_on_a_consumed_tape(self):
+        x = Tensor([3.0], requires_grad=True)
+        with GradTape() as tape:
+            loss = T.relative_l2_loss(x, Tensor([1.0]))
+            backward(loss, tape)
+            assert len(tape) == 0
+            with pytest.raises(TensorError, match="tape already consumed by backward"):
+                backward(loss, tape)
+
+
+# The kernels as they were written out of place; the in-place ones must give
+# these values bit for bit.
+def old_gelu_cdf(x):
+    return 0.5 * (1.0 + T._erf(x * T._INV_SQRT2))
+
+
+def old_gelu_grad(x, cdf):
+    return cdf + x * (np.exp(-0.5 * x * x) * T._INV_SQRT_2PI)
+
+
+def old_positive_features(x):
+    cdf = old_gelu_cdf(x)
+    phi = x * cdf + 1.0
+    s = phi.sum(axis=-1, keepdims=True)
+    return cdf, phi / s, s
+
+
+def old_layer_norm(x, gd, bd, g):
+    """Output and (x, gamma, beta) gradients for output gradient g."""
+    c = x.shape[-1]
+    mu = x.mean(axis=-1, keepdims=True)
+    xhat = x - mu
+    inv = 1.0 / np.sqrt((xhat * xhat).mean(axis=-1, keepdims=True) + T._LN_EPS)
+    out = gd * (xhat * inv) + bd
+    xhat = (x - mu) * inv
+    g2 = g.reshape(-1, c)
+    gh = g * gd
+    dx = inv * (gh - gh.mean(axis=-1, keepdims=True)
+                - xhat * (gh * xhat).mean(axis=-1, keepdims=True))
+    return out, (dx, (g2 * xhat.reshape(-1, c)).sum(axis=0), g2.sum(axis=0))
+
+
+def old_linear_attention(q, k, v, heads, g):
+    """Output and (q, k, v) gradients for output gradient g."""
+    def split(x):
+        return x.reshape(x.shape[0], heads, -1).transpose(1, 0, 2)
+
+    def merge(x):
+        return x.transpose(1, 0, 2).reshape(x.shape[1], -1)
+
+    def features_grad(x, cdf, n, s, gn):
+        gphi = (gn - (gn * n).sum(axis=-1, keepdims=True)) / s
+        return merge(gphi * old_gelu_grad(x, cdf))
+
+    kx, vh, qx, gh = split(k), split(v), split(q), split(g)
+    kcdf, kn, ks = (a.transpose(1, 0, 2)
+                    for a in old_positive_features(k.reshape(k.shape[0], heads, -1)))
+    kv, zt = kn.transpose(0, 2, 1) @ vh, kn.sum(axis=1, keepdims=True)
+    qcdf, qn, qs = old_positive_features(qx)
+    den = qn @ zt.transpose(0, 2, 1)
+    ratio = (qn @ kv) / den
+    gnum = gh / den
+    gden = -(gh * ratio).sum(axis=-1, keepdims=True) / den
+    gqn = gh + gnum @ kv.transpose(0, 2, 1) + gden * zt
+    gkv = qn.transpose(0, 2, 1) @ gnum
+    gkn = vh @ gkv.transpose(0, 2, 1) + gden.transpose(0, 2, 1) @ qn
+    return merge(ratio + qn), (features_grad(qx, qcdf, qn, qs, gqn),
+                               features_grad(kx, kcdf, kn, ks, gkn), merge(kn @ gkv))
+
+
+class TestInPlaceKernels:
+    """The elementwise kernels work in place, in arrays of their own only."""
+
+    @staticmethod
+    def run(op, inputs, rng):
+        """op()'s output and its rule's gradients for a random output
+        gradient g. Neither the forward, the rule (run twice) nor a backward
+        through a loss writes into an input, g or the rule's saved arrays."""
+        before = [t.data.copy() for t in inputs]
+        with GradTape() as tape:
+            out = op()
+            (_, _, rule), = (e for e in tape._entries if e[0] is out)
+            g = rng.standard_normal(out.shape)
+            g_before = g.copy()
+            grads, again = rule(g), rule(g)
+            backward(T.relative_l2_loss(out, Tensor(rng.standard_normal(out.shape))), tape)
+        assert np.array_equal(g, g_before)
+        assert all(np.array_equal(a, b) for a, b in zip(grads, again))
+        assert all(np.array_equal(t.data, b) for t, b in zip(inputs, before))
+        return out.data, grads, g
+
+    @staticmethod
+    def assert_equal(got, want):
+        out, grads = got
+        assert np.array_equal(out, want[0])
+        assert len(grads) == len(want[1])
+        assert all(np.array_equal(a, b) for a, b in zip(grads, want[1]))
+
+    def test_gelu(self, rng):
+        x = leaf(None, rng, (300, 16))
+        out, grads, g = self.run(lambda: T.gelu(x), [x], rng)
+        cdf = old_gelu_cdf(x.data)
+        self.assert_equal((out, grads), (x.data * cdf, (g * old_gelu_grad(x.data, cdf),)))
+
+    def test_layer_norm(self, rng):
+        x, gamma, beta = leaf(None, rng, (300, 16)), leaf(None, rng, (16,)), leaf(None, rng, (16,))
+        out, grads, g = self.run(lambda: T.layer_norm(x, gamma, beta), [x, gamma, beta], rng)
+        self.assert_equal((out, grads), old_layer_norm(x.data, gamma.data, beta.data, g))
+
+    @pytest.mark.parametrize("heads", [1, 2])
+    def test_linear_attention_with_queries_of_their_own(self, rng, heads):
+        q, k, v = (leaf(None, rng, (m, 8)) for m in (130, 300, 300))
+        out, grads, g = self.run(lambda: T.linear_attention(q, k, v, heads), [q, k, v], rng)
+        self.assert_equal((out, grads),
+                          old_linear_attention(q.data, k.data, v.data, heads, g))
+
+    @pytest.mark.parametrize("heads", [1, 2])
+    def test_knn_attention_leaves_its_inputs(self, rng, heads):
+        q, k, v = (leaf(None, rng, (m, 8)) for m in (130, 300, 300))
+        w = leaf(None, rng, (4,))
+        idx = rng.integers(0, 300, (130, 4))
+        idx_before = idx.copy()
+        self.run(lambda: T.knn_attention(q, k, v, idx, w, heads), [q, k, v, w], rng)
+        assert np.array_equal(idx, idx_before)
+
+    @pytest.mark.parametrize("view", ["transposed", "strided"])
+    def test_kernels_on_a_non_contiguous_input(self, rng, view):
+        base = rng.uniform(-4.0, 4.0, (40, 64))
+        x = base.T if view == "transposed" else base[:, ::2]
+        g = rng.standard_normal(x.shape)
+        base_before = base.copy()
+        cdf = T._gelu_cdf(x)
+        assert np.array_equal(cdf, old_gelu_cdf(x))
+        assert np.array_equal(T._gelu_grad(x, cdf, g), g * old_gelu_grad(x, cdf))
+        for a, b in zip(T._positive_features(x), old_positive_features(x)):
+            assert np.array_equal(a, b)
+        assert np.array_equal(base, base_before)
+
 
 class TestRecompute:
     """One tape entry for a whole sub-computation, re-run in backward."""
@@ -625,8 +764,9 @@ class TestRecompute:
             loss = T.relative_l2_loss(T.recompute(self.block(w, b), x, [w, b]), r)
             assert len(tape) == 2
             grads = backward(loss, tape)
+            assert len(tape) == 0                 # backward consumed it
             T.add(x, x)
-            assert len(tape) == 3
+            assert len(tape) == 1
         for t in (x, w, b):
             assert np.array_equal(grads[t], full[t])
 
@@ -644,6 +784,7 @@ class TestRecompute:
         gradcheck_op(lambda: T.recompute(self.block(w, b), x, [w, b]), [w, b], rng)
 
 
+@pytest.mark.threads
 class TestTapeThreads:
     """The active tape is per thread: each thread records only its own ops."""
 

@@ -253,6 +253,7 @@ def result_bytes(res):
             np.array([res["rel_l2"], res["rel_l2_normalized"]]).tobytes(), res["n"])
 
 
+@pytest.mark.threads
 class TestParallelEvaluate:
     """evaluate spreads samples over threads; its results must not show it."""
 
@@ -365,6 +366,7 @@ class TestParallelEvaluate:
         assert threading.active_count() == before
 
 
+@pytest.mark.threads
 class TestParallelTrain:
     """train spreads a batch's samples over threads, recomputing each block in
     backward; its results must not show it."""
@@ -453,6 +455,7 @@ class TestParallelTrain:
         assert len(set(threads)) == 2
 
 
+@pytest.mark.threads
 class TestRowSplitEvaluate:
     """One large sample's rows are split across the CPUs that sample threads
     leave idle; the results must not show it."""
