@@ -87,12 +87,13 @@ def _local_qkv(h_bar: Tensor, p: GlaLayerParams) -> tuple[Tensor, Tensor, Tensor
 def global_attention(h_bar: Tensor, p: GlaLayerParams) -> Tensor:
     """Linear-attention global branch: Qn (Kn^T V) / D + Qn, cost O(M*d*dh).
 
-    Queries, keys and values are projected at [M, d]; one `linear_attention`
-    op maps each head's queries and keys to the positive features
-    gelu(x) + 1, row-normalized, so D = Qn (Kn^T 1) is positive and the
-    division needs no guard. The M x M score matrix is never formed.
+    Queries, keys and values are projected at [M, d]; the key sums and one
+    `linear_attention` op map each head's queries and keys to the positive
+    features gelu(x) + 1, row-normalized, so D = Qn (Kn^T 1) is positive and
+    the division needs no guard. The M x M score matrix is never formed.
     """
-    return linear_attention(*_global_qkv(h_bar, p), p.heads)
+    q, k, v = _global_qkv(h_bar, p)
+    return linear_attention(q, linear_attention_sums(k, v, p.heads))
 
 
 def local_attention(h_bar: Tensor, knn: KnnIndex, w: Tensor,
@@ -119,11 +120,12 @@ def la2_layer(h_prev: Tensor, knn: KnnIndex, p: GlaLayerParams,
     blocks, run on as many threads, the caller's among them; under an active
     GradTape that is one block on the caller. Stage A normalizes each block
     and projects it six ways. Between stages A and B the keys and values of
-    both branches are joined and the global sums are formed once. Stage B
-    runs the row side of both branches, fusion and the attention residual;
-    stage C, once the projections are freed, the feed-forward residual. A
-    row's arithmetic does not depend on the cut, so the output is the same
-    bit for bit for any `row_workers`, and with one block nothing is copied.
+    both branches are joined, and the global key side is formed once on the
+    calling thread. Stage B runs the row side of both branches, fusion and
+    the attention residual; stage C, once the projections are freed, the
+    feed-forward residual. A row's arithmetic does not depend on the cut, so
+    the output is the same bit for bit for any `row_workers`, and with one
+    block nothing is copied.
     """
     blocks = row_blocks(h_prev.shape[0], row_workers)
 
@@ -135,12 +137,12 @@ def la2_layer(h_prev: Tensor, knn: KnnIndex, p: GlaLayerParams,
     k_g, v_g, k_l, v_l = (concat_rows([t[j] for t in qkv]) for j in (1, 2, 4, 5))
     queries = [(t[0], t[3]) for t in qkv]
     del qkv                                 # frees the blocks' keys and values once joined
-    sums = linear_attention_sums(k_g, v_g, p.heads, row_workers)
+    sums = linear_attention_sums(k_g, v_g, p.heads)
     w = soft_mask(p.mask_s, knn.k, p.alpha)
 
     def attend(i):                                              # stage B
         rows, (q_g, q_l) = blocks[i], queries[i]
-        g = linear_attention(q_g, k_g, v_g, p.heads, sums)
+        g = linear_attention(q_g, sums)
         l = knn_attention(q_l, k_l, v_l, knn.idx[rows], w, p.heads)
         return add(linear(concat_lastdim(g, l), p.w_out, p.b_out), take_rows(h_prev, rows))
 

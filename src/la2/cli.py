@@ -44,7 +44,7 @@ MODEL_KEYS = tuple(f.name for f in fields(ModelConfig) if f.name not in DERIVED_
 TRAIN_KEYS = tuple(f.name for f in fields(TrainConfig) if f.name not in DERIVED_KEYS)
 
 # Field annotations are strings (postponed evaluation); each maps to the flag
-# converter, which is also the type a config-file value must already have.
+# converter. Config-file values are checked by the dataclasses themselves.
 FIELD_TYPES = {"int": int, "float": float, "int | None": int}
 # Flag help where the field name alone does not say it.
 FLAG_HELP = {"k": "neighbor patch size", "layers": "block count L",
@@ -97,25 +97,16 @@ def _write_sidecar(csv_path: Path, config: dict) -> None:
         fh.write("\n")
 
 
-def _typed(f, value):
-    """`value` if it already has field `f`'s type: int fields take ints (not
-    bools), float fields ints or floats, and only an optional field takes null."""
-    convert = FIELD_TYPES[f.type]
-    if value is None and f.type.endswith("| None"):
-        return None
-    accepted = (int, float) if convert is float else int
-    if isinstance(value, bool) or not isinstance(value, accepted):
-        raise UsageError(f"{f.name} must be {f.type}, got {json.dumps(value)}")
-    return convert(value)
-
-
 def _build(cls, cfg: dict, **fixed):
-    """`cls` from the config keys in `cfg`; the dataclass supplies the rest."""
+    """`cls` from the config keys in `cfg`; the dataclass supplies the rest
+    and rejects a value of the wrong type. An int for a float field widens."""
     kwargs = dict(fixed)
+    for f in fields(cls):
+        if f.name in cfg and f.name not in fixed:
+            value = cfg[f.name]
+            widen = f.type == "float" and type(value) is int
+            kwargs[f.name] = float(value) if widen else value
     try:
-        for f in fields(cls):
-            if f.name in cfg and f.name not in fixed:
-                kwargs[f.name] = _typed(f, cfg[f.name])
         return cls(**kwargs)
     except (TypeError, ValueError, TrainingError) as exc:
         raise UsageError(str(exc)) from exc
@@ -184,11 +175,14 @@ def cmd_eval(args) -> int:
 def _sweep(args, name: str, columns: tuple[str, ...], runs: list[dict]) -> int:
     """Train once per run (model config overrides plus label keys), after
     validating every run's config, and write ``<name>.csv`` with a sidecar.
-    A row holds each of `columns` from the run or its model config."""
+    A row holds each of `columns` from the run or its model config, the final
+    test metric, each layer's final sigma(s) as in ``report.csv`` (blank past
+    the run's depth) and the mean epoch seconds."""
     ds = data_mod.read_dataset(args.data)
     base = _resolved(args, MODEL_KEYS)
     tcfg = _train_config(args)
     configs = [_model_config(ds, {**base, **run}, args.seed) for run in runs]
+    depth = max(mcfg.layers for mcfg in configs)
     out = Path(args.out)
     out.mkdir(parents=True, exist_ok=True)
     rows = []
@@ -197,12 +191,14 @@ def _sweep(args, name: str, columns: tuple[str, ...], runs: list[dict]) -> int:
             report = train(init_model(mcfg), ds, tcfg)
         labels = [str({**asdict(mcfg), **run}[c]) for c in columns]
         err, sec = report.test_rel_l2[-1], float(np.mean(report.epoch_seconds))
-        rows.append(",".join(labels) + f",{err!r},{sec:.6f}")
+        sigma = [repr(s) for s in report.mask_sigma[-1]] + [""] * (depth - mcfg.layers)
+        rows.append(",".join([*labels, repr(err), *sigma, f"{sec:.6f}"]))
         print(" ".join(f"{c}={v}" for c, v in zip(columns, labels))
               + f": test rel L2 {err:.6f}, epoch {sec:.3f}s")
     csv_path = out / f"{name}.csv"
+    sigma_cols = [f"sigma_s_{i + 1}" for i in range(depth)]
     with open(csv_path, "w", encoding="utf-8") as fh:
-        fh.write(",".join(columns) + ",test_rel_l2,epoch_seconds\n")
+        fh.write(",".join([*columns, "test_rel_l2", *sigma_cols, "epoch_seconds"]) + "\n")
         fh.writelines(row + "\n" for row in rows)
     _write_sidecar(csv_path, {
         "data": str(args.data),

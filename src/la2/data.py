@@ -15,7 +15,9 @@ dims, then little-endian float64 values, row-major. A dataset directory holds
 from __future__ import annotations
 
 import json
+import math
 import struct
+import sys
 from dataclasses import dataclass
 from pathlib import Path
 
@@ -82,20 +84,22 @@ class Dataset:
 # Darcy finite-volume oracle
 # ---------------------------------------------------------------------------
 
+def _harmonic(p: np.ndarray, q: np.ndarray) -> np.ndarray:
+    """Harmonic mean, the coefficient on the face between two nodes."""
+    return 2.0 * p * q / (p + q)
+
+
 def _assemble_darcy(a: np.ndarray, g: int):
     """Sparse operator over the (g-2)^2 interior unknowns, u = 0 outside."""
     h2 = (g - 1.0) ** 2                     # 1 / h^2
     gi = g - 2
 
-    def harmonic(p, q):
-        return 2.0 * p * q / (p + q)
-
     # Face coefficients between an interior node and each neighbor.
     ai = a[1:-1, 1:-1]
-    an = harmonic(ai, a[:-2, 1:-1])
-    as_ = harmonic(ai, a[2:, 1:-1])
-    aw = harmonic(ai, a[1:-1, :-2])
-    ae = harmonic(ai, a[1:-1, 2:])
+    an = _harmonic(ai, a[:-2, 1:-1])
+    as_ = _harmonic(ai, a[2:, 1:-1])
+    aw = _harmonic(ai, a[1:-1, :-2])
+    ae = _harmonic(ai, a[1:-1, 2:])
 
     diag = (an + as_ + aw + ae) * h2
     node = np.arange(gi * gi).reshape(gi, gi)
@@ -157,16 +161,12 @@ def darcy_residual(a: Tensor, f: Tensor, u: Tensor) -> float:
     ad, fd, ud = a.data, f.data, u.data
     g = ad.shape[0]
     h2 = (g - 1.0) ** 2
-
-    def harmonic(p, q):
-        return 2.0 * p * q / (p + q)
-
     ai = ad[1:-1, 1:-1]
     ui = ud[1:-1, 1:-1]
-    flux = (harmonic(ai, ad[:-2, 1:-1]) * (ui - ud[:-2, 1:-1])
-            + harmonic(ai, ad[2:, 1:-1]) * (ui - ud[2:, 1:-1])
-            + harmonic(ai, ad[1:-1, :-2]) * (ui - ud[1:-1, :-2])
-            + harmonic(ai, ad[1:-1, 2:]) * (ui - ud[1:-1, 2:]))
+    flux = (_harmonic(ai, ad[:-2, 1:-1]) * (ui - ud[:-2, 1:-1])
+            + _harmonic(ai, ad[2:, 1:-1]) * (ui - ud[2:, 1:-1])
+            + _harmonic(ai, ad[1:-1, :-2]) * (ui - ud[1:-1, :-2])
+            + _harmonic(ai, ad[1:-1, 2:]) * (ui - ud[1:-1, 2:]))
     return float(np.abs(flux * h2 - fd[1:-1, 1:-1]).max())
 
 
@@ -335,7 +335,7 @@ def read_tensor_file(path) -> np.ndarray:
     if len(blob) < head:
         raise FormatError(f"{path}: truncated dims")
     shape = struct.unpack(f"<{rank}Q", blob[12:head])
-    count = int(np.prod(shape)) if rank else 1
+    count = math.prod(shape)                # Python ints: no overflow
     if len(blob) != head + 8 * count:
         raise FormatError(f"{path}: payload does not match shape {shape}")
     return np.frombuffer(blob[head:], dtype="<f8").reshape(shape).astype(np.float64)
@@ -372,7 +372,8 @@ def read_dataset(path) -> Dataset:
 
 
 def _check_manifest(ds: Dataset, where) -> None:
-    """Both splits index [0, N), train is non-empty, stats match the channels."""
+    """Both splits index [0, N), train is non-empty, stats match the channels,
+    every stat is finite and every standard deviation is positive."""
     man = ds.manifest
     if not isinstance(man, dict):
         raise FormatError(f"{where}: manifest must be a JSON object")
@@ -394,3 +395,8 @@ def _check_manifest(ds: Dataset, where) -> None:
         if not isinstance(vals, list) or len(vals) != c \
                 or not all(type(v) in (int, float) for v in vals):
             raise FormatError(f"{where}: stats.{key} must be a list of {c} numbers")
+        low = 0.0 if key.endswith("_std") else -math.inf
+        # An int past the largest float is not a finite float either.
+        if not all(low < v and abs(v) <= sys.float_info.max for v in vals):
+            kind = "positive and finite" if low == 0.0 else "finite"
+            raise FormatError(f"{where}: stats.{key} must be {kind}, got {vals}")

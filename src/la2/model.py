@@ -61,7 +61,8 @@ class ModelConfig:
     seed: int = 0
 
     def __post_init__(self):
-        if self.ff_hidden is None:
+        # Only an integer width derives one; validate names a mistyped hidden.
+        if self.ff_hidden is None and isinstance(self.hidden, numbers.Integral):
             self.ff_hidden = 2 * self.hidden
         self.validate()
 

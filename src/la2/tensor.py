@@ -470,15 +470,11 @@ class _KeySums(NamedTuple):
     zt: np.ndarray          # [H, 1, dh]: (Kn^T 1)^T
 
 
-def linear_attention_sums(k: Tensor, v: Tensor, heads: int,
-                          row_workers: int = 1) -> _KeySums:
-    """The reductions over all rows of `linear_attention`: each head's key
-    features Kn and the sums Kn^T V and Kn^T 1, for `k` and `v` [N, d].
-
-    Computed once, they serve any number of query row blocks; the taped op
-    forms them itself when it is given none. The features of each row are
-    its own, so they are formed on `row_blocks(N, row_workers)` threads.
-    """
+def linear_attention_sums(k: Tensor, v: Tensor, heads: int) -> _KeySums:
+    """The key side of `linear_attention`, formed once over all N rows of
+    `k` and `v` [N, d]: each head's key features Kn and the sums Kn^T V and
+    Kn^T 1. Every query row reads the same sums, so any number of query row
+    blocks share one."""
     for t, name in ((k, "k"), (v, "v")):
         _check_tensor(t, name)
     if k.ndim != 2 or v.shape != k.shape or min(k.shape) < 1:
@@ -487,38 +483,32 @@ def linear_attention_sums(k: Tensor, v: Tensor, heads: int,
     n, d = k.shape
     _check_heads(heads, d)
     rows = k.data.reshape(n, heads, d // heads)             # [N, H, dh]
-    blocks = row_blocks(n, row_workers)
-    parts = _map_in_order(lambda r: _positive_features(rows[r]), blocks, len(blocks))
-    kcdf, kn, ks = ((a[0] if len(a) == 1 else np.concatenate(a)).transpose(1, 0, 2)
-                    for a in zip(*parts))
+    kcdf, kn, ks = (a.transpose(1, 0, 2) for a in _positive_features(rows))
     vh = _split_heads(v.data, heads)
     return _KeySums(k, v, heads, rows.transpose(1, 0, 2), kcdf, kn, ks, vh,
                     kn.transpose(0, 2, 1) @ vh, kn.sum(axis=1, keepdims=True))
 
 
-def linear_attention(q: Tensor, k: Tensor, v: Tensor, heads: int,
-                     sums: _KeySums | None = None) -> Tensor:
+def linear_attention(q: Tensor, sums: _KeySums) -> Tensor:
     """Positive-feature linear attention per head: Qn (Kn^T V) / (Qn Kn^T 1) + Qn.
 
-    `q` is [M, d] and `k`, `v` are [N, d]; head h owns columns
+    `q` is [M, d]; `sums`, from `linear_attention_sums(k, v, heads)`, holds
+    the keys and values [N, d] and their side of the op. Head h owns columns
     [h*dh, (h+1)*dh) with dh = d/heads, viewed as [H, M, dh]. Qn and Kn are
     the rows of gelu(x) + 1 of each head's queries and keys, each normalized
     to sum 1. gelu is bounded below by about -0.17, so every feature is at
     least 0.83 and the denominator is positive by construction. Cost
-    O((M + N)*d*dh): the M x N score matrix is never formed. `sums`, from
-    `linear_attention_sums(k, v, heads)`, spares recomputing the key side
-    when several row blocks of queries share `k` and `v`; each output row
-    depends on its own query row and the sums only. The backward rule is
-    hand-written.
+    O((M + N)*d*dh): the M x N score matrix is never formed. Each output row
+    depends on its own query row and the sums only. The op is taped on
+    (q, k, v), with a hand-written backward rule.
     """
-    if sums is None:
-        sums = linear_attention_sums(k, v, heads)
-    elif sums.k is not k or sums.v is not v or sums.heads != heads:
-        raise TensorError("linear_attention sums were formed for other keys, values or heads")
+    if not isinstance(sums, _KeySums):
+        raise TensorError(f"linear_attention needs sums from linear_attention_sums, "
+                          f"got {type(sums).__name__}")
     _check_tensor(q, "q")
+    k, v, heads, kx, kcdf, kn, ks, vh, kv, zt = sums
     if q.ndim != 2 or q.shape[1] != k.shape[1]:
         raise TensorError(f"linear_attention needs q [M,{k.shape[1]}], got {q.shape}")
-    kx, kcdf, kn, ks, vh, kv, zt = sums[3:]
     qx = _split_heads(q.data, heads)
     qcdf, qn, qs = _positive_features(qx)
     den = qn @ zt.transpose(0, 2, 1)                # [H, M, 1]

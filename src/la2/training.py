@@ -167,23 +167,18 @@ def check_compatible(cfg: ModelConfig, ds: data_mod.Dataset) -> None:
         raise TrainingError(f"patch size {cfg.k} exceeds {ds.geometry.m} points")
 
 
-def _sample_workers(n_samples: int, activations: int) -> int:
-    """Threads `evaluate` or `train` runs `n_samples` samples on, the caller
-    included: one below `_THREAD_MIN_ACTIVATIONS` points x hidden width per
-    sample, else one per CPU this process may run on, at most one per sample."""
+def _threads(n_samples: int, activations: int) -> tuple[int, int]:
+    """The plan of `evaluate` and `train` for `n_samples` samples of
+    `activations` points x hidden width: (sample threads, the caller's among
+    them; row blocks per sample). (1, 1) below `_THREAD_MIN_ACTIVATIONS` or
+    when the CPU set cannot be read; else one sample thread per CPU, at most
+    one per sample, and the CPUs those leave idle split each sample's rows,
+    at most one block per `_THREAD_MIN_ACTIVATIONS`."""
     if activations < _THREAD_MIN_ACTIVATIONS or not hasattr(os, "sched_getaffinity"):
-        return 1
-    return min(len(os.sched_getaffinity(0)), n_samples)
-
-
-def _row_workers(sample_workers: int, activations: int) -> int:
-    """Row blocks `evaluate` cuts each sample's blocks into: the CPUs that its
-    `sample_workers` sample threads leave idle, shared out, and at most one
-    block per `_THREAD_MIN_ACTIVATIONS` of the sample."""
-    if not hasattr(os, "sched_getaffinity"):
-        return 1
+        return 1, 1
     cpus = len(os.sched_getaffinity(0))
-    return max(1, min(cpus // sample_workers, activations // _THREAD_MIN_ACTIVATIONS))
+    samples = min(cpus, n_samples)
+    return samples, max(1, min(cpus // samples, activations // _THREAD_MIN_ACTIVATIONS))
 
 
 def evaluate(m: OperatorModel, ds: data_mod.Dataset, split: str = "test") -> dict:
@@ -194,12 +189,12 @@ def evaluate(m: OperatorModel, ds: data_mod.Dataset, split: str = "test") -> dic
     "all", or a 1-D integer list of sample indices in [0, N); anything else
     raises TrainingError. The KNN index is cached on the geometry.
 
-    Samples run on `_sample_workers` threads, the caller's among them; numpy
-    releases the GIL in the kernels that dominate a large forward pass. The
-    CPUs those leave idle split each sample's rows (`_row_workers`), as when
-    one large sample is evaluated alone. Each sample's result is computed
-    alone and kept in index order, so the output is the same for any thread
-    count.
+    Samples run on the sample threads of `_threads`, the caller's among them,
+    and each sample's forward always gets that plan's row blocks, which use
+    the CPUs the sample threads leave idle. numpy releases the GIL in the
+    kernels that dominate a large forward pass. Each sample's result is
+    computed alone and kept in index order, so the output is the same for
+    any thread count.
     """
     check_compatible(m.config, ds)
     if isinstance(split, str):
@@ -221,16 +216,12 @@ def evaluate(m: OperatorModel, ds: data_mod.Dataset, split: str = "test") -> dic
     knn = knn_indices_accelerated(ds.geometry, m.config.k)
     stats = ds.stats
     activations = ds.geometry.m * m.config.hidden
-    workers = _sample_workers(len(indices), activations)
-    rows = _row_workers(workers, activations)
-    # With unsplit rows the call keeps forward's four-argument form, which a
-    # caller's substitute for `forward` (a fake or a profiler) may take.
-    split = {"row_workers": rows} if rows > 1 else {}
+    workers, rows = _threads(len(indices), activations)
 
     def rel_errors(i):
         x_norm = data_mod.normalize(ds.inputs.data[i], stats["input_mean"],
                                     stats["input_std"])
-        pred_norm = forward(m, Tensor(x_norm), ds.geometry, knn, **split).data
+        pred_norm = forward(m, Tensor(x_norm), ds.geometry, knn, row_workers=rows).data
         raw = ds.outputs.data[i]
         pred = data_mod.denormalize(pred_norm, stats["output_mean"],
                                     stats["output_std"])
@@ -259,9 +250,9 @@ def train(m: OperatorModel, ds: data_mod.Dataset, cfg: TrainConfig,
     (lowest test metric) is written to `checkpoint_path` when given. Every
     step and per-epoch evaluation uses the geometry's one cached KNN index.
 
-    A batch's samples run on `_sample_workers` threads, the caller's among
-    them, in waves of one sample per thread. With more than one thread each
-    block but the last is recomputed in backward (`forward(...,
+    A batch's samples run on the sample threads of `_threads`, the caller's
+    among them, in waves of one sample per thread. With more than one thread
+    each block but the last is recomputed in backward (`forward(...,
     recompute_blocks=True)`), so the concurrent tapes together hold less than
     one full tape. Each wave's gradients and losses are added in sample order
     once the wave has ended, so every result is the same for any thread count.
@@ -305,7 +296,7 @@ def train(m: OperatorModel, ds: data_mod.Dataset, cfg: TrainConfig,
             batch = order[start:start + cfg.batch_size]
             grads = [np.zeros_like(p.data) for p in params]
             batch_loss = 0.0
-            workers = _sample_workers(len(batch), activations)
+            workers = _threads(len(batch), activations)[0]
             # One wave at a time bounds the gradient maps held at once.
             for first in range(0, len(batch), workers):
                 wave = batch[first:first + workers]

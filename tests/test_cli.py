@@ -3,6 +3,7 @@
 import json
 import math
 import re
+import shutil
 import struct
 from dataclasses import MISSING, fields
 
@@ -162,6 +163,7 @@ class TestTrain:
                  "string-for-int": {"hidden": "8"},
                  "bool-for-int": {"layers": True},
                  "null-for-float": {"lr": None},
+                 "null-for-int": {"hidden": None},
                  "json-nan": {"clip_norm": math.nan}}
 
     @pytest.mark.parametrize("case", [*BAD_FLAGS, *BAD_FILES, "channel-mismatch",
@@ -184,7 +186,11 @@ class TestTrain:
             rc = main(["eval", "--data", str(data), "--checkpoint",
                        str(tiny_checkpoint(tmp_path / "m.la2c"))])
         assert rc == EXIT_USAGE
-        assert "error:" in capsys.readouterr().err
+        err = capsys.readouterr().err
+        assert "error:" in err
+        if case in self.BAD_FILES:              # the message names the key
+            (key,) = self.BAD_FILES[case]
+            assert key.replace("_", " ") in err
         assert not (tmp_path / "o" / "report.csv").exists()
 
     def test_config_file_types_kept(self):
@@ -252,6 +258,17 @@ class TestEval:
         rc = main(["eval", "--data", str(dataset_dir), "--checkpoint", str(bad)])
         assert rc == EXIT_USAGE
 
+    def test_element_count_past_int64(self, dataset_dir, tmp_path, capsys):
+        # A header whose element count overflows int64 is a malformed file.
+        data = tmp_path / "d"
+        shutil.copytree(dataset_dir, data)
+        (data / "inputs.la2t").write_bytes(b"LA2T" + struct.pack("<II", 1, 2)
+                                           + struct.pack("<2Q", 2 ** 33, 2 ** 31))
+        rc = main(["eval", "--data", str(data), "--checkpoint",
+                   str(tiny_checkpoint(tmp_path / "m.la2c"))])
+        assert rc == EXIT_USAGE
+        assert "payload does not match" in capsys.readouterr().err
+
     def test_malformed_param_entry(self, dataset_dir, tmp_path, capsys):
         path = tiny_checkpoint(tmp_path / "m.la2c")
         edit_header(path, lambda header: header["params"][0].pop("offset"))
@@ -305,8 +322,9 @@ class TestSweeps:
                    "8", "--epochs", "1", "--batch-size", "4", "--seed", "2"])
         assert rc == EXIT_OK
         lines = (out / "ablate_window.csv").read_text().splitlines()
-        assert lines[0] == "k,test_rel_l2,epoch_seconds"
+        assert lines[0] == "k,test_rel_l2,sigma_s_1,sigma_s_2,epoch_seconds"
         assert [line.split(",")[0] for line in lines[1:]] == ["2", "4"]
+        assert all(0.0 < float(s) < 1.0 for line in lines[1:] for s in line.split(",")[2:4])
         assert sidecar_runs(out / "ablate_window.csv") == [(2, 8, 2), (2, 8, 4)]
 
     def test_ablate_window_k_too_large(self, dataset_dir, tmp_path):
@@ -322,10 +340,15 @@ class TestSweeps:
                    "--batch-size", "4", "--seed", "2"])
         assert rc == EXIT_OK
         lines = (out / "scale_study.csv").read_text().splitlines()
-        assert lines[0] == "sweep,layers,hidden,test_rel_l2,epoch_seconds"
+        assert lines[0] == ("sweep,layers,hidden,test_rel_l2,sigma_s_1,sigma_s_2,"
+                            "epoch_seconds")
         labels = [line.split(",")[:3] for line in lines[1:]]
         assert labels == [["width", "2", "8"], ["width", "2", "12"],
                           ["depth", "1", "8"], ["depth", "2", "8"]]
+        # The depth-1 run has no second layer: its sigma_s_2 cell is blank.
+        sigmas = [line.split(",")[4:6] for line in lines[1:]]
+        assert [s[1] == "" for s in sigmas] == [False, False, True, False]
+        assert all(0.0 < float(v) < 1.0 for s in sigmas for v in s if v)
         assert sidecar_runs(out / "scale_study.csv") == [
             (2, 8, 4), (2, 12, 4), (1, 8, 4), (2, 8, 4)]
 
@@ -336,8 +359,11 @@ class TestSweeps:
                    "--batch-size", "4"])
         assert rc == EXIT_OK
         lines = (out / "scale_study.csv").read_text().splitlines()
+        assert lines[0].split(",")[4:] == [f"sigma_s_{i}" for i in range(1, 9)] + [
+            "epoch_seconds"]
         assert [line.split(",")[:3] for line in lines[1:]] == [
             ["width", "8", "8"], ["depth", "1", "128"]]
+        assert lines[2].split(",")[5:12] == [""] * 7
         assert sidecar_runs(out / "scale_study.csv") == [(8, 8, 4), (1, 128, 4)]
 
     def test_scale_study_validates_before_training(self, dataset_dir, tmp_path,

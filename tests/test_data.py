@@ -1,6 +1,7 @@
 """Darcy oracle behavior, generators, normalization, and the file format."""
 
 import json
+import struct
 
 import numpy as np
 import pytest
@@ -160,6 +161,15 @@ class TestFileFormat:
         with pytest.raises(D.FormatError):
             D.read_tensor_file(path)
 
+    def test_element_count_past_int64(self, tmp_path):
+        # 2^33 x 2^31 elements: an int64 product wraps to 0, which an empty
+        # payload would match.
+        path = tmp_path / "huge.la2t"
+        path.write_bytes(D.TENSOR_MAGIC + struct.pack("<II", D.TENSOR_VERSION, 2)
+                         + struct.pack("<2Q", 2 ** 33, 2 ** 31))
+        with pytest.raises(D.FormatError, match="payload does not match"):
+            D.read_tensor_file(path)
+
     def test_dataset_roundtrip_bit_exact(self, tmp_path):
         ds = D.generate_darcy(n=5, g=8, seed=4)
         D.write_dataset(ds, tmp_path / "dset")
@@ -212,4 +222,18 @@ class TestFileFormat:
         path = tmp_path / "dset" / "manifest.json"
         path.write_text(corrupt(json.loads(path.read_text())))
         with pytest.raises(D.FormatError):
+            D.read_dataset(tmp_path / "dset")
+
+    @pytest.mark.parametrize("key, text", [
+        ("input_std", "[0]"), ("input_mean", "[Infinity]"), ("output_std", "[NaN]"),
+        ("output_std", "[-1]"), ("input_mean", "[1" + "0" * 400 + "]")])
+    def test_stats_must_be_finite_with_positive_std(self, tmp_path, key, text):
+        # json reads NaN and Infinity, and ints past the float range; a zero
+        # std divides by zero and a negative one flips every prediction's sign.
+        D.write_dataset(D.generate_darcy(n=5, g=8, seed=4), tmp_path / "dset")
+        path = tmp_path / "dset" / "manifest.json"
+        man = json.loads(path.read_text())
+        man["stats"][key] = "@"
+        path.write_text(json.dumps(man).replace('"@"', text))
+        with pytest.raises(D.FormatError, match=f"stats.{key} must be"):
             D.read_dataset(tmp_path / "dset")

@@ -16,7 +16,8 @@ from la2.attention import la2_layer
 from la2.model import (CheckpointError, ModelConfig, OperatorModel, encode,
                        forward, init_block, init_model, load_checkpoint,
                        mask_trajectory, save_checkpoint)
-from la2.tensor import (GradTape, Tensor, TensorError, _sigmoid, backward, recompute,
+from la2.tensor import (GradTape, Tensor, TensorError, _sigmoid, backward,
+                        linear_attention_sums, recompute,
                         relative_l2_loss, soft_mask)
 from la2.training import _THREAD_MIN_ACTIVATIONS
 
@@ -386,6 +387,28 @@ class TestRowWorkers:
         assert runs[0][0] == runs[1][0] == 5 + 18 * 2
         assert np.array_equal(runs[0][1], runs[1][1])
         assert all(np.array_equal(a, b) for a, b in zip(runs[0][2], runs[1][2]))
+
+    def test_threads_started_by_a_split_forward(self, monkeypatch):
+        # On 2 row blocks one thread starts for the encoder and one for each
+        # block's stages A, B and C; the global key sums run on the caller.
+        ds = generate_darcy(n=1, g=33, seed=6)
+        layers = 2
+        m = self.perturbed_model(1, layers)
+        knn = knn_indices_accelerated(ds.geometry, 8)
+        started = []
+        start = threading.Thread.start
+
+        def counted(thread):
+            started.append(thread)
+            start(thread)
+
+        monkeypatch.setattr(threading.Thread, "start", counted)
+        forward(m, Tensor(ds.inputs.data[0]), ds.geometry, knn, row_workers=2)
+        assert len(started) == 1 + 3 * layers
+        started.clear()
+        k, v = (Tensor(np.ones((4096, 32))) for _ in range(2))
+        linear_attention_sums(k, v, 2)
+        assert started == []
 
 
 class TestMaskTrajectory:

@@ -239,32 +239,34 @@ class TestLinearAttention:
     @pytest.mark.parametrize("heads", [1, 2])
     def test_gradcheck(self, rng, heads):
         q, k, v = (leaf(None, rng, (5, 4)) for _ in range(3))
-        gradcheck_op(lambda: T.linear_attention(q, k, v, heads), [q, k, v], rng)
+        gradcheck_op(lambda: T.linear_attention(q, T.linear_attention_sums(k, v, heads)),
+                     [q, k, v], rng)
 
     @pytest.mark.parametrize("heads", [1, 2])
     def test_query_rows_of_their_own(self, rng, heads):
         # Queries need not be the keys' rows: a block of query rows against
         # all keys, with the key side formed once, is the whole op's rows.
         q, k, v = (leaf(None, rng, (m, 4)) for m in (3, 7, 7))
-        gradcheck_op(lambda: T.linear_attention(q, k, v, heads), [q, k, v], rng)
+        gradcheck_op(lambda: T.linear_attention(q, T.linear_attention_sums(k, v, heads)),
+                     [q, k, v], rng)
         qk = Tensor(rng.uniform(-2, 2, (7, 4)))
-        whole = T.linear_attention(qk, k, v, heads).data
         sums = T.linear_attention_sums(k, v, heads)
+        whole = T.linear_attention(qk, sums).data
         for rows in (slice(0, 2), slice(2, 7)):
-            part = T.linear_attention(Tensor(qk.data[rows]), k, v, heads, sums)
+            part = T.linear_attention(Tensor(qk.data[rows]), sums)
             assert np.array_equal(part.data, whole[rows])
 
-    def test_sums_of_other_keys_rejected(self, rng):
+    @pytest.mark.parametrize("sums", [None, "tuple"])
+    def test_sums_not_from_linear_attention_sums_rejected(self, rng, sums):
         q, k, v = (Tensor(rng.standard_normal((5, 4))) for _ in range(3))
-        sums = T.linear_attention_sums(k, v, 2)
-        with pytest.raises(TensorError, match="other keys"):
-            T.linear_attention(q, Tensor(k.data), v, 2, sums)
-        with pytest.raises(TensorError, match="other keys"):
-            T.linear_attention(q, k, v, 1, sums)
+        if sums == "tuple":                 # the same fields, but not a _KeySums
+            sums = tuple(T.linear_attention_sums(k, v, 2))
+        with pytest.raises(TensorError, match="linear_attention_sums"):
+            T.linear_attention(q, sums)
 
     @pytest.mark.parametrize("case", [
-        "k_shape", "v_shape", "q_1d", "zero_width", "heads_not_dividing", "zero_heads",
-        "not_a_tensor"])
+        "k_shape", "v_shape", "q_1d", "q_width", "zero_width", "heads_not_dividing",
+        "zero_heads", "not_a_tensor", "q_not_a_tensor"])
     def test_validation(self, rng, case):
         q, k, v = (Tensor(rng.standard_normal((5, 4))) for _ in range(3))
         heads = 2
@@ -274,6 +276,8 @@ class TestLinearAttention:
             v = Tensor(np.ones((5, 2)))
         elif case == "q_1d":
             q, k, v = Tensor(np.ones(4)), Tensor(np.ones(4)), Tensor(np.ones(4))
+        elif case == "q_width":
+            q = Tensor(np.ones((5, 2)))
         elif case == "zero_width":
             q, k, v = (Tensor(np.ones((5, 0))) for _ in range(3))
             heads = 1
@@ -281,10 +285,12 @@ class TestLinearAttention:
             heads = 3
         elif case == "zero_heads":
             heads = 0
+        elif case == "q_not_a_tensor":
+            q = q.data
         else:
             k = k.data
         with pytest.raises(TensorError):
-            T.linear_attention(q, k, v, heads)
+            T.linear_attention(q, T.linear_attention_sums(k, v, heads))
 
 
 @pytest.mark.threads
@@ -709,7 +715,8 @@ class TestInPlaceKernels:
     @pytest.mark.parametrize("heads", [1, 2])
     def test_linear_attention_with_queries_of_their_own(self, rng, heads):
         q, k, v = (leaf(None, rng, (m, 8)) for m in (130, 300, 300))
-        out, grads, g = self.run(lambda: T.linear_attention(q, k, v, heads), [q, k, v], rng)
+        out, grads, g = self.run(
+            lambda: T.linear_attention(q, T.linear_attention_sums(k, v, heads)), [q, k, v], rng)
         self.assert_equal((out, grads),
                           old_linear_attention(q.data, k.data, v.data, heads, g))
 

@@ -194,7 +194,7 @@ class TestEvaluate:
         stats = tiny_darcy.stats
         order = iter(tiny_darcy.test_indices)
 
-        def fake_forward(model, f_in, pts, knn):
+        def fake_forward(model, f_in, pts, knn, row_workers):
             i = next(order)
             y = D.normalize(tiny_darcy.outputs.data[i],
                             stats["output_mean"], stats["output_std"])
@@ -294,14 +294,14 @@ class TestParallelEvaluate:
         real = TR.forward
         where = {}
 
-        def failing(model, f_in, pts, knn):
+        def failing(model, f_in, pts, knn, row_workers):
             i = next(i for i in range(ds.n) if np.array_equal(
                 f_in.data, D.normalize(ds.inputs.data[i], ds.stats["input_mean"],
                                        ds.stats["input_std"])))
             where[i] = threading.get_ident()
             if i in (1, 2):
                 raise TensorError(f"overflow in sample {i}")
-            return real(model, f_in, pts, knn)
+            return real(model, f_in, pts, knn, row_workers=row_workers)
 
         monkeypatch.setattr(TR, "forward", failing)
         before = threading.active_count()
@@ -354,15 +354,15 @@ class TestParallelEvaluate:
             sys.setswitchinterval(old)
 
     def test_worker_count(self, monkeypatch):
-        # Pure arithmetic: computing the count starts no thread.
+        # Pure arithmetic: computing the plan starts no thread.
         self.cpus(monkeypatch, 10_000)
         big = TR._THREAD_MIN_ACTIVATIONS
         before = threading.active_count()
-        assert TR._sample_workers(3, big) == 3
-        assert TR._sample_workers(20_000, big) == 10_000
-        assert TR._sample_workers(16, big - 1) == 1
+        assert TR._threads(3, big)[0] == 3
+        assert TR._threads(20_000, big)[0] == 10_000
+        assert TR._threads(16, big - 1) == (1, 1)
         self.cpus(monkeypatch, 1)
-        assert TR._sample_workers(3, big) == 1
+        assert TR._threads(3, big)[0] == 1
         assert threading.active_count() == before
 
 
@@ -483,25 +483,34 @@ class TestRowSplitEvaluate:
             results[n] = result_bytes(TR.evaluate(m, ds, [1]))
             assert threading.active_count() == before
             # n - 1 started threads in each of the encoder and, per block,
-            # stage A, the key features, stage B and stage C.
-            assert len(started) == (1 + 2 * 4) * (n - 1)
+            # stage A, stage B and stage C.
+            assert len(started) == (1 + 2 * 3) * (n - 1)
         assert results[1] == results[2] == results[3]
 
     def test_row_worker_count(self, monkeypatch):
-        # Pure arithmetic: computing the count starts no thread.
+        # Pure arithmetic: computing the plan starts no thread.
         cut = TR._THREAD_MIN_ACTIVATIONS
         before = threading.active_count()
         self.cpus(monkeypatch, 2)
-        assert TR._row_workers(1, 8 * cut) == 2
-        assert TR._row_workers(2, 8 * cut) == 1
-        assert TR._row_workers(1, 2 * cut - 1) == 1
+        assert TR._threads(1, 8 * cut) == (1, 2)
+        assert TR._threads(2, 8 * cut) == (2, 1)
+        assert TR._threads(1, 2 * cut - 1) == (1, 1)
         self.cpus(monkeypatch, 10_000)
-        assert TR._row_workers(1, 8 * cut) == 8
-        assert TR._row_workers(3, 8 * cut) == 8
-        assert TR._row_workers(3, cut) == 1
+        assert TR._threads(1, 8 * cut) == (1, 8)
+        assert TR._threads(3, 8 * cut) == (3, 8)
+        assert TR._threads(3, cut) == (3, 1)
         self.cpus(monkeypatch, 1)
-        assert TR._row_workers(1, 8 * cut) == 1
+        assert TR._threads(1, 8 * cut) == (1, 1)
         assert threading.active_count() == before
+
+    def test_plan_reads_the_cpu_set_once(self, monkeypatch):
+        reads = []
+        monkeypatch.setattr(os, "sched_getaffinity",
+                            lambda pid: reads.append(pid) or set(range(4)))
+        assert TR._threads(1, 8 * TR._THREAD_MIN_ACTIVATIONS) == (1, 4)
+        assert reads == [0]
+        monkeypatch.delattr(os, "sched_getaffinity")
+        assert TR._threads(1, 8 * TR._THREAD_MIN_ACTIVATIONS) == (1, 1)
 
 
 class TestTrainLoop:
