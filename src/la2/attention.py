@@ -20,10 +20,8 @@ from typing import Iterator
 from .geometry import KnnIndex
 from .tensor import (
     Tensor,
-    _map_in_order,
     add,
     concat_lastdim,
-    concat_rows,
     gelu,
     knn_attention,
     layer_norm,
@@ -31,8 +29,8 @@ from .tensor import (
     linear_attention,
     linear_attention_sums,
     row_blocks,
+    row_stage,
     soft_mask,
-    take_rows,
 )
 
 __all__ = ["GlaLayerParams", "global_attention", "local_attention", "la2_layer"]
@@ -116,42 +114,38 @@ def la2_layer(h_prev: Tensor, knn: KnnIndex, p: GlaLayerParams,
 
     Only two steps read other rows than their own: the local branch reads
     its neighbors' keys and values, and the global branch sums over all rows
-    (Kn^T V, Kn^T 1). So the rows are cut into `row_blocks(M, row_workers)`
-    blocks, run on as many threads, the caller's among them; under an active
-    GradTape that is one block on the caller. Stage A normalizes each block
-    and projects it six ways. Between stages A and B the keys and values of
-    both branches are joined, and the global key side is formed once on the
-    calling thread. Stage B runs the row side of both branches, fusion and
-    the attention residual; stage C, once the projections are freed, the
-    feed-forward residual. A row's arithmetic does not depend on the cut, so
-    the output is the same bit for bit for any `row_workers`, and with one
-    block nothing is copied.
-    """
-    blocks = row_blocks(h_prev.shape[0], row_workers)
+    (Kn^T V, Kn^T 1). So the block runs as two `row_stage`s on the
+    `row_blocks` of [M, C], dealt to `row_workers` threads, the caller's
+    among them. Stage A normalizes each block's rows and projects them six
+    ways. The global key side is then formed once, on the calling thread,
+    from the joined keys and values. Stage B runs the row side of both
+    branches, fusion, the attention residual and the feed-forward residual.
 
-    def project(rows):                                          # stage A
-        h_bar = layer_norm(take_rows(h_prev, rows), p.ln1_gamma, p.ln1_beta)
+    A row's arithmetic does not depend on the cut, so the output is the same
+    bit for bit on any blocks. Under an active tape each stage with several
+    blocks is one entry whose rule adds the blocks' weight, key and value
+    gradients in block order; the blocks depend on M and C alone, so the
+    gradients are the same for any `row_workers`.
+    """
+    blocks = row_blocks(*h_prev.shape)
+    params = [t for _, t in p.named_params()]
+
+    def project(rows, h):                                       # stage A
+        h_bar = layer_norm(h, p.ln1_gamma, p.ln1_beta)
         return _global_qkv(h_bar, p) + _local_qkv(h_bar, p)
 
-    qkv = _map_in_order(project, blocks, len(blocks))
-    k_g, v_g, k_l, v_l = (concat_rows([t[j] for t in qkv]) for j in (1, 2, 4, 5))
-    queries = [(t[0], t[3]) for t in qkv]
-    del qkv                                 # frees the blocks' keys and values once joined
+    q_g, k_g, v_g, q_l, k_l, v_l = row_stage(project, (h_prev,), params, blocks,
+                                             row_workers)
     sums = linear_attention_sums(k_g, v_g, p.heads)
     w = soft_mask(p.mask_s, knn.k, p.alpha)
 
-    def attend(i):                                              # stage B
-        rows, (q_g, q_l) = blocks[i], queries[i]
+    def attend(rows, q_g, q_l, h):                              # stage B
         g = linear_attention(q_g, sums)
         l = knn_attention(q_l, k_l, v_l, knn.idx[rows], w, p.heads)
-        return add(linear(concat_lastdim(g, l), p.w_out, p.b_out), take_rows(h_prev, rows))
-
-    h_hat = _map_in_order(attend, range(len(blocks)), len(blocks))
-    del queries, k_g, v_g, k_l, v_l, sums       # the feed-forward's peak holds none of them
-
-    def feed_forward(h):                                        # stage C
+        h = add(linear(concat_lastdim(g, l), p.w_out, p.b_out), h)
         ff = linear(gelu(linear(layer_norm(h, p.ln2_gamma, p.ln2_beta),
                                 p.ff_w1, p.ff_b1)), p.ff_w2, p.ff_b2)
-        return add(ff, h)
+        return (add(ff, h),)
 
-    return concat_rows(_map_in_order(feed_forward, h_hat, len(blocks)))
+    return row_stage(attend, (q_g, q_l, h_prev), [sums, k_l, v_l, w, *params], blocks,
+                     row_workers)[0]

@@ -373,7 +373,10 @@ def read_dataset(path) -> Dataset:
 
 def _check_manifest(ds: Dataset, where) -> None:
     """Both splits index [0, N), train is non-empty, stats match the channels,
-    every stat is finite and every standard deviation is positive."""
+    every stat is finite and every standard deviation is positive. A standard
+    deviation must also be large enough to divide by: every normalized
+    input and output field, and each sample's squared norm of it (the
+    loss's denominator), must be finite."""
     man = ds.manifest
     if not isinstance(man, dict):
         raise FormatError(f"{where}: manifest must be a JSON object")
@@ -400,3 +403,11 @@ def _check_manifest(ds: Dataset, where) -> None:
         if not all(low < v and abs(v) <= sys.float_info.max for v in vals):
             kind = "positive and finite" if low == 0.0 else "finite"
             raise FormatError(f"{where}: stats.{key} must be {kind}, got {vals}")
+    for field, arr in (("input", ds.inputs.data), ("output", ds.outputs.data)):
+        with np.errstate(over="ignore", divide="ignore", invalid="ignore"):
+            z = normalize(arr, stats[f"{field}_mean"], stats[f"{field}_std"])
+            finite = np.all(np.isfinite(z)) and np.all(np.isfinite((z * z).sum(axis=(1, 2))))
+        if not finite:
+            raise FormatError(
+                f"{where}: stats.{field}_std must be large enough that the normalized "
+                f"{field}s and their squared norms are finite, got {stats[f'{field}_std']}")

@@ -18,8 +18,8 @@ import numpy as np
 
 from .attention import GlaLayerParams, la2_layer
 from .geometry import KnnIndex, PointSet
-from .tensor import (Tensor, TensorError, _map_in_order, _sigmoid, concat_lastdim,
-                     concat_rows, gelu, linear, recompute, row_blocks, take_rows)
+from .tensor import (Tensor, TensorError, _sigmoid, concat_lastdim, gelu, linear,
+                     recompute, row_blocks, row_stage)
 
 __all__ = ["ModelConfig", "OperatorModel", "init_block", "init_model", "encode",
            "forward", "mask_trajectory", "save_checkpoint", "load_checkpoint",
@@ -157,7 +157,8 @@ def init_model(cfg: ModelConfig) -> OperatorModel:
 
 def encode(f_in: Tensor, x: PointSet, m: OperatorModel, row_workers: int = 1) -> Tensor:
     """Concatenate coordinates to the input field and lift to width C, each
-    point on its own, so on `row_blocks(M, row_workers)` threads."""
+    point on its own, so as one `row_stage` on the `row_blocks` of [M, C],
+    dealt to `row_workers` threads."""
     if f_in.ndim != 2 or f_in.shape[0] != x.m:
         raise TensorError(
             f"input field rows {f_in.shape} must align with {x.m} points")
@@ -166,12 +167,11 @@ def encode(f_in: Tensor, x: PointSet, m: OperatorModel, row_workers: int = 1) ->
             f"expected {m.config.in_channels} input channels, got {f_in.shape[1]}")
     z = concat_lastdim(f_in, x.coords)
 
-    def lift(rows):
-        h = gelu(linear(take_rows(z, rows), m.enc_w1, m.enc_b1))
-        return linear(h, m.enc_w2, m.enc_b2)
+    def lift(rows, z):
+        return (linear(gelu(linear(z, m.enc_w1, m.enc_b1)), m.enc_w2, m.enc_b2),)
 
-    blocks = row_blocks(x.m, row_workers)
-    return concat_rows(_map_in_order(lift, blocks, len(blocks)))
+    params = [m.enc_w1, m.enc_b1, m.enc_w2, m.enc_b2]
+    return row_stage(lift, (z,), params, row_blocks(x.m, m.config.hidden), row_workers)[0]
 
 
 def forward(m: OperatorModel, f_in: Tensor, x: PointSet, knn: KnnIndex,
@@ -182,9 +182,10 @@ def forward(m: OperatorModel, f_in: Tensor, x: PointSet, knn: KnnIndex,
     entry, re-run in backward: an active tape then holds such a block's input
     and output instead of its intermediates. The last block is taped in
     full, since its backward starts as soon as the forward ends. The
-    gradients are the same bit for bit. The encoder and each block split the
-    rows across `row_workers` threads (`la2_layer`), except under an active
-    tape; the output is the same bit for bit.
+    gradients are the same bit for bit. The encoder and each block deal
+    their row blocks to `row_workers` threads (`la2_layer`), taped or not;
+    the output and the gradients are the same bit for bit for any
+    `row_workers`.
     """
     if knn.m != x.m:
         raise TensorError("KNN index does not match the point set")

@@ -15,14 +15,17 @@ its heads handled inside: ``linear_attention`` (global) and ``knn_attention``
 (``soft_mask``) and the training loss (``relative_l2_loss``) are one op each
 as well. ``recompute(fn, x, params)`` tapes a whole sub-computation as one
 entry and re-runs it in backward, trading a second forward pass for a tape
-that keeps none of its intermediates.
+that keeps none of its intermediates. ``row_stage`` runs a row-wise
+sub-computation on row blocks across threads; under a tape each block records
+on a sub-tape of its own, and the stage is one entry that replays them.
 """
 
 from __future__ import annotations
 
+import functools
 import threading
 from contextlib import contextmanager
-from typing import Callable, Iterable, NamedTuple
+from typing import Callable, Iterable
 
 import numpy as np
 from scipy.sparse import csr_matrix
@@ -42,8 +45,7 @@ __all__ = [
     "add",
     "concat_lastdim",
     "row_blocks",
-    "take_rows",
-    "concat_rows",
+    "row_stage",
     "relative_l2_loss",
     "recompute",
     "backward",
@@ -60,6 +62,29 @@ _LN_EPS = 1e-5  # added to layer_norm's variance
 # row's place in a group of rows, 4 in OpenBLAS's Haswell kernel; a block that
 # starts on a group boundary sees every row in the place the whole array does.
 _ROW_ALIGN = 64
+# Points x width that each row block holds at least (`row_blocks`), and of
+# one sample from which `training._threads` runs samples on threads.
+# Two threads against one at C=64 (2 CPUs, 1 BLAS thread): forward
+# passes (two sweeps, BENCH_12.json) ran 0.92-1.16x at M=256, where the GIL
+# dominates and the tail latency of 16-sample calls rose; 1.28-1.58x at
+# M=576, 1.44-1.72x at 1024, 1.84-1.95x at 2304 and 1.66-1.85x at 4096.
+# Training with recomputed blocks on two threads against serial full-tape
+# training (BENCH_14.json) ran 0.84x at M=256, 1.05x at 576, 1.20x at 1024
+# and 1.44x at 4096. One sample's forward (L=4, K=8) on two row blocks
+# against one, medians of 15 interleaved calls in three sweeps, ran
+# 0.89-1.15x at M=576 (blocks of 256 and 320 rows), 0.98-1.13x at 784,
+# 1.12-1.14x at 1024, 1.26-1.34x at 1600, 1.37-1.46x at 2304 and
+# 1.67-1.76x at 4096; so rows split in two from M=1024.
+_THREAD_MIN_ACTIVATIONS = 512 * 64
+# At most this many row blocks. A taped M=4096 step (L=4, C=64, K=8, forward,
+# loss and backward) on 1, 2, 4 and 8 blocks, medians of 10 interleaved runs
+# in two sweeps: on 2 threads 517/516, 334/313, 331/327 and 325/323 ms; on one
+# CPU (taskset -c 0) 505/490, 511/486, 556/506 and 549/480 ms. The untaped
+# forward on 2 threads: 195, 126, 123 and 127 ms (2 CPUs, 1 BLAS thread).
+# Past two, blocks gained nothing; each adds its own Python ops, and its own
+# full-size key and value gradients for the stage to add. The count may not
+# follow the threads: a taped pass's sums would change with them.
+_MAX_ROW_BLOCKS = 2
 
 
 class TensorError(ValueError):
@@ -120,7 +145,9 @@ class GradTape:
     """Ordered record of executed ops with their backward rules.
 
     Entries are ``(out, inputs, rule)``; ``rule(out_grad)`` returns one
-    gradient array (or None) per input. A tape records the ops of the thread
+    gradient array (or None) per input. A `row_stage` entry's `out` is a
+    tuple of tensors, and its rule takes a tuple of their gradients, None
+    for one that the loss does not reach. A tape records the ops of the thread
     that entered it, and at most one tape is active per thread. `backward`
     consumes the tape, popping each entry and so freeing what it saved as it
     goes; a second backward on it is an error.
@@ -200,6 +227,11 @@ def _map_in_order(fn, items, workers: int) -> list:
     return results
 
 
+def _outputs(out) -> tuple[Tensor, ...]:
+    """A tape entry's outputs: its `out`, or the tuple a `row_stage` entry holds."""
+    return out if isinstance(out, tuple) else (out,)
+
+
 def _backprop(tape: GradTape, grads: dict[int, np.ndarray]) -> dict[int, np.ndarray]:
     """Reverse-replay `tape` from the seed gradients `grads`, keyed by tensor
     identity, which it updates and returns. It pops each entry before its
@@ -207,9 +239,14 @@ def _backprop(tape: GradTape, grads: dict[int, np.ndarray]) -> dict[int, np.ndar
     entries = tape._entries
     while entries:
         out, inputs, rule = entries.pop()
-        gout = grads.pop(id(out), None)
-        if gout is None:
-            continue
+        if isinstance(out, tuple):
+            gout = tuple(grads.pop(id(t), None) for t in out)
+            if all(g is None for g in gout):
+                continue
+        else:
+            gout = grads.pop(id(out), None)
+            if gout is None:
+                continue
         for t, g in zip(inputs, rule(gout)):
             if g is None or not t.requires_grad:
                 continue
@@ -232,7 +269,7 @@ def backward(loss: Tensor, tape: GradTape) -> dict[Tensor, np.ndarray]:
         raise TensorError(f"loss must be scalar, got shape {loss.shape}")
     if tape._consumed:
         raise TensorError("tape already consumed by backward")
-    produced = {id(out) for out, _, _ in tape._entries}
+    produced = {id(t) for out, _, _ in tape._entries for t in _outputs(out)}
     if id(loss) not in produced:
         raise TensorError("loss was not recorded on this tape")
     leaves = {id(t): t for _, inputs, _ in tape._entries for t in inputs
@@ -290,15 +327,16 @@ def concat_lastdim(a: Tensor, b: Tensor) -> Tensor:
     return _result(np.concatenate([a.data, b.data], axis=-1), (a, b), rule)
 
 
-def row_blocks(m: int, parts: int) -> list[slice]:
-    """Up to `parts` contiguous ranges that cover rows [0, m), each starting
-    at a multiple of `_ROW_ALIGN`, the last one taking the remainder. While a
-    GradTape is active on this thread the answer is one block,
-    ``slice(None)``: a taped pass never splits rows, because `take_rows` and
-    `concat_rows` are not taped."""
+def row_blocks(m: int, width: int) -> list[slice]:
+    """The row blocks of an [m, width] activation: one per
+    `_THREAD_MIN_ACTIVATIONS` points x width, at least one and at most
+    `_MAX_ROW_BLOCKS`, each starting at a multiple of `_ROW_ALIGN`, the last
+    one taking the remainder. They depend on the shape alone, never on a
+    thread count, so a taped pass adds its blocks' weight gradients in one
+    order on any number of CPUs."""
     units = m // _ROW_ALIGN
-    parts = min(parts, units)
-    if parts <= 1 or _ACTIVE_TAPE.tape is not None:
+    parts = min(m * width // _THREAD_MIN_ACTIVATIONS, _MAX_ROW_BLOCKS, units)
+    if parts <= 1:
         return [slice(None)]
     bounds = [_ROW_ALIGN * (units * i // parts) for i in range(parts)] + [m]
     return [slice(a, b) for a, b in zip(bounds, bounds[1:])]
@@ -311,14 +349,14 @@ def _untaped(data: np.ndarray, requires_grad: bool) -> Tensor:
     return out
 
 
-def take_rows(x: Tensor, rows: slice) -> Tensor:
+def _take_rows(x: Tensor, rows: slice) -> Tensor:
     """The `rows` of `x`, a block from `row_blocks`, as an untaped view;
     `x` itself for ``slice(None)``."""
     _check_tensor(x, "x")
     return x if rows == slice(None) else _untaped(x.data[rows], x.requires_grad)
 
 
-def concat_rows(parts: list[Tensor]) -> Tensor:
+def _concat_rows(parts: list[Tensor]) -> Tensor:
     """Row blocks joined in order, untaped; the one block itself if there is
     only one, so a pass on one block copies nothing."""
     if len(parts) == 1:
@@ -455,26 +493,21 @@ def _positive_features(x: np.ndarray):
     return cdf, phi, s
 
 
-class _KeySums(NamedTuple):
-    """The key side of `linear_attention`, over all N rows of `k` and `v`."""
-
-    k: Tensor
-    v: Tensor
-    heads: int
-    kx: np.ndarray          # [H, N, dh] keys
-    kcdf: np.ndarray
-    kn: np.ndarray          # Kn, the key features
-    ks: np.ndarray
-    vh: np.ndarray          # [H, N, dh] values
-    kv: np.ndarray          # [H, dh, dh]: Kn^T V
-    zt: np.ndarray          # [H, 1, dh]: (Kn^T 1)^T
+def _features_grad(x, cdf, n, s, gn):
+    """[M, d] gradient of x through n = phi / sum(phi), phi = gelu(x) + 1,
+    from the [H, M, dh] gradient gn of the features n (`_positive_features`)."""
+    gphi = gn - (gn * n).sum(axis=-1, keepdims=True)
+    gphi /= s
+    return _merge_heads(_gelu_grad(x, cdf, gphi))
 
 
-def linear_attention_sums(k: Tensor, v: Tensor, heads: int) -> _KeySums:
+def linear_attention_sums(k: Tensor, v: Tensor, heads: int) -> Tensor:
     """The key side of `linear_attention`, formed once over all N rows of
-    `k` and `v` [N, d]: each head's key features Kn and the sums Kn^T V and
-    Kn^T 1. Every query row reads the same sums, so any number of query row
-    blocks share one."""
+    `k` and `v` [N, d]: each head's key features Kn, and the sums Kn^T V
+    stacked over (Kn^T 1)^T, as one [H, dh + 1, dh] tensor. Every query row
+    reads the same sums, so any number of query row blocks share one and add
+    their gradients of it; the rule turns that small gradient into the keys'
+    and values' gradients once."""
     for t, name in ((k, "k"), (v, "v")):
         _check_tensor(t, name)
     if k.ndim != 2 or v.shape != k.shape or min(k.shape) < 1:
@@ -482,54 +515,60 @@ def linear_attention_sums(k: Tensor, v: Tensor, heads: int) -> _KeySums:
                           f"got {k.shape}, {v.shape}")
     n, d = k.shape
     _check_heads(heads, d)
-    rows = k.data.reshape(n, heads, d // heads)             # [N, H, dh]
+    dh = d // heads
+    rows = k.data.reshape(n, heads, dh)                     # [N, H, dh]
     kcdf, kn, ks = (a.transpose(1, 0, 2) for a in _positive_features(rows))
     vh = _split_heads(v.data, heads)
-    return _KeySums(k, v, heads, rows.transpose(1, 0, 2), kcdf, kn, ks, vh,
-                    kn.transpose(0, 2, 1) @ vh, kn.sum(axis=1, keepdims=True))
+
+    def rule(g):
+        gkv, gzt = np.ascontiguousarray(g[:, :dh]), g[:, dh:]
+        gkn = vh @ gkv.transpose(0, 2, 1) + gzt
+        return (_features_grad(rows.transpose(1, 0, 2), kcdf, kn, ks, gkn),
+                _merge_heads(kn @ gkv))
+
+    sums = np.concatenate([kn.transpose(0, 2, 1) @ vh, kn.sum(axis=1, keepdims=True)],
+                          axis=1)
+    return _result(sums, (k, v), rule)
 
 
-def linear_attention(q: Tensor, sums: _KeySums) -> Tensor:
+def linear_attention(q: Tensor, sums: Tensor) -> Tensor:
     """Positive-feature linear attention per head: Qn (Kn^T V) / (Qn Kn^T 1) + Qn.
 
-    `q` is [M, d]; `sums`, from `linear_attention_sums(k, v, heads)`, holds
-    the keys and values [N, d] and their side of the op. Head h owns columns
+    `q` is [M, d]; `sums`, from `linear_attention_sums(k, v, heads)`, is the
+    key side, over the keys and values [N, d]. Head h owns columns
     [h*dh, (h+1)*dh) with dh = d/heads, viewed as [H, M, dh]. Qn and Kn are
     the rows of gelu(x) + 1 of each head's queries and keys, each normalized
     to sum 1. gelu is bounded below by about -0.17, so every feature is at
     least 0.83 and the denominator is positive by construction. Cost
     O((M + N)*d*dh): the M x N score matrix is never formed. Each output row
     depends on its own query row and the sums only. The op is taped on
-    (q, k, v), with a hand-written backward rule.
+    (q, sums), with a hand-written backward rule.
     """
-    if not isinstance(sums, _KeySums):
-        raise TensorError(f"linear_attention needs sums from linear_attention_sums, "
-                          f"got {type(sums).__name__}")
     _check_tensor(q, "q")
-    k, v, heads, kx, kcdf, kn, ks, vh, kv, zt = sums
-    if q.ndim != 2 or q.shape[1] != k.shape[1]:
-        raise TensorError(f"linear_attention needs q [M,{k.shape[1]}], got {q.shape}")
+    if not (isinstance(sums, Tensor) and sums.ndim == 3
+            and sums.shape[1] == sums.shape[2] + 1):
+        raise TensorError("linear_attention needs the [H, dh + 1, dh] sums from "
+                          "linear_attention_sums")
+    heads, dh = sums.shape[0], sums.shape[2]
+    if q.ndim != 2 or q.shape[1] != heads * dh:
+        raise TensorError(f"linear_attention needs q [M,{heads * dh}], got {q.shape}")
+    kv = np.ascontiguousarray(sums.data[:, :dh])              # [H, dh, dh]: Kn^T V
+    zt = np.ascontiguousarray(sums.data[:, dh:])              # [H, 1, dh]: (Kn^T 1)^T
     qx = _split_heads(q.data, heads)
     qcdf, qn, qs = _positive_features(qx)
     den = qn @ zt.transpose(0, 2, 1)                # [H, M, 1]
     ratio = (qn @ kv) / den
-
-    def features_grad(x, cdf, n, s, gn):                # through n = phi / sum(phi)
-        gphi = gn - (gn * n).sum(axis=-1, keepdims=True)
-        gphi /= s
-        return _merge_heads(_gelu_grad(x, cdf, gphi))
 
     def rule(g):
         gh = _split_heads(g, heads)
         gnum = gh / den
         gden = -(gh * ratio).sum(axis=-1, keepdims=True) / den
         gqn = gh + gnum @ kv.transpose(0, 2, 1) + gden * zt
-        gkv = qn.transpose(0, 2, 1) @ gnum
-        gkn = vh @ gkv.transpose(0, 2, 1) + gden.transpose(0, 2, 1) @ qn
-        return (features_grad(qx, qcdf, qn, qs, gqn),
-                features_grad(kx, kcdf, kn, ks, gkn), _merge_heads(kn @ gkv))
+        gsums = np.concatenate([qn.transpose(0, 2, 1) @ gnum,
+                                gden.transpose(0, 2, 1) @ qn], axis=1)
+        return _features_grad(qx, qcdf, qn, qs, gqn), gsums
 
-    return _result(_merge_heads(ratio + qn), (q, k, v), rule)
+    return _result(_merge_heads(ratio + qn), (q, sums), rule)
 
 
 # ---------------------------------------------------------------------------
@@ -642,7 +681,7 @@ def relative_l2_loss(pred: Tensor, target: Tensor) -> Tensor:
 
 
 # ---------------------------------------------------------------------------
-# Recomputation
+# Sub-tapes: recomputation and row stages
 # ---------------------------------------------------------------------------
 
 def recompute(fn: Callable[[Tensor], Tensor], x: Tensor,
@@ -669,3 +708,82 @@ def recompute(fn: Callable[[Tensor], Tensor], x: Tensor,
         return tuple(grads.get(id(t)) for t in inputs)
 
     return _result(out.data, inputs, rule)
+
+
+def row_stage(fn: Callable[..., tuple[Tensor, ...]], row_inputs: tuple[Tensor, ...],
+              shared: Iterable[Tensor], blocks: list[slice],
+              workers: int) -> tuple[Tensor, ...]:
+    """``fn(rows, *xs)`` on each of `blocks` (from `row_blocks`), where xs
+    are those rows of each of `row_inputs`; returns fn's outputs with the
+    blocks' rows joined in order.
+
+    fn returns a tuple of tensors whose rows are `rows`, each row computed
+    from the same rows of `row_inputs` and from tensors shared by every
+    block. The blocks are dealt to `workers` threads, the caller's among
+    them (`_map_in_order`); untaped on one thread, the rows are not cut. On
+    one block fn runs on the caller as it is, on the caller's tape if one is
+    active, and nothing is copied.
+
+    Under an active tape with several blocks, each block records on a
+    sub-tape of its own, and the stage is one entry on the caller's tape,
+    taped on `row_inputs` and `shared`. `shared` must list every other
+    tensor that fn reads and that needs a gradient, as `recompute`'s params.
+    The rule replays the sub-tapes on as many threads, each from its rows of
+    the output gradients. It joins the blocks' gradients of each row input
+    and adds those of each shared tensor in block order, so the gradients
+    are the same for any `workers`.
+    """
+    shared = tuple(shared)
+    tape = _ACTIVE_TAPE.tape
+    if tape is None and workers == 1:
+        blocks = [slice(None)]      # an untaped row's bytes do not depend on the cut
+    workers = min(workers, len(blocks))
+    split = tape is not None and len(blocks) > 1
+
+    def run(rows):
+        views = [_take_rows(x, rows) for x in row_inputs]
+        if not split:
+            return views, fn(rows, *views), None
+        with _tape_suspended(), GradTape() as sub:
+            outs = fn(rows, *views)
+        known = {id(t) for t in (*views, *shared)}
+        known.update(id(t) for out, _, _ in sub._entries for t in _outputs(out))
+        if any(t.requires_grad and id(t) not in known
+               for _, inputs, _ in sub._entries for t in inputs):
+            raise TensorError("row_stage: fn reads a tensor that needs a gradient "
+                              "and is neither a row input nor shared")
+        return views, outs, sub
+
+    runs = _map_in_order(run, blocks, workers)
+    outs = tuple(_concat_rows([r[1][j] for r in runs]) for j in range(len(runs[0][1])))
+    if not split:
+        return outs
+    # The joined outputs take over the blocks' rows: the sub-tapes hold their
+    # outputs only to key the seed gradients, and no rule reads an output.
+    for (_, parts, _), rows in zip(runs, blocks):
+        for part, whole in zip(parts, outs):
+            part.data = whole.data[rows]
+
+    def rule(gouts):
+        def replay(j):
+            views, parts, sub = runs[j]
+            grads = _backprop(sub, {id(o): g[blocks[j]] for o, g in zip(parts, gouts)
+                                    if g is not None})
+            return [grads.get(id(t)) for t in (*views, *shared)]
+
+        per_block = _map_in_order(replay, range(len(blocks)), workers)
+        # Every block runs the same ops, so an input's gradient is None in
+        # every block or in none.
+        grads = []
+        for i, gs in enumerate(zip(*per_block)):
+            if gs[0] is None:
+                grads.append(None)
+            elif i < len(row_inputs):
+                grads.append(np.concatenate(gs))
+            else:
+                grads.append(functools.reduce(np.add, gs))          # in block order
+        return grads
+
+    if any(t.requires_grad for t in outs):
+        tape._entries.append((outs, (*row_inputs, *shared), rule))
+    return outs

@@ -23,7 +23,8 @@ from .model import (ModelConfig, OperatorModel, _check_field_types, forward,
                     mask_trajectory, save_checkpoint)
 # `train` calls the loss through this module's global name, which a caller may
 # rebind to observe each training sample.
-from .tensor import GradTape, Tensor, _map_in_order, backward, relative_l2_loss
+from .tensor import (_MAX_ROW_BLOCKS, _THREAD_MIN_ACTIVATIONS, GradTape, Tensor,
+                     _map_in_order, backward, relative_l2_loss)
 
 __all__ = ["TrainConfig", "TrainReport", "TrainingError",
            "AdamState", "adam_step", "clip_gradients", "cosine_lr",
@@ -33,21 +34,6 @@ __all__ = ["TrainConfig", "TrainReport", "TrainingError",
 BETA1 = 0.9
 BETA2 = 0.999
 ADAM_EPS = 1e-8
-
-# Points x hidden width of one sample from which `evaluate` and `train` use
-# threads, and the least work `evaluate` gives one row block of a sample.
-# Two threads against one at C=64 (2 CPUs, 1 BLAS thread): forward
-# passes (two sweeps, BENCH_12.json) ran 0.92-1.16x at M=256, where the GIL
-# dominates and the tail latency of 16-sample calls rose; 1.28-1.58x at
-# M=576, 1.44-1.72x at 1024, 1.84-1.95x at 2304 and 1.66-1.85x at 4096.
-# Training with recomputed blocks on two threads against serial full-tape
-# training (BENCH_14.json) ran 0.84x at M=256, 1.05x at 576, 1.20x at 1024
-# and 1.44x at 4096. One sample's forward (L=4, K=8) on two row blocks
-# against one, medians of 15 interleaved calls in three sweeps, ran
-# 0.89-1.15x at M=576 (blocks of 256 and 320 rows), 0.98-1.13x at 784,
-# 1.12-1.14x at 1024, 1.26-1.34x at 1600, 1.37-1.46x at 2304 and
-# 1.67-1.76x at 4096; so rows split in two from M=1024.
-_THREAD_MIN_ACTIVATIONS = 512 * 64
 
 
 class TrainingError(RuntimeError):
@@ -170,15 +156,16 @@ def check_compatible(cfg: ModelConfig, ds: data_mod.Dataset) -> None:
 def _threads(n_samples: int, activations: int) -> tuple[int, int]:
     """The plan of `evaluate` and `train` for `n_samples` samples of
     `activations` points x hidden width: (sample threads, the caller's among
-    them; row blocks per sample). (1, 1) below `_THREAD_MIN_ACTIVATIONS` or
+    them; row threads per sample). (1, 1) below `_THREAD_MIN_ACTIVATIONS` or
     when the CPU set cannot be read; else one sample thread per CPU, at most
-    one per sample, and the CPUs those leave idle split each sample's rows,
-    at most one block per `_THREAD_MIN_ACTIVATIONS`."""
+    one per sample, and the CPUs those leave idle run each sample's row
+    blocks, at most one thread per block (`row_blocks`)."""
     if activations < _THREAD_MIN_ACTIVATIONS or not hasattr(os, "sched_getaffinity"):
         return 1, 1
     cpus = len(os.sched_getaffinity(0))
     samples = min(cpus, n_samples)
-    return samples, max(1, min(cpus // samples, activations // _THREAD_MIN_ACTIVATIONS))
+    blocks = min(activations // _THREAD_MIN_ACTIVATIONS, _MAX_ROW_BLOCKS)
+    return samples, max(1, min(cpus // samples, blocks))
 
 
 def evaluate(m: OperatorModel, ds: data_mod.Dataset, split: str = "test") -> dict:
@@ -251,11 +238,13 @@ def train(m: OperatorModel, ds: data_mod.Dataset, cfg: TrainConfig,
     step and per-epoch evaluation uses the geometry's one cached KNN index.
 
     A batch's samples run on the sample threads of `_threads`, the caller's
-    among them, in waves of one sample per thread. With more than one thread
-    each block but the last is recomputed in backward (`forward(...,
-    recompute_blocks=True)`), so the concurrent tapes together hold less than
-    one full tape. Each wave's gradients and losses are added in sample order
-    once the wave has ended, so every result is the same for any thread count.
+    among them, in waves of one sample per thread, and each sample's row
+    blocks run on that plan's row threads, forward and backward. With more
+    than one sample thread each block but the last is recomputed in backward
+    (`forward(..., recompute_blocks=True)`), so the concurrent tapes together
+    hold less than one full tape. Each wave's gradients and losses are added
+    in sample order once the wave has ended, and row blocks depend on the
+    shape alone, so every result is the same for any thread count.
     """
     check_compatible(m.config, ds)
     train_idx = ds.train_indices
@@ -274,10 +263,10 @@ def train(m: OperatorModel, ds: data_mod.Dataset, cfg: TrainConfig,
 
     def sample_grads(i):
         """Sample i's loss value and per-parameter gradients (None if unreached),
-        in the loop's current `epoch` and with its current `workers`."""
+        in the loop's current `epoch` and with its current `workers` and `rows`."""
         with GradTape() as tape:
             pred = forward(m, Tensor(x_norm[i]), ds.geometry, knn,
-                           recompute_blocks=workers > 1)
+                           recompute_blocks=workers > 1, row_workers=rows)
             loss = relative_l2_loss(pred, Tensor(y_norm[i]))
             value = loss.item()
             if not math.isfinite(value):
@@ -296,7 +285,7 @@ def train(m: OperatorModel, ds: data_mod.Dataset, cfg: TrainConfig,
             batch = order[start:start + cfg.batch_size]
             grads = [np.zeros_like(p.data) for p in params]
             batch_loss = 0.0
-            workers = _threads(len(batch), activations)[0]
+            workers, rows = _threads(len(batch), activations)
             # One wave at a time bounds the gradient maps held at once.
             for first in range(0, len(batch), workers):
                 wave = batch[first:first + workers]

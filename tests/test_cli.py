@@ -302,6 +302,21 @@ class TestEval:
         assert "blocks.0.w_qg holds non-finite values" in captured.err
         assert captured.out == ""
 
+    def test_std_too_small_to_divide_by_exits_usage(self, dataset_dir, tmp_path, capsys):
+        # The normalized targets would overflow, and eval used to print
+        # overflow warnings and a NaN metric and exit 0.
+        data = tmp_path / "d"
+        shutil.copytree(dataset_dir, data)
+        man = json.loads((data / "manifest.json").read_text())
+        man["stats"]["output_std"] = [1e-300]
+        (data / "manifest.json").write_text(json.dumps(man))
+        rc = main(["eval", "--data", str(data), "--checkpoint",
+                   str(tiny_checkpoint(tmp_path / "m.la2c"))])
+        assert rc == EXIT_USAGE
+        captured = capsys.readouterr()
+        assert "stats.output_std must be large enough" in captured.err
+        assert captured.out == ""
+
     def test_version_1_checkpoint_rejected(self, dataset_dir, tmp_path):
         # Version 1 has the same layout but weights for the old signed global
         # branch; loading it must fail rather than serve a different function.

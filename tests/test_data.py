@@ -226,10 +226,13 @@ class TestFileFormat:
 
     @pytest.mark.parametrize("key, text", [
         ("input_std", "[0]"), ("input_mean", "[Infinity]"), ("output_std", "[NaN]"),
-        ("output_std", "[-1]"), ("input_mean", "[1" + "0" * 400 + "]")])
+        ("output_std", "[-1]"), ("input_mean", "[1" + "0" * 400 + "]"),
+        ("output_std", "[1e-300]"), ("input_std", "[1e-160]")])
     def test_stats_must_be_finite_with_positive_std(self, tmp_path, key, text):
         # json reads NaN and Infinity, and ints past the float range; a zero
         # std divides by zero and a negative one flips every prediction's sign.
+        # A positive std too small to divide by overflows the normalized field
+        # (1e-300) or its squared norm (1e-160).
         D.write_dataset(D.generate_darcy(n=5, g=8, seed=4), tmp_path / "dset")
         path = tmp_path / "dset" / "manifest.json"
         man = json.loads(path.read_text())

@@ -3,6 +3,7 @@
 import json
 import struct
 import threading
+import time
 import tracemalloc
 
 import numpy as np
@@ -11,15 +12,23 @@ import pytest
 from conftest import edit_header, gradcheck_op
 from la2.data import generate_darcy
 from la2.geometry import PointSet, knn_indices, knn_indices_accelerated, relabel_knn
+import la2.attention
 import la2.model
 from la2.attention import la2_layer
 from la2.model import (CheckpointError, ModelConfig, OperatorModel, encode,
                        forward, init_block, init_model, load_checkpoint,
                        mask_trajectory, save_checkpoint)
+import la2.tensor as T
 from la2.tensor import (GradTape, Tensor, TensorError, _sigmoid, backward,
                         linear_attention_sums, recompute,
                         relative_l2_loss, soft_mask)
 from la2.training import _THREAD_MIN_ACTIVATIONS
+
+
+# A split tape's gradients against the one-block tape's, relative to each
+# tensor's largest entry. Measured through the whole model at M=1089 and 4096,
+# heads 1 and 2, L=1, 2 and 3: at most 4.4e-12.
+SPLIT_GRAD_RTOL = 1e-10
 
 
 def tiny_config(**kw):
@@ -192,45 +201,67 @@ class TestForward:
                 loss = relative_l2_loss(forward(m, f_in, pts, knn), Tensor(np.ones((16, 1))))
                 lengths.append(len(tape))           # backward consumes the tape
                 backward(loss, tape)
-        assert lengths[0] == lengths[1] == 5 + 18 * cfg.layers
+        assert lengths[0] == lengths[1] == 5 + 19 * cfg.layers
 
     @staticmethod
-    def taped_bytes(recompute_blocks):
+    def taped_bytes(monkeypatch, recompute_blocks, blocks=1, row_workers=1):
         """Tape length and live bytes after one forward pass and loss, L=2,
-        C=64, M=1024, the peak bytes through the backward that follows, and
-        the bytes of one [M, C] float64 array."""
+        C=64, M=1024, on at most `blocks` row blocks, the peak bytes through
+        the backward that follows, the bytes of one [M, C] float64 array, and
+        the live bytes of numpy array data alone."""
+        monkeypatch.setattr(T, "_MAX_ROW_BLOCKS", blocks)
         ds = generate_darcy(n=1, g=32, seed=3)
         cfg = ModelConfig(in_channels=1, coord_channels=2, out_channels=1, k=8,
                           layers=2, hidden=64, seed=0)
+        assert len(T.row_blocks(ds.geometry.m, cfg.hidden)) == blocks
         m = init_model(cfg)
         knn = knn_indices_accelerated(ds.geometry, cfg.k)
         f_in, target = Tensor(ds.inputs.data[0]), Tensor(ds.outputs.data[0])
         tracemalloc.start()
         try:
             with GradTape() as tape:
-                loss = relative_l2_loss(forward(m, f_in, ds.geometry, knn,
+                loss = relative_l2_loss(forward(m, f_in, ds.geometry, knn, row_workers=row_workers,
                                                 recompute_blocks=recompute_blocks), target)
                 entries = len(tape)
                 live, _ = tracemalloc.get_traced_memory()
+                arrays = tracemalloc.take_snapshot().filter_traces(
+                    [tracemalloc.DomainFilter(True, np.lib.tracemalloc_domain)])
                 backward(loss, tape)
                 _, peak = tracemalloc.get_traced_memory()
         finally:
             tracemalloc.stop()
-        return entries, live, peak, 8 * ds.geometry.m * cfg.hidden
+        data = sum(t.size for t in arrays.traces)
+        return entries, live, peak, 8 * ds.geometry.m * cfg.hidden, data
 
-    def test_tape_footprint(self):
-        # The serial (full) tape, which `train` records on one thread: a
-        # block's tape holds what its backward rules read and no more: no
-        # pre-bias GEMM output, no normalized copy inside layer_norm. That is
-        # about 22.3 [M, C] float64 arrays per block; keeping both copies
-        # measured 31.3. Entries: 18 per block, 4 for encoder and projection,
-        # 1 for the loss.
+    def test_tape_footprint(self, monkeypatch):
+        # The one-block (full) tape: a block's tape holds what its backward
+        # rules read and no more: no pre-bias GEMM output, no normalized copy
+        # inside layer_norm. That is about 22.3 [M, C] float64 arrays per
+        # block; keeping both copies measured 31.3. Entries: 19 per block, 4
+        # for encoder and projection, 1 for the loss.
         layers = 2
-        entries, live, _, array_bytes = self.taped_bytes(False)
+        entries, live, _, array_bytes, _ = self.taped_bytes(monkeypatch, False)
         assert live <= 23 * array_bytes * layers, live / (array_bytes * layers)
-        assert entries == 5 + 18 * layers
+        assert entries == 5 + 19 * layers
 
-    def test_recomputed_tape_footprint(self):
+    @pytest.mark.threads
+    @pytest.mark.parametrize("row_workers", [1, 2])
+    def test_split_tape_footprint(self, monkeypatch, row_workers):
+        # On two row blocks each stage keeps its blocks' sub-tapes, which
+        # together hold the one-block tape's arrays: the joined outputs take
+        # over the blocks' output rows. Measured: 152 more bytes of array data
+        # in 22.3 MiB (small per-block index arrays), and 49 KB more in all,
+        # the sub-tapes' Python objects (views, lists, closures). Entries: 4
+        # per block (stages A and B, the global key sums and the mask), 1 for
+        # the encoder, 1 for the projection and 1 for the loss.
+        layers = 2
+        one = self.taped_bytes(monkeypatch, False)
+        split = self.taped_bytes(monkeypatch, False, blocks=2, row_workers=row_workers)
+        assert split[4] <= one[4] + 1024, split[4] - one[4]
+        assert split[1] <= one[1] + 128 * 1024, split[1] - one[1]
+        assert split[0] == 3 + 4 * layers
+
+    def test_recomputed_tape_footprint(self, monkeypatch):
         # With recompute_blocks each block but the last is one entry that
         # keeps its input and output, one [M, C] array, where the full tape
         # keeps about 22.3; the encoder's entries hold 4 more, and the last
@@ -239,10 +270,10 @@ class TestForward:
         # entry's arrays as it passes. Recomputing every block and keeping
         # the whole tape until backward ends peaked at 35.3.
         layers = 2
-        entries, live, peak, array_bytes = self.taped_bytes(True)
+        entries, live, peak, array_bytes, _ = self.taped_bytes(monkeypatch, True)
         assert live <= (4.5 + (layers - 1) + 23) * array_bytes, live / array_bytes
         assert peak <= 32 * array_bytes, peak / array_bytes
-        assert entries == 5 + (layers - 1) + 18
+        assert entries == 5 + (layers - 1) + 19
 
 
 class TestRecompute:
@@ -273,7 +304,7 @@ class TestRecompute:
 
         full = run(layer)
         once = run(lambda t: recompute(layer, t, params))
-        assert (full[0], once[0]) == (19, 2)
+        assert (full[0], once[0]) == (20, 2)
         assert np.array_equal(full[1], once[1])
         assert all(np.array_equal(a, b) for a, b in zip(full[2], once[2]))
 
@@ -298,8 +329,8 @@ class TestRecompute:
                 grads = backward(loss, tape)
             runs.append((rules, loss.data, [grads[p] for _, p in m.named_parameters()]))
         (full, *_), (once, *_) = runs
-        assert len(full) == 5 + 18 * layers
-        assert len(once) == 5 + (layers - 1) + 18
+        assert len(full) == 5 + 19 * layers
+        assert len(once) == 5 + (layers - 1) + 19
         assert once.count("recompute.<locals>.rule") == layers - 1
         assert np.array_equal(runs[0][1], runs[1][1])
         assert all(np.array_equal(a, b) for a, b in zip(runs[0][2], runs[1][2]))
@@ -362,10 +393,9 @@ class TestRowWorkers:
         assert errors[1] == errors[2]
         assert errors[1][0] is TensorError
 
-    def test_rows_never_split_under_a_tape(self, monkeypatch):
-        ds = generate_darcy(n=1, g=33, seed=6)
-        m = self.perturbed_model(1)
-        knn = knn_indices_accelerated(ds.geometry, 8)
+    @staticmethod
+    def counted_starts(monkeypatch):
+        """The list that every thread started from now on is appended to."""
         started = []
         start = threading.Thread.start
 
@@ -374,23 +404,122 @@ class TestRowWorkers:
             start(thread)
 
         monkeypatch.setattr(threading.Thread, "start", counted)
+        return started
+
+    def test_taped_split_same_bytes_on_any_row_workers(self, monkeypatch):
+        # M=1089 x C=64 cuts into two row blocks under a tape as without one;
+        # the row threads only run them, so loss and gradients keep their
+        # bytes. Entries: 4 per block, 1 each for encoder, projection, loss.
+        ds = generate_darcy(n=1, g=33, seed=6)
+        m = self.perturbed_model(1)
+        knn = knn_indices_accelerated(ds.geometry, 8)
+        started = self.counted_starts(monkeypatch)
         runs = []
-        for workers in (1, 3):
+        for workers in (1, 2, 3):
+            started.clear()
+            before = threading.active_count()
             x = Tensor(ds.inputs.data[0])
             with GradTape() as tape:
                 loss = relative_l2_loss(forward(m, x, ds.geometry, knn, row_workers=workers),
                                         Tensor(ds.outputs.data[0]))
                 entries = len(tape)
                 grads = backward(loss, tape)
+            assert threading.active_count() == before
+            # Forward and backward each fan out once per stage: the encoder
+            # and stages A and B of the two layers.
+            assert len(started) == (0 if workers == 1 else 2 * (1 + 2 * 2))
             runs.append((entries, loss.data, [grads[p] for _, p in m.named_parameters()]))
-        assert started == []
-        assert runs[0][0] == runs[1][0] == 5 + 18 * 2
-        assert np.array_equal(runs[0][1], runs[1][1])
-        assert all(np.array_equal(a, b) for a, b in zip(runs[0][2], runs[1][2]))
+        assert runs[0][0] == 3 + 4 * 2
+        for run in runs[1:]:
+            assert run[0] == runs[0][0] and np.array_equal(run[1], runs[0][1])
+            assert all(np.array_equal(a, b) for a, b in zip(run[2], runs[0][2]))
+
+    @staticmethod
+    def split_layer(heads):
+        """A perturbed block at C=64 and a unit-scale input x at M=1089, the
+        KNN index, and the block's tensors with x first."""
+        ds = generate_darcy(n=1, g=33, seed=6)
+        rng = np.random.default_rng(10 + heads)
+        blk = init_block(rng, ModelConfig(1, 2, 1, k=8, hidden=64, heads=heads, seed=2))
+        for _, p in blk.named_params():
+            p.data += 0.05 * rng.standard_normal(p.shape)
+        x = Tensor(rng.standard_normal((ds.geometry.m, 64)), requires_grad=True)
+        assert len(T.row_blocks(*x.shape)) == 2
+        return blk, x, knn_indices_accelerated(ds.geometry, 8), [x, *(p for _, p in
+                                                                     blk.named_params())]
+
+    @pytest.mark.parametrize("heads", [1, 2])
+    def test_split_layer_gradcheck(self, rng, heads):
+        # M=1089 cuts into blocks of 512 and 577 rows: the tail is not
+        # aligned. Central differences along one random direction per tensor
+        # check every gradient, the blocks' added weight, key and value
+        # gradients among them; the mask logit is checked entry by entry.
+        blk, x, knn, tensors = self.split_layer(heads)
+        target = Tensor(rng.standard_normal(x.shape))
+
+        def loss():
+            return relative_l2_loss(la2_layer(x, knn, blk, row_workers=2), target)
+
+        with GradTape() as tape:
+            grads = backward(loss(), tape)
+        step = 1e-6
+        for t in tensors:
+            u = rng.standard_normal(t.shape)
+            base = t.data.copy()
+            t.data = base + step * u
+            up = loss().item()
+            t.data = base - step * u
+            down = loss().item()
+            t.data = base
+            fd, tape_dd = (up - down) / (2 * step), float(np.sum(grads[t] * u))
+            assert abs(fd - tape_dd) <= 1e-6 * max(1.0, abs(fd)), (fd, tape_dd)
+        gradcheck_op(lambda: la2_layer(x, knn, blk, row_workers=2), [blk.mask_s], rng)
+
+    @pytest.mark.parametrize("heads", [1, 2])
+    def test_split_tape_matches_one_block(self, rng, monkeypatch, heads):
+        # The split forward is the one-block forward bit for bit; its
+        # gradients add the blocks' weight, key and value gradients in
+        # another order, within SPLIT_GRAD_RTOL of each tensor's largest.
+        blk, x, knn, tensors = self.split_layer(heads)
+        target = Tensor(rng.standard_normal(x.shape))
+
+        def run(blocks):
+            monkeypatch.setattr(T, "_MAX_ROW_BLOCKS", blocks)
+            with GradTape() as tape:
+                out = la2_layer(x, knn, blk, row_workers=2)
+                grads = backward(relative_l2_loss(out, target), tape)
+            return out.data, [grads[t] for t in tensors]
+
+        (one, g_one), (split, g_split) = run(1), run(2)
+        assert np.array_equal(split, one)
+        for a, b in zip(g_split, g_one):
+            assert np.abs(a - b).max() <= SPLIT_GRAD_RTOL * np.abs(b).max()
+
+    def test_taped_error_in_stage_b_is_the_lowest_blocks(self, monkeypatch):
+        # Both blocks fail in stage B, block 0 last; its error, the one a
+        # serial loop raises first, reaches the caller, whose tape is active
+        # again, and no started thread outlives the call.
+        blk, x, knn, _ = self.split_layer(1)
+        real = la2.attention.knn_attention
+
+        def failing(q, *args):
+            if q.shape[0] == 512:
+                time.sleep(0.05)
+            raise TensorError(f"block of {q.shape[0]} rows")
+
+        monkeypatch.setattr(la2.attention, "knn_attention", failing)
+        before = threading.active_count()
+        with GradTape() as tape:
+            with pytest.raises(TensorError, match="^block of 512 rows$"):
+                la2_layer(x, knn, blk, row_workers=2)
+            assert threading.active_count() == before
+            assert T._ACTIVE_TAPE.tape is tape
+        monkeypatch.setattr(la2.attention, "knn_attention", real)
+        la2_layer(x, knn, blk, row_workers=2)
 
     def test_threads_started_by_a_split_forward(self, monkeypatch):
         # On 2 row blocks one thread starts for the encoder and one for each
-        # block's stages A, B and C; the global key sums run on the caller.
+        # block's stages A and B; the global key sums run on the caller.
         ds = generate_darcy(n=1, g=33, seed=6)
         layers = 2
         m = self.perturbed_model(1, layers)
@@ -404,7 +533,7 @@ class TestRowWorkers:
 
         monkeypatch.setattr(threading.Thread, "start", counted)
         forward(m, Tensor(ds.inputs.data[0]), ds.geometry, knn, row_workers=2)
-        assert len(started) == 1 + 3 * layers
+        assert len(started) == 1 + 2 * layers
         started.clear()
         k, v = (Tensor(np.ones((4096, 32))) for _ in range(2))
         linear_attention_sums(k, v, 2)

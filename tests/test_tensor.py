@@ -259,8 +259,8 @@ class TestLinearAttention:
     @pytest.mark.parametrize("sums", [None, "tuple"])
     def test_sums_not_from_linear_attention_sums_rejected(self, rng, sums):
         q, k, v = (Tensor(rng.standard_normal((5, 4))) for _ in range(3))
-        if sums == "tuple":                 # the same fields, but not a _KeySums
-            sums = tuple(T.linear_attention_sums(k, v, 2))
+        if sums == "tuple":                 # the same numbers, but not a Tensor
+            sums = tuple(T.linear_attention_sums(k, v, 2).data)
         with pytest.raises(TensorError, match="linear_attention_sums"):
             T.linear_attention(q, sums)
 
@@ -308,7 +308,7 @@ class TestRowBlocks:
         rng = np.random.default_rng(m + heads)
         c, d = 64, 32
         dh = d // heads
-        blocks = T.row_blocks(m, 2)
+        blocks = T.row_blocks(m, c)
         assert len(blocks) == 2
         x = rng.standard_normal((m, c))
         wide = rng.standard_normal((m, 2 * c))
@@ -329,27 +329,42 @@ class TestRowBlocks:
                 assert np.array_equal(a[..., rows, :] @ b, whole[..., rows, :]), \
                     (a.shape, b.shape, rows)
 
-    def test_blocks_cover_rows_in_aligned_starts(self):
+    def test_blocks_cover_rows_in_aligned_starts(self, monkeypatch):
+        # Blocks follow M x width, one per _THREAD_MIN_ACTIVATIONS, here with
+        # the cap on their count lifted.
+        monkeypatch.setattr(T, "_MAX_ROW_BLOCKS", 8)
+
+        def width(m, parts):                    # the least width giving `parts`
+            return -(-parts * T._THREAD_MIN_ACTIVATIONS // m)
+
         for m, parts in [(4096, 2), (4097, 3), (1089, 2), (130, 5)]:
-            blocks = T.row_blocks(m, parts)
+            blocks = T.row_blocks(m, width(m, parts))
             assert blocks[0].start == 0 and blocks[-1].stop == m
             assert all(a.stop == b.start for a, b in zip(blocks, blocks[1:]))
             assert all(r.start % T._ROW_ALIGN == 0 for r in blocks)
-        assert len(T.row_blocks(4097, 3)) == 3
-        assert len(T.row_blocks(130, 5)) == 2                  # two aligned starts
-        assert T.row_blocks(127, 2) == T.row_blocks(4096, 1) == [slice(None)]
+        assert len(T.row_blocks(4097, width(4097, 3))) == 3
+        assert len(T.row_blocks(130, width(130, 5))) == 2     # two aligned starts
+        assert T.row_blocks(127, 10**6) == [slice(None)]
+        assert T.row_blocks(4096, width(4096, 2) - 1) == [slice(None)]
 
-    def test_one_block_and_any_tape_leave_tensors_as_they_are(self, rng):
+    def test_blocks_stop_at_the_cap(self):
+        assert T.row_blocks(4096, 64) == [slice(0, 2048), slice(2048, 4096)]
+        assert len(T.row_blocks(4096, 1024)) == T._MAX_ROW_BLOCKS == 2
+        assert T.row_blocks(1024, 63) == [slice(None)]
+
+    def test_one_block_and_any_tape_leave_tensors_as_they_are(self, rng, monkeypatch):
+        # A tape does not change the blocks: they follow the shape alone.
+        monkeypatch.setattr(T, "_MAX_ROW_BLOCKS", 4)
         x = leaf(None, rng, (256, 3))
-        assert T.row_blocks(256, 4) == [slice(0, 64), slice(64, 128),
-                                        slice(128, 192), slice(192, 256)]
+        quarters = [slice(0, 64), slice(64, 128), slice(128, 192), slice(192, 256)]
+        assert T.row_blocks(256, 512) == quarters
         with GradTape():
-            assert T.row_blocks(256, 4) == [slice(None)]
-        assert T.take_rows(x, slice(None)) is x
-        assert T.concat_rows([x]) is x
-        parts = [T.take_rows(x, r) for r in T.row_blocks(256, 4)]
+            assert T.row_blocks(256, 512) == quarters
+        assert T._take_rows(x, slice(None)) is x
+        assert T._concat_rows([x]) is x
+        parts = [T._take_rows(x, r) for r in quarters]
         assert np.shares_memory(parts[1].data, x.data)
-        assert np.array_equal(T.concat_rows(parts).data, x.data)
+        assert np.array_equal(T._concat_rows(parts).data, x.data)
 
 
 class TestLayerNorm:
@@ -677,15 +692,16 @@ class TestInPlaceKernels:
     """The elementwise kernels work in place, in arrays of their own only."""
 
     @staticmethod
-    def run(op, inputs, rng):
-        """op()'s output and its rule's gradients for a random output
-        gradient g. Neither the forward, the rule (run twice) nor a backward
-        through a loss writes into an input, g or the rule's saved arrays."""
+    def run(op, inputs, rng, g=None):
+        """op()'s output and its rule's gradients for output gradient g,
+        random if not given. Neither the forward, the rule (run twice) nor a
+        backward through a loss writes into an input, g or the rule's saved
+        arrays."""
         before = [t.data.copy() for t in inputs]
         with GradTape() as tape:
             out = op()
             (_, _, rule), = (e for e in tape._entries if e[0] is out)
-            g = rng.standard_normal(out.shape)
+            g = rng.standard_normal(out.shape) if g is None else g
             g_before = g.copy()
             grads, again = rule(g), rule(g)
             backward(T.relative_l2_loss(out, Tensor(rng.standard_normal(out.shape))), tape)
@@ -714,10 +730,14 @@ class TestInPlaceKernels:
 
     @pytest.mark.parametrize("heads", [1, 2])
     def test_linear_attention_with_queries_of_their_own(self, rng, heads):
+        # The query side's rule gives q's gradient and the sums'; the key
+        # side's rule turns the sums' gradient into k's and v's.
         q, k, v = (leaf(None, rng, (m, 8)) for m in (130, 300, 300))
-        out, grads, g = self.run(
+        out, (gq, gsums), g = self.run(
             lambda: T.linear_attention(q, T.linear_attention_sums(k, v, heads)), [q, k, v], rng)
-        self.assert_equal((out, grads),
+        _, (gk, gv), _ = self.run(lambda: T.linear_attention_sums(k, v, heads), [k, v], rng,
+                                  g=gsums)
+        self.assert_equal((out, (gq, gk, gv)),
                           old_linear_attention(q.data, k.data, v.data, heads, g))
 
     @pytest.mark.parametrize("heads", [1, 2])

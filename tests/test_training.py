@@ -456,6 +456,45 @@ class TestParallelTrain:
 
 
 @pytest.mark.threads
+class TestRowSplitTrain:
+    """One large sample's taped step runs its row blocks on the CPUs that
+    sample threads leave idle; the results must not show it."""
+
+    cpus = TestParallelEvaluate.cpus
+
+    def test_one_sample_batches_same_bytes_on_one_two_and_three_cpus(self, monkeypatch,
+                                                                     tmp_path):
+        # 1024 points x width 64 cuts into two row blocks under a tape;
+        # batches of one sample leave every CPU but one to its rows.
+        ds = D.generate_darcy(n=3, g=32, seed=25)
+        assert len(ds.train_indices) == 2
+        plans = []
+        real = TR.forward
+
+        def recording(*args, recompute_blocks=False, row_workers=1, **kwargs):
+            plans.append((recompute_blocks, row_workers))
+            return real(*args, recompute_blocks=recompute_blocks, row_workers=row_workers,
+                        **kwargs)
+
+        monkeypatch.setattr(TR, "forward", recording)
+        results = {}
+        for n in (1, 2, 3):
+            self.cpus(monkeypatch, n)
+            plans.clear()
+            m = tiny_model(ds, layers=2, hidden=64, k=8)
+            before = threading.active_count()
+            report = TR.train(m, ds, TR.TrainConfig(epochs=2, batch_size=1, seed=4),
+                              checkpoint_path=tmp_path / f"best{n}.la2c")
+            assert threading.active_count() == before
+            # Per epoch: two one-sample steps, then evaluate's test sample.
+            assert plans == [(False, min(n, 2))] * 6
+            results[n] = (b"".join(p.data.tobytes() for _, p in m.named_parameters()),
+                          np.array(report.train_loss + report.test_rel_l2).tobytes(),
+                          (tmp_path / f"best{n}.la2c").read_bytes())
+        assert results[1] == results[2] == results[3]
+
+
+@pytest.mark.threads
 class TestRowSplitEvaluate:
     """One large sample's rows are split across the CPUs that sample threads
     leave idle; the results must not show it."""
@@ -463,8 +502,8 @@ class TestRowSplitEvaluate:
     cpus = TestParallelEvaluate.cpus
 
     def test_one_large_sample_same_bytes_on_one_two_and_three_cpus(self, monkeypatch):
-        # 1600 points x width 64 is three times the cutoff, room for three
-        # row blocks.
+        # 1600 points x width 64 is three times the cutoff, yet rows split
+        # in two at most, so a third CPU adds no thread.
         ds = D.generate_darcy(n=2, g=40, seed=24)
         m = tiny_model(ds, layers=2, hidden=64, k=8)
         started = []
@@ -482,9 +521,9 @@ class TestRowSplitEvaluate:
             before = threading.active_count()
             results[n] = result_bytes(TR.evaluate(m, ds, [1]))
             assert threading.active_count() == before
-            # n - 1 started threads in each of the encoder and, per block,
-            # stage A, stage B and stage C.
-            assert len(started) == (1 + 2 * 3) * (n - 1)
+            # One started thread, on two row blocks, in each of the encoder
+            # and, per block, stage A and stage B.
+            assert len(started) == (1 + 2 * 2) * min(n - 1, 1)
         assert results[1] == results[2] == results[3]
 
     def test_row_worker_count(self, monkeypatch):
@@ -496,8 +535,8 @@ class TestRowSplitEvaluate:
         assert TR._threads(2, 8 * cut) == (2, 1)
         assert TR._threads(1, 2 * cut - 1) == (1, 1)
         self.cpus(monkeypatch, 10_000)
-        assert TR._threads(1, 8 * cut) == (1, 8)
-        assert TR._threads(3, 8 * cut) == (3, 8)
+        assert TR._threads(1, 8 * cut) == (1, 2)            # one thread per row block
+        assert TR._threads(3, 8 * cut) == (3, 2)
         assert TR._threads(3, cut) == (3, 1)
         self.cpus(monkeypatch, 1)
         assert TR._threads(1, 8 * cut) == (1, 1)
@@ -507,7 +546,7 @@ class TestRowSplitEvaluate:
         reads = []
         monkeypatch.setattr(os, "sched_getaffinity",
                             lambda pid: reads.append(pid) or set(range(4)))
-        assert TR._threads(1, 8 * TR._THREAD_MIN_ACTIVATIONS) == (1, 4)
+        assert TR._threads(1, 8 * TR._THREAD_MIN_ACTIVATIONS) == (1, 2)
         assert reads == [0]
         monkeypatch.delattr(os, "sched_getaffinity")
         assert TR._threads(1, 8 * TR._THREAD_MIN_ACTIVATIONS) == (1, 1)
