@@ -28,7 +28,6 @@ from .tensor import (
     linear,
     linear_attention,
     linear_attention_sums,
-    row_blocks,
     row_stage,
     soft_mask,
 )
@@ -108,34 +107,35 @@ def local_attention(h_bar: Tensor, knn: KnnIndex, w: Tensor,
 
 
 def la2_layer(h_prev: Tensor, knn: KnnIndex, p: GlaLayerParams,
-              row_workers: int = 1) -> Tensor:
+              row_workers: int = 1, split_taped: bool = False) -> Tensor:
     """Pre-norm block: the fused global and local branches, Linear(Concat(global,
     local)) back to width C, as a residual, then a feed-forward residual.
 
     Only two steps read other rows than their own: the local branch reads
     its neighbors' keys and values, and the global branch sums over all rows
-    (Kn^T V, Kn^T 1). So the block runs as two `row_stage`s on the
-    `row_blocks` of [M, C], dealt to `row_workers` threads, the caller's
-    among them. Stage A normalizes each block's rows and projects them six
-    ways. The global key side is then formed once, on the calling thread,
-    from the joined keys and values. Stage B runs the row side of both
-    branches, fusion, the attention residual and the feed-forward residual.
+    (Kn^T V, Kn^T 1). So the block runs as two `row_stage`s on the row
+    blocks of [M, C], dealt to `row_workers` threads, the caller's among
+    them; under an active tape the rows are cut only with `split_taped`.
+    Stage A normalizes each block's rows and projects them six ways. The
+    global key side is then formed once, on the calling thread, from the
+    joined keys and values. Stage B runs the row side of both branches,
+    fusion, the attention residual and the feed-forward residual.
 
     A row's arithmetic does not depend on the cut, so the output is the same
     bit for bit on any blocks. Under an active tape each stage with several
     blocks is one entry whose rule adds the blocks' weight, key and value
-    gradients in block order; the blocks depend on M and C alone, so the
-    gradients are the same for any `row_workers`.
+    gradients in block order; the taped blocks depend on M, C and
+    `split_taped` alone, so the gradients are the same for any `row_workers`.
     """
-    blocks = row_blocks(*h_prev.shape)
+    c = h_prev.shape[1]
     params = [t for _, t in p.named_params()]
 
     def project(rows, h):                                       # stage A
         h_bar = layer_norm(h, p.ln1_gamma, p.ln1_beta)
         return _global_qkv(h_bar, p) + _local_qkv(h_bar, p)
 
-    q_g, k_g, v_g, q_l, k_l, v_l = row_stage(project, (h_prev,), params, blocks,
-                                             row_workers)
+    q_g, k_g, v_g, q_l, k_l, v_l = row_stage(project, (h_prev,), params, c, row_workers,
+                                             split_taped)
     sums = linear_attention_sums(k_g, v_g, p.heads)
     w = soft_mask(p.mask_s, knn.k, p.alpha)
 
@@ -147,5 +147,5 @@ def la2_layer(h_prev: Tensor, knn: KnnIndex, p: GlaLayerParams,
                                 p.ff_w1, p.ff_b1)), p.ff_w2, p.ff_b2)
         return (add(ff, h),)
 
-    return row_stage(attend, (q_g, q_l, h_prev), [sums, k_l, v_l, w, *params], blocks,
-                     row_workers)[0]
+    return row_stage(attend, (q_g, q_l, h_prev), [sums, k_l, v_l, w, *params], c,
+                     row_workers, split_taped)[0]

@@ -338,7 +338,10 @@ def read_tensor_file(path) -> np.ndarray:
     count = math.prod(shape)                # Python ints: no overflow
     if len(blob) != head + 8 * count:
         raise FormatError(f"{path}: payload does not match shape {shape}")
-    return np.frombuffer(blob[head:], dtype="<f8").reshape(shape).astype(np.float64)
+    arr = np.frombuffer(blob[head:], dtype="<f8").reshape(shape).astype(np.float64)
+    if not np.all(np.isfinite(arr)):
+        raise FormatError(f"{path}: holds NaN or infinite values")
+    return arr
 
 
 def write_dataset(ds: Dataset, path) -> None:
@@ -374,9 +377,9 @@ def read_dataset(path) -> Dataset:
 def _check_manifest(ds: Dataset, where) -> None:
     """Both splits index [0, N), train is non-empty, stats match the channels,
     every stat is finite and every standard deviation is positive. A standard
-    deviation must also be large enough to divide by: every normalized
-    input and output field, and each sample's squared norm of it (the
-    loss's denominator), must be finite."""
+    deviation must also be large enough for the (finite) values it divides:
+    every normalized input and output field, and each sample's squared norm
+    of it (the loss's denominator), must be finite."""
     man = ds.manifest
     if not isinstance(man, dict):
         raise FormatError(f"{where}: manifest must be a JSON object")
@@ -409,5 +412,6 @@ def _check_manifest(ds: Dataset, where) -> None:
             finite = np.all(np.isfinite(z)) and np.all(np.isfinite((z * z).sum(axis=(1, 2))))
         if not finite:
             raise FormatError(
-                f"{where}: stats.{field}_std must be large enough that the normalized "
-                f"{field}s and their squared norms are finite, got {stats[f'{field}_std']}")
+                f"{where}: stats.{field}_std must be large enough for the values of "
+                f"{field}s.la2t, which normalized, or their squared norms, overflow; "
+                f"got {stats[f'{field}_std']}")

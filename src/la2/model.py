@@ -19,7 +19,7 @@ import numpy as np
 from .attention import GlaLayerParams, la2_layer
 from .geometry import KnnIndex, PointSet
 from .tensor import (Tensor, TensorError, _sigmoid, concat_lastdim, gelu, linear,
-                     recompute, row_blocks, row_stage)
+                     recompute, row_stage)
 
 __all__ = ["ModelConfig", "OperatorModel", "init_block", "init_model", "encode",
            "forward", "mask_trajectory", "save_checkpoint", "load_checkpoint",
@@ -155,10 +155,12 @@ def init_model(cfg: ModelConfig) -> OperatorModel:
     )
 
 
-def encode(f_in: Tensor, x: PointSet, m: OperatorModel, row_workers: int = 1) -> Tensor:
+def encode(f_in: Tensor, x: PointSet, m: OperatorModel, row_workers: int = 1,
+           split_taped: bool = False) -> Tensor:
     """Concatenate coordinates to the input field and lift to width C, each
-    point on its own, so as one `row_stage` on the `row_blocks` of [M, C],
-    dealt to `row_workers` threads."""
+    point on its own, so as one `row_stage` on the row blocks of [M, C],
+    dealt to `row_workers` threads (cut under a tape only with
+    `split_taped`)."""
     if f_in.ndim != 2 or f_in.shape[0] != x.m:
         raise TensorError(
             f"input field rows {f_in.shape} must align with {x.m} points")
@@ -171,11 +173,12 @@ def encode(f_in: Tensor, x: PointSet, m: OperatorModel, row_workers: int = 1) ->
         return (linear(gelu(linear(z, m.enc_w1, m.enc_b1)), m.enc_w2, m.enc_b2),)
 
     params = [m.enc_w1, m.enc_b1, m.enc_w2, m.enc_b2]
-    return row_stage(lift, (z,), params, row_blocks(x.m, m.config.hidden), row_workers)[0]
+    return row_stage(lift, (z,), params, m.config.hidden, row_workers, split_taped)[0]
 
 
 def forward(m: OperatorModel, f_in: Tensor, x: PointSet, knn: KnnIndex,
-            recompute_blocks: bool = False, row_workers: int = 1) -> Tensor:
+            recompute_blocks: bool = False, row_workers: int = 1,
+            split_taped: bool = False) -> Tensor:
     """Apply encoder, the L blocks in order, and the output projection.
 
     With `recompute_blocks`, each block but the last is one `recompute` tape
@@ -183,19 +186,20 @@ def forward(m: OperatorModel, f_in: Tensor, x: PointSet, knn: KnnIndex,
     and output instead of its intermediates. The last block is taped in
     full, since its backward starts as soon as the forward ends. The
     gradients are the same bit for bit. The encoder and each block deal
-    their row blocks to `row_workers` threads (`la2_layer`), taped or not;
-    the output and the gradients are the same bit for bit for any
-    `row_workers`.
+    their row blocks to `row_workers` threads (`la2_layer`); under an active
+    tape the rows are cut, into blocks that depend on the shape alone, only
+    with `split_taped`. The output is the same bit for bit for any
+    `row_workers` or `split_taped`, and the gradients for any `row_workers`.
     """
     if knn.m != x.m:
         raise TensorError("KNN index does not match the point set")
-    h = encode(f_in, x, m, row_workers)
+    h = encode(f_in, x, m, row_workers, split_taped)
     for i, blk in enumerate(m.blocks):
         if recompute_blocks and i < len(m.blocks) - 1:
-            h = recompute(lambda t, blk=blk: la2_layer(t, knn, blk, row_workers), h,
-                          [p for _, p in blk.named_params()])
+            h = recompute(lambda t, blk=blk: la2_layer(t, knn, blk, row_workers, split_taped),
+                          h, [p for _, p in blk.named_params()])
         else:
-            h = la2_layer(h, knn, blk, row_workers)
+            h = la2_layer(h, knn, blk, row_workers, split_taped)
     return linear(h, m.proj_w, m.proj_b)
 
 

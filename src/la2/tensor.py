@@ -76,14 +76,16 @@ _ROW_ALIGN = 64
 # 1.12-1.14x at 1024, 1.26-1.34x at 1600, 1.37-1.46x at 2304 and
 # 1.67-1.76x at 4096; so rows split in two from M=1024.
 _THREAD_MIN_ACTIVATIONS = 512 * 64
-# At most this many row blocks. A taped M=4096 step (L=4, C=64, K=8, forward,
-# loss and backward) on 1, 2, 4 and 8 blocks, medians of 10 interleaved runs
-# in two sweeps: on 2 threads 517/516, 334/313, 331/327 and 325/323 ms; on one
-# CPU (taskset -c 0) 505/490, 511/486, 556/506 and 549/480 ms. The untaped
-# forward on 2 threads: 195, 126, 123 and 127 ms (2 CPUs, 1 BLAS thread).
-# Past two, blocks gained nothing; each adds its own Python ops, and its own
-# full-size key and value gradients for the stage to add. The count may not
-# follow the threads: a taped pass's sums would change with them.
+# Row blocks under a tape with `row_stage`'s split_taped. A taped M=4096 step
+# (L=4, C=64, K=8, forward, loss and backward) on 1, 2, 4 and 8 blocks,
+# medians of 10 interleaved runs in two sweeps: on 2 threads 517/516,
+# 334/313, 331/327 and 325/323 ms; on one CPU (taskset -c 0) 505/490,
+# 511/486, 556/506 and 549/480 ms (2 CPUs, 1 BLAS thread). Past two, blocks
+# gained nothing there; each adds its own Python ops, and its own full-size
+# key and value gradients for the stage to add. A taped pass adds its
+# blocks' gradients in block order, so this count may not follow the CPUs;
+# an untaped pass cuts one block per row thread, as its bytes do not depend
+# on the cut.
 _MAX_ROW_BLOCKS = 2
 
 
@@ -327,15 +329,13 @@ def concat_lastdim(a: Tensor, b: Tensor) -> Tensor:
     return _result(np.concatenate([a.data, b.data], axis=-1), (a, b), rule)
 
 
-def row_blocks(m: int, width: int) -> list[slice]:
-    """The row blocks of an [m, width] activation: one per
-    `_THREAD_MIN_ACTIVATIONS` points x width, at least one and at most
-    `_MAX_ROW_BLOCKS`, each starting at a multiple of `_ROW_ALIGN`, the last
-    one taking the remainder. They depend on the shape alone, never on a
-    thread count, so a taped pass adds its blocks' weight gradients in one
-    order on any number of CPUs."""
+def row_blocks(m: int, width: int, parts: int) -> list[slice]:
+    """Up to `parts` contiguous ranges that cover the rows of an [m, width]
+    activation, at most one per `_THREAD_MIN_ACTIVATIONS` points x width and
+    at least one, each starting at a multiple of `_ROW_ALIGN`, the last one
+    taking the remainder."""
     units = m // _ROW_ALIGN
-    parts = min(m * width // _THREAD_MIN_ACTIVATIONS, _MAX_ROW_BLOCKS, units)
+    parts = min(parts, m * width // _THREAD_MIN_ACTIVATIONS, units)
     if parts <= 1:
         return [slice(None)]
     bounds = [_ROW_ALIGN * (units * i // parts) for i in range(parts)] + [m]
@@ -711,18 +711,21 @@ def recompute(fn: Callable[[Tensor], Tensor], x: Tensor,
 
 
 def row_stage(fn: Callable[..., tuple[Tensor, ...]], row_inputs: tuple[Tensor, ...],
-              shared: Iterable[Tensor], blocks: list[slice],
-              workers: int) -> tuple[Tensor, ...]:
-    """``fn(rows, *xs)`` on each of `blocks` (from `row_blocks`), where xs
-    are those rows of each of `row_inputs`; returns fn's outputs with the
-    blocks' rows joined in order.
+              shared: Iterable[Tensor], width: int, workers: int,
+              split_taped: bool = False) -> tuple[Tensor, ...]:
+    """``fn(rows, *xs)`` on each row block of an [M, width] activation, M the
+    rows of `row_inputs`, where xs are those rows of each of `row_inputs`;
+    returns fn's outputs with the blocks' rows joined in order.
 
     fn returns a tuple of tensors whose rows are `rows`, each row computed
     from the same rows of `row_inputs` and from tensors shared by every
     block. The blocks are dealt to `workers` threads, the caller's among
-    them (`_map_in_order`); untaped on one thread, the rows are not cut. On
-    one block fn runs on the caller as it is, on the caller's tape if one is
-    active, and nothing is copied.
+    them (`_map_in_order`). Untaped, the rows are cut into
+    `row_blocks(M, width, workers)`, one block per thread: a row's bytes do
+    not depend on the cut. Under an active tape the blocks may not follow
+    the threads: they are `row_blocks(M, width, _MAX_ROW_BLOCKS)` with
+    `split_taped`, else one. On one block fn runs on the caller as it is, on
+    the caller's tape if one is active, and nothing is copied.
 
     Under an active tape with several blocks, each block records on a
     sub-tape of its own, and the stage is one entry on the caller's tape,
@@ -735,8 +738,11 @@ def row_stage(fn: Callable[..., tuple[Tensor, ...]], row_inputs: tuple[Tensor, .
     """
     shared = tuple(shared)
     tape = _ACTIVE_TAPE.tape
-    if tape is None and workers == 1:
-        blocks = [slice(None)]      # an untaped row's bytes do not depend on the cut
+    if tape is None:
+        parts = workers
+    else:
+        parts = _MAX_ROW_BLOCKS if split_taped else 1
+    blocks = row_blocks(row_inputs[0].shape[0], width, parts)
     workers = min(workers, len(blocks))
     split = tape is not None and len(blocks) > 1
 

@@ -23,8 +23,8 @@ from .model import (ModelConfig, OperatorModel, _check_field_types, forward,
                     mask_trajectory, save_checkpoint)
 # `train` calls the loss through this module's global name, which a caller may
 # rebind to observe each training sample.
-from .tensor import (_MAX_ROW_BLOCKS, _THREAD_MIN_ACTIVATIONS, GradTape, Tensor,
-                     _map_in_order, backward, relative_l2_loss)
+from .tensor import (_THREAD_MIN_ACTIVATIONS, GradTape, Tensor, _map_in_order,
+                     backward, relative_l2_loss, row_blocks)
 
 __all__ = ["TrainConfig", "TrainReport", "TrainingError",
            "AdamState", "adam_step", "clip_gradients", "cosine_lr",
@@ -153,19 +153,18 @@ def check_compatible(cfg: ModelConfig, ds: data_mod.Dataset) -> None:
         raise TrainingError(f"patch size {cfg.k} exceeds {ds.geometry.m} points")
 
 
-def _threads(n_samples: int, activations: int) -> tuple[int, int]:
-    """The plan of `evaluate` and `train` for `n_samples` samples of
-    `activations` points x hidden width: (sample threads, the caller's among
-    them; row threads per sample). (1, 1) below `_THREAD_MIN_ACTIVATIONS` or
-    when the CPU set cannot be read; else one sample thread per CPU, at most
-    one per sample, and the CPUs those leave idle run each sample's row
-    blocks, at most one thread per block (`row_blocks`)."""
-    if activations < _THREAD_MIN_ACTIVATIONS or not hasattr(os, "sched_getaffinity"):
+def _threads(n_samples: int, m: int, width: int) -> tuple[int, int]:
+    """The plan of `evaluate` and `train` for `n_samples` samples of `m`
+    points x hidden `width`: (sample threads, the caller's among them; row
+    threads per sample). (1, 1) below `_THREAD_MIN_ACTIVATIONS` or when the
+    CPU set cannot be read; else one sample thread per CPU, at most one per
+    sample, and the CPUs those leave idle run each sample's row blocks, one
+    thread per block of an untaped pass (`row_blocks`)."""
+    if m * width < _THREAD_MIN_ACTIVATIONS or not hasattr(os, "sched_getaffinity"):
         return 1, 1
     cpus = len(os.sched_getaffinity(0))
     samples = min(cpus, n_samples)
-    blocks = min(activations // _THREAD_MIN_ACTIVATIONS, _MAX_ROW_BLOCKS)
-    return samples, max(1, min(cpus // samples, blocks))
+    return samples, len(row_blocks(m, width, cpus // samples))
 
 
 def evaluate(m: OperatorModel, ds: data_mod.Dataset, split: str = "test") -> dict:
@@ -202,8 +201,7 @@ def evaluate(m: OperatorModel, ds: data_mod.Dataset, split: str = "test") -> dic
         raise TrainingError(f"split {split!r} selects no samples")
     knn = knn_indices_accelerated(ds.geometry, m.config.k)
     stats = ds.stats
-    activations = ds.geometry.m * m.config.hidden
-    workers, rows = _threads(len(indices), activations)
+    workers, rows = _threads(len(indices), ds.geometry.m, m.config.hidden)
 
     def rel_errors(i):
         x_norm = data_mod.normalize(ds.inputs.data[i], stats["input_mean"],
@@ -238,13 +236,17 @@ def train(m: OperatorModel, ds: data_mod.Dataset, cfg: TrainConfig,
     step and per-epoch evaluation uses the geometry's one cached KNN index.
 
     A batch's samples run on the sample threads of `_threads`, the caller's
-    among them, in waves of one sample per thread, and each sample's row
-    blocks run on that plan's row threads, forward and backward. With more
-    than one sample thread each block but the last is recomputed in backward
+    among them, in waves of one sample per thread. With more than one
+    sample thread each block but the last is recomputed in backward
     (`forward(..., recompute_blocks=True)`), so the concurrent tapes together
-    hold less than one full tape. Each wave's gradients and losses are added
-    in sample order once the wave has ended, and row blocks depend on the
-    shape alone, so every result is the same for any thread count.
+    hold less than one full tape. A one-sample batch has no sample to run
+    beside it, so its rows are cut (`forward(..., split_taped=True)`) and
+    run on that plan's row threads, forward and backward; a larger batch
+    keeps each sample's tape whole, as cutting rows that then run one after
+    the other only adds work. Each wave's gradients and losses are added in
+    sample order once the wave has ended, and the taped row blocks depend on
+    the shape and the batch size alone, so every result is the same for any
+    thread count.
     """
     check_compatible(m.config, ds)
     train_idx = ds.train_indices
@@ -259,14 +261,15 @@ def train(m: OperatorModel, ds: data_mod.Dataset, cfg: TrainConfig,
     state = AdamState(params)
     rng = np.random.default_rng(cfg.seed)
     report = TrainReport()
-    activations = ds.geometry.m * m.config.hidden
 
     def sample_grads(i):
         """Sample i's loss value and per-parameter gradients (None if unreached),
-        in the loop's current `epoch` and with its current `workers` and `rows`."""
+        in the loop's current `epoch` and with its current `workers`, `rows`
+        and `batch`."""
         with GradTape() as tape:
             pred = forward(m, Tensor(x_norm[i]), ds.geometry, knn,
-                           recompute_blocks=workers > 1, row_workers=rows)
+                           recompute_blocks=workers > 1, row_workers=rows,
+                           split_taped=len(batch) == 1)
             loss = relative_l2_loss(pred, Tensor(y_norm[i]))
             value = loss.item()
             if not math.isfinite(value):
@@ -285,7 +288,7 @@ def train(m: OperatorModel, ds: data_mod.Dataset, cfg: TrainConfig,
             batch = order[start:start + cfg.batch_size]
             grads = [np.zeros_like(p.data) for p in params]
             batch_loss = 0.0
-            workers, rows = _threads(len(batch), activations)
+            workers, rows = _threads(len(batch), ds.geometry.m, m.config.hidden)
             # One wave at a time bounds the gradient maps held at once.
             for first in range(0, len(batch), workers):
                 wave = batch[first:first + workers]

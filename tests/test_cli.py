@@ -314,7 +314,8 @@ class TestEval:
                    str(tiny_checkpoint(tmp_path / "m.la2c"))])
         assert rc == EXIT_USAGE
         captured = capsys.readouterr()
-        assert "stats.output_std must be large enough" in captured.err
+        assert "stats.output_std must be large enough for the values of outputs.la2t" \
+            in captured.err
         assert captured.out == ""
 
     def test_version_1_checkpoint_rejected(self, dataset_dir, tmp_path):

@@ -161,6 +161,13 @@ class TestFileFormat:
         with pytest.raises(D.FormatError):
             D.read_tensor_file(path)
 
+    @pytest.mark.parametrize("value", [np.nan, np.inf])
+    def test_non_finite_payload_rejected(self, tmp_path, value):
+        path = tmp_path / "t.la2t"
+        D.write_tensor_file(np.array([[1.0, value]]), path)
+        with pytest.raises(D.FormatError, match="t.la2t: holds NaN or infinite values"):
+            D.read_tensor_file(path)
+
     def test_element_count_past_int64(self, tmp_path):
         # 2^33 x 2^31 elements: an int64 product wraps to 0, which an empty
         # payload would match.
@@ -239,4 +246,27 @@ class TestFileFormat:
         man["stats"][key] = "@"
         path.write_text(json.dumps(man).replace('"@"', text))
         with pytest.raises(D.FormatError, match=f"stats.{key} must be"):
+            D.read_dataset(tmp_path / "dset")
+
+    @pytest.mark.parametrize("name", ["geometry", "inputs", "outputs"])
+    def test_dataset_with_non_finite_values_names_the_file(self, tmp_path, name):
+        D.write_dataset(D.generate_darcy(n=5, g=8, seed=4), tmp_path / "dset")
+        path = tmp_path / "dset" / f"{name}.la2t"
+        arr = D.read_tensor_file(path)
+        arr.flat[7] = np.nan
+        D.write_tensor_file(arr, path)
+        with pytest.raises(D.FormatError, match=f"{name}.la2t: holds NaN"):
+            D.read_dataset(tmp_path / "dset")
+
+    def test_finite_values_too_large_for_the_std(self, tmp_path):
+        # 1e200 is finite, but its square under a std of order 1 is not: the
+        # message names the std and the data file both.
+        D.write_dataset(D.generate_darcy(n=5, g=8, seed=4), tmp_path / "dset")
+        path = tmp_path / "dset" / "inputs.la2t"
+        arr = D.read_tensor_file(path)
+        arr.flat[7] = 1e200
+        D.write_tensor_file(arr, path)
+        with pytest.raises(D.FormatError,
+                           match="stats.input_std must be large enough for the values "
+                                 "of inputs.la2t"):
             D.read_dataset(tmp_path / "dset")

@@ -160,9 +160,9 @@ class TestForward:
         pts, knn, f_in = darcy_like_instance(rng, 12, cfg)
         seen = []
 
-        def counting(h, knn, p, row_workers):
+        def counting(h, knn, p, *args):
             seen.append(p)
-            return la2_layer(h, knn, p, row_workers)
+            return la2_layer(h, knn, p, *args)
 
         monkeypatch.setattr(la2.model, "la2_layer", counting)
         forward(m, f_in, pts, knn)
@@ -204,16 +204,15 @@ class TestForward:
         assert lengths[0] == lengths[1] == 5 + 19 * cfg.layers
 
     @staticmethod
-    def taped_bytes(monkeypatch, recompute_blocks, blocks=1, row_workers=1):
+    def taped_bytes(recompute_blocks, split_taped=False, row_workers=1):
         """Tape length and live bytes after one forward pass and loss, L=2,
-        C=64, M=1024, on at most `blocks` row blocks, the peak bytes through
-        the backward that follows, the bytes of one [M, C] float64 array, and
-        the live bytes of numpy array data alone."""
-        monkeypatch.setattr(T, "_MAX_ROW_BLOCKS", blocks)
+        C=64, M=1024 (two row blocks with `split_taped`), the peak bytes
+        through the backward that follows, the bytes of one [M, C] float64
+        array, and the live bytes of numpy array data alone."""
         ds = generate_darcy(n=1, g=32, seed=3)
         cfg = ModelConfig(in_channels=1, coord_channels=2, out_channels=1, k=8,
                           layers=2, hidden=64, seed=0)
-        assert len(T.row_blocks(ds.geometry.m, cfg.hidden)) == blocks
+        assert len(T.row_blocks(ds.geometry.m, cfg.hidden, T._MAX_ROW_BLOCKS)) == 2
         m = init_model(cfg)
         knn = knn_indices_accelerated(ds.geometry, cfg.k)
         f_in, target = Tensor(ds.inputs.data[0]), Tensor(ds.outputs.data[0])
@@ -221,7 +220,8 @@ class TestForward:
         try:
             with GradTape() as tape:
                 loss = relative_l2_loss(forward(m, f_in, ds.geometry, knn, row_workers=row_workers,
-                                                recompute_blocks=recompute_blocks), target)
+                                                recompute_blocks=recompute_blocks,
+                                                split_taped=split_taped), target)
                 entries = len(tape)
                 live, _ = tracemalloc.get_traced_memory()
                 arrays = tracemalloc.take_snapshot().filter_traces(
@@ -233,20 +233,20 @@ class TestForward:
         data = sum(t.size for t in arrays.traces)
         return entries, live, peak, 8 * ds.geometry.m * cfg.hidden, data
 
-    def test_tape_footprint(self, monkeypatch):
+    def test_tape_footprint(self):
         # The one-block (full) tape: a block's tape holds what its backward
         # rules read and no more: no pre-bias GEMM output, no normalized copy
         # inside layer_norm. That is about 22.3 [M, C] float64 arrays per
         # block; keeping both copies measured 31.3. Entries: 19 per block, 4
         # for encoder and projection, 1 for the loss.
         layers = 2
-        entries, live, _, array_bytes, _ = self.taped_bytes(monkeypatch, False)
+        entries, live, _, array_bytes, _ = self.taped_bytes(False)
         assert live <= 23 * array_bytes * layers, live / (array_bytes * layers)
         assert entries == 5 + 19 * layers
 
     @pytest.mark.threads
     @pytest.mark.parametrize("row_workers", [1, 2])
-    def test_split_tape_footprint(self, monkeypatch, row_workers):
+    def test_split_tape_footprint(self, row_workers):
         # On two row blocks each stage keeps its blocks' sub-tapes, which
         # together hold the one-block tape's arrays: the joined outputs take
         # over the blocks' output rows. Measured: 152 more bytes of array data
@@ -255,13 +255,13 @@ class TestForward:
         # per block (stages A and B, the global key sums and the mask), 1 for
         # the encoder, 1 for the projection and 1 for the loss.
         layers = 2
-        one = self.taped_bytes(monkeypatch, False)
-        split = self.taped_bytes(monkeypatch, False, blocks=2, row_workers=row_workers)
+        one = self.taped_bytes(False)
+        split = self.taped_bytes(False, split_taped=True, row_workers=row_workers)
         assert split[4] <= one[4] + 1024, split[4] - one[4]
         assert split[1] <= one[1] + 128 * 1024, split[1] - one[1]
         assert split[0] == 3 + 4 * layers
 
-    def test_recomputed_tape_footprint(self, monkeypatch):
+    def test_recomputed_tape_footprint(self):
         # With recompute_blocks each block but the last is one entry that
         # keeps its input and output, one [M, C] array, where the full tape
         # keeps about 22.3; the encoder's entries hold 4 more, and the last
@@ -270,7 +270,7 @@ class TestForward:
         # entry's arrays as it passes. Recomputing every block and keeping
         # the whole tape until backward ends peaked at 35.3.
         layers = 2
-        entries, live, peak, array_bytes, _ = self.taped_bytes(monkeypatch, True)
+        entries, live, peak, array_bytes, _ = self.taped_bytes(True)
         assert live <= (4.5 + (layers - 1) + 23) * array_bytes, live / array_bytes
         assert peak <= 32 * array_bytes, peak / array_bytes
         assert entries == 5 + (layers - 1) + 19
@@ -407,9 +407,10 @@ class TestRowWorkers:
         return started
 
     def test_taped_split_same_bytes_on_any_row_workers(self, monkeypatch):
-        # M=1089 x C=64 cuts into two row blocks under a tape as without one;
-        # the row threads only run them, so loss and gradients keep their
-        # bytes. Entries: 4 per block, 1 each for encoder, projection, loss.
+        # With split_taped, M=1089 x C=64 cuts into two row blocks under a
+        # tape for any row_workers; the row threads only run them, so loss and
+        # gradients keep their bytes. Entries: 4 per block, 1 each for
+        # encoder, projection, loss.
         ds = generate_darcy(n=1, g=33, seed=6)
         m = self.perturbed_model(1)
         knn = knn_indices_accelerated(ds.geometry, 8)
@@ -420,7 +421,8 @@ class TestRowWorkers:
             before = threading.active_count()
             x = Tensor(ds.inputs.data[0])
             with GradTape() as tape:
-                loss = relative_l2_loss(forward(m, x, ds.geometry, knn, row_workers=workers),
+                loss = relative_l2_loss(forward(m, x, ds.geometry, knn, row_workers=workers,
+                                                split_taped=True),
                                         Tensor(ds.outputs.data[0]))
                 entries = len(tape)
                 grads = backward(loss, tape)
@@ -434,6 +436,28 @@ class TestRowWorkers:
             assert run[0] == runs[0][0] and np.array_equal(run[1], runs[0][1])
             assert all(np.array_equal(a, b) for a, b in zip(run[2], runs[0][2]))
 
+    def test_rows_never_split_under_a_tape(self, monkeypatch):
+        # Without split_taped (a sample of a larger batch) a tape keeps the
+        # rows whole whatever row_workers says: no thread starts, and the tape
+        # is the one-block tape, 19 entries per block.
+        ds = generate_darcy(n=1, g=33, seed=6)
+        m = self.perturbed_model(1)
+        knn = knn_indices_accelerated(ds.geometry, 8)
+        started = self.counted_starts(monkeypatch)
+        runs = []
+        for workers in (1, 3):
+            x = Tensor(ds.inputs.data[0])
+            with GradTape() as tape:
+                loss = relative_l2_loss(forward(m, x, ds.geometry, knn, row_workers=workers),
+                                        Tensor(ds.outputs.data[0]))
+                entries = len(tape)
+                grads = backward(loss, tape)
+            runs.append((entries, loss.data, [grads[p] for _, p in m.named_parameters()]))
+        assert started == []
+        assert runs[0][0] == runs[1][0] == 5 + 19 * 2
+        assert np.array_equal(runs[0][1], runs[1][1])
+        assert all(np.array_equal(a, b) for a, b in zip(runs[0][2], runs[1][2]))
+
     @staticmethod
     def split_layer(heads):
         """A perturbed block at C=64 and a unit-scale input x at M=1089, the
@@ -444,7 +468,7 @@ class TestRowWorkers:
         for _, p in blk.named_params():
             p.data += 0.05 * rng.standard_normal(p.shape)
         x = Tensor(rng.standard_normal((ds.geometry.m, 64)), requires_grad=True)
-        assert len(T.row_blocks(*x.shape)) == 2
+        assert len(T.row_blocks(*x.shape, T._MAX_ROW_BLOCKS)) == 2
         return blk, x, knn_indices_accelerated(ds.geometry, 8), [x, *(p for _, p in
                                                                      blk.named_params())]
 
@@ -458,7 +482,8 @@ class TestRowWorkers:
         target = Tensor(rng.standard_normal(x.shape))
 
         def loss():
-            return relative_l2_loss(la2_layer(x, knn, blk, row_workers=2), target)
+            return relative_l2_loss(la2_layer(x, knn, blk, row_workers=2, split_taped=True),
+                                    target)
 
         with GradTape() as tape:
             grads = backward(loss(), tape)
@@ -473,24 +498,24 @@ class TestRowWorkers:
             t.data = base
             fd, tape_dd = (up - down) / (2 * step), float(np.sum(grads[t] * u))
             assert abs(fd - tape_dd) <= 1e-6 * max(1.0, abs(fd)), (fd, tape_dd)
-        gradcheck_op(lambda: la2_layer(x, knn, blk, row_workers=2), [blk.mask_s], rng)
+        gradcheck_op(lambda: la2_layer(x, knn, blk, row_workers=2, split_taped=True),
+                     [blk.mask_s], rng)
 
     @pytest.mark.parametrize("heads", [1, 2])
-    def test_split_tape_matches_one_block(self, rng, monkeypatch, heads):
+    def test_split_tape_matches_one_block(self, rng, heads):
         # The split forward is the one-block forward bit for bit; its
         # gradients add the blocks' weight, key and value gradients in
         # another order, within SPLIT_GRAD_RTOL of each tensor's largest.
         blk, x, knn, tensors = self.split_layer(heads)
         target = Tensor(rng.standard_normal(x.shape))
 
-        def run(blocks):
-            monkeypatch.setattr(T, "_MAX_ROW_BLOCKS", blocks)
+        def run(split_taped):
             with GradTape() as tape:
-                out = la2_layer(x, knn, blk, row_workers=2)
+                out = la2_layer(x, knn, blk, row_workers=2, split_taped=split_taped)
                 grads = backward(relative_l2_loss(out, target), tape)
             return out.data, [grads[t] for t in tensors]
 
-        (one, g_one), (split, g_split) = run(1), run(2)
+        (one, g_one), (split, g_split) = run(False), run(True)
         assert np.array_equal(split, one)
         for a, b in zip(g_split, g_one):
             assert np.abs(a - b).max() <= SPLIT_GRAD_RTOL * np.abs(b).max()
@@ -511,11 +536,11 @@ class TestRowWorkers:
         before = threading.active_count()
         with GradTape() as tape:
             with pytest.raises(TensorError, match="^block of 512 rows$"):
-                la2_layer(x, knn, blk, row_workers=2)
+                la2_layer(x, knn, blk, row_workers=2, split_taped=True)
             assert threading.active_count() == before
             assert T._ACTIVE_TAPE.tape is tape
         monkeypatch.setattr(la2.attention, "knn_attention", real)
-        la2_layer(x, knn, blk, row_workers=2)
+        la2_layer(x, knn, blk, row_workers=2, split_taped=True)
 
     def test_threads_started_by_a_split_forward(self, monkeypatch):
         # On 2 row blocks one thread starts for the encoder and one for each

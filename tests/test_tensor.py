@@ -300,16 +300,17 @@ class TestRowBlocks:
     @pytest.mark.parametrize("m", [4096, 4099, 1090])
     @pytest.mark.parametrize("heads", [1, 2])
     def test_row_sliced_products_bit_equal(self, m, heads):
-        # The products of one block at C=64, d=32, C_out=1, on the two row
-        # blocks `forward` cuts at M: each block's rows must equal the whole
-        # product's bit for bit, though BLAS may pick another kernel for each
-        # shape. The [.., 1] products run as matrix-vector kernels; at M=4099
-        # and 1090, halves not aligned to `_ROW_ALIGN` would fail them.
+        # The products of one block at C=64, d=32, C_out=1, on the row blocks
+        # `forward` cuts at M for 2 and 4 row threads: each block's rows must
+        # equal the whole product's bit for bit, though BLAS may pick another
+        # kernel for each shape. The [.., 1] products run as matrix-vector
+        # kernels; at M=4099 and 1090, blocks not aligned to `_ROW_ALIGN`
+        # would fail them.
         rng = np.random.default_rng(m + heads)
         c, d = 64, 32
         dh = d // heads
-        blocks = T.row_blocks(m, c)
-        assert len(blocks) == 2
+        cuts = [T.row_blocks(m, c, parts) for parts in (2, 4)]
+        assert len(cuts[0]) == 2
         x = rng.standard_normal((m, c))
         wide = rng.standard_normal((m, 2 * c))
         # Positive rows summing to 1 in each head, as linear_attention's Qn.
@@ -325,46 +326,72 @@ class TestRowBlocks:
         ]
         for a, b in products:
             whole = a @ b
-            for rows in blocks:
+            for rows in (r for blocks in cuts for r in blocks):
                 assert np.array_equal(a[..., rows, :] @ b, whole[..., rows, :]), \
                     (a.shape, b.shape, rows)
 
-    def test_blocks_cover_rows_in_aligned_starts(self, monkeypatch):
-        # Blocks follow M x width, one per _THREAD_MIN_ACTIVATIONS, here with
-        # the cap on their count lifted.
-        monkeypatch.setattr(T, "_MAX_ROW_BLOCKS", 8)
-
-        def width(m, parts):                    # the least width giving `parts`
-            return -(-parts * T._THREAD_MIN_ACTIVATIONS // m)
-
+    def test_blocks_cover_rows_in_aligned_starts(self):
         for m, parts in [(4096, 2), (4097, 3), (1089, 2), (130, 5)]:
-            blocks = T.row_blocks(m, width(m, parts))
+            blocks = T.row_blocks(m, 10**6, parts)
             assert blocks[0].start == 0 and blocks[-1].stop == m
             assert all(a.stop == b.start for a, b in zip(blocks, blocks[1:]))
             assert all(r.start % T._ROW_ALIGN == 0 for r in blocks)
-        assert len(T.row_blocks(4097, width(4097, 3))) == 3
-        assert len(T.row_blocks(130, width(130, 5))) == 2     # two aligned starts
-        assert T.row_blocks(127, 10**6) == [slice(None)]
-        assert T.row_blocks(4096, width(4096, 2) - 1) == [slice(None)]
+        assert len(T.row_blocks(4097, 10**6, 3)) == 3
+        assert len(T.row_blocks(130, 10**6, 5)) == 2             # two aligned starts
+        assert T.row_blocks(127, 10**6, 2) == T.row_blocks(4096, 64, 1) == [slice(None)]
 
-    def test_blocks_stop_at_the_cap(self):
-        assert T.row_blocks(4096, 64) == [slice(0, 2048), slice(2048, 4096)]
-        assert len(T.row_blocks(4096, 1024)) == T._MAX_ROW_BLOCKS == 2
-        assert T.row_blocks(1024, 63) == [slice(None)]
+    def test_at_most_one_block_per_min_activations(self):
+        # M x width over _THREAD_MIN_ACTIVATIONS (512 x 64) caps the count.
+        assert T.row_blocks(4096, 64, 2) == [slice(0, 2048), slice(2048, 4096)]
+        assert len(T.row_blocks(4096, 64, 100)) == 8
+        assert len(T.row_blocks(1600, 64, 100)) == 3
+        assert T.row_blocks(1024, 63, 8) == [slice(None)]
 
-    def test_one_block_and_any_tape_leave_tensors_as_they_are(self, rng, monkeypatch):
-        # A tape does not change the blocks: they follow the shape alone.
-        monkeypatch.setattr(T, "_MAX_ROW_BLOCKS", 4)
+    def test_one_block_and_any_tape_leave_tensors_as_they_are(self, rng):
+        # The blocks follow their arguments alone; a tape does not change them.
         x = leaf(None, rng, (256, 3))
         quarters = [slice(0, 64), slice(64, 128), slice(128, 192), slice(192, 256)]
-        assert T.row_blocks(256, 512) == quarters
+        assert T.row_blocks(256, 512, 4) == quarters
         with GradTape():
-            assert T.row_blocks(256, 512) == quarters
+            assert T.row_blocks(256, 512, 4) == quarters
         assert T._take_rows(x, slice(None)) is x
         assert T._concat_rows([x]) is x
         parts = [T._take_rows(x, r) for r in quarters]
         assert np.shares_memory(parts[1].data, x.data)
         assert np.array_equal(T._concat_rows(parts).data, x.data)
+
+
+@pytest.mark.threads
+class TestRowStage:
+    """row_stage's blocks under a tape, and the tensors it must be told of."""
+
+    @staticmethod
+    def stage(x, w, b, shared, workers, split_taped):
+        return T.row_stage(lambda rows, x: (T.linear(x, w, b),), (x,), shared, 64, workers,
+                           split_taped)[0]
+
+    def test_taped_blocks_follow_split_taped_not_workers(self, rng):
+        # 1024 x 64 is two blocks under a tape with split_taped, whatever the
+        # workers; one entry then stands for the stage. Untaped, the rows are
+        # cut one block per worker; the output bytes never change.
+        x, w, b = leaf(None, rng, (1024, 64)), leaf(None, rng, (64, 64)), leaf(None, rng, (64,))
+        whole = self.stage(x, w, b, [w, b], 1, False).data
+        for workers in (1, 2, 3):
+            assert np.array_equal(self.stage(x, w, b, [w, b], workers, False).data, whole)
+            for split_taped in (False, True):
+                with GradTape() as tape:
+                    out = self.stage(x, w, b, [w, b], workers, split_taped)
+                    assert np.array_equal(out.data, whole)
+                    assert len(tape) == 1
+                    rule = tape._entries[0][2].__qualname__
+                    assert ("row_stage" in rule) == split_taped, rule
+                    backward(T.relative_l2_loss(out, Tensor(np.ones(out.shape))), tape)
+
+    def test_unlisted_tensor_that_needs_a_gradient_rejected(self, rng):
+        x, w, b = leaf(None, rng, (1024, 64)), leaf(None, rng, (64, 64)), leaf(None, rng, (64,))
+        with GradTape():
+            with pytest.raises(TensorError, match="neither a row input nor shared"):
+                self.stage(x, w, b, [w], 2, True)
 
 
 class TestLayerNorm:

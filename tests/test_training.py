@@ -356,13 +356,13 @@ class TestParallelEvaluate:
     def test_worker_count(self, monkeypatch):
         # Pure arithmetic: computing the plan starts no thread.
         self.cpus(monkeypatch, 10_000)
-        big = TR._THREAD_MIN_ACTIVATIONS
+        assert TR._THREAD_MIN_ACTIVATIONS == 512 * 64
         before = threading.active_count()
-        assert TR._threads(3, big)[0] == 3
-        assert TR._threads(20_000, big)[0] == 10_000
-        assert TR._threads(16, big - 1) == (1, 1)
+        assert TR._threads(3, 512, 64)[0] == 3
+        assert TR._threads(20_000, 512, 64)[0] == 10_000
+        assert TR._threads(16, 511, 64) == (1, 1)
         self.cpus(monkeypatch, 1)
-        assert TR._threads(3, big)[0] == 1
+        assert TR._threads(3, 512, 64)[0] == 1
         assert threading.active_count() == before
 
 
@@ -462,19 +462,22 @@ class TestRowSplitTrain:
 
     cpus = TestParallelEvaluate.cpus
 
-    def test_one_sample_batches_same_bytes_on_one_two_and_three_cpus(self, monkeypatch,
-                                                                     tmp_path):
-        # 1024 points x width 64 cuts into two row blocks under a tape;
-        # batches of one sample leave every CPU but one to its rows.
+    @pytest.mark.parametrize("batch_size", [1, 2])
+    def test_same_bytes_on_one_two_and_three_cpus(self, monkeypatch, tmp_path, batch_size):
+        # 1024 points x width 64 cuts into two row blocks under a tape with
+        # split_taped, which only a batch of one sample asks for: it leaves
+        # every CPU but one to its rows. A batch of two runs its samples on
+        # sample threads, each on one block.
         ds = D.generate_darcy(n=3, g=32, seed=25)
         assert len(ds.train_indices) == 2
         plans = []
         real = TR.forward
 
-        def recording(*args, recompute_blocks=False, row_workers=1, **kwargs):
-            plans.append((recompute_blocks, row_workers))
+        def recording(*args, recompute_blocks=False, row_workers=1, split_taped=False,
+                      **kwargs):
+            plans.append((recompute_blocks, row_workers, split_taped))
             return real(*args, recompute_blocks=recompute_blocks, row_workers=row_workers,
-                        **kwargs)
+                        split_taped=split_taped, **kwargs)
 
         monkeypatch.setattr(TR, "forward", recording)
         results = {}
@@ -483,11 +486,12 @@ class TestRowSplitTrain:
             plans.clear()
             m = tiny_model(ds, layers=2, hidden=64, k=8)
             before = threading.active_count()
-            report = TR.train(m, ds, TR.TrainConfig(epochs=2, batch_size=1, seed=4),
+            report = TR.train(m, ds, TR.TrainConfig(epochs=2, batch_size=batch_size, seed=4),
                               checkpoint_path=tmp_path / f"best{n}.la2c")
             assert threading.active_count() == before
-            # Per epoch: two one-sample steps, then evaluate's test sample.
-            assert plans == [(False, min(n, 2))] * 6
+            # Per epoch: the two training samples, then evaluate's test sample.
+            step = (False, min(n, 2), True) if batch_size == 1 else (n > 1, 1, False)
+            assert plans == ([step] * 2 + [(False, min(n, 2), False)]) * 2
             results[n] = (b"".join(p.data.tobytes() for _, p in m.named_parameters()),
                           np.array(report.train_loss + report.test_rel_l2).tobytes(),
                           (tmp_path / f"best{n}.la2c").read_bytes())
@@ -502,8 +506,8 @@ class TestRowSplitEvaluate:
     cpus = TestParallelEvaluate.cpus
 
     def test_one_large_sample_same_bytes_on_one_two_and_three_cpus(self, monkeypatch):
-        # 1600 points x width 64 is three times the cutoff, yet rows split
-        # in two at most, so a third CPU adds no thread.
+        # 1600 points x width 64 is three times the cutoff, room for three
+        # row blocks.
         ds = D.generate_darcy(n=2, g=40, seed=24)
         m = tiny_model(ds, layers=2, hidden=64, k=8)
         started = []
@@ -521,35 +525,35 @@ class TestRowSplitEvaluate:
             before = threading.active_count()
             results[n] = result_bytes(TR.evaluate(m, ds, [1]))
             assert threading.active_count() == before
-            # One started thread, on two row blocks, in each of the encoder
-            # and, per block, stage A and stage B.
-            assert len(started) == (1 + 2 * 2) * min(n - 1, 1)
+            # n - 1 started threads in each of the encoder and, per block,
+            # stage A and stage B.
+            assert len(started) == (1 + 2 * 2) * (n - 1)
         assert results[1] == results[2] == results[3]
 
     def test_row_worker_count(self, monkeypatch):
-        # Pure arithmetic: computing the plan starts no thread.
-        cut = TR._THREAD_MIN_ACTIVATIONS
+        # Pure arithmetic: computing the plan starts no thread. One row thread
+        # per 512 x 64 points x width, as many as the CPUs left idle.
         before = threading.active_count()
         self.cpus(monkeypatch, 2)
-        assert TR._threads(1, 8 * cut) == (1, 2)
-        assert TR._threads(2, 8 * cut) == (2, 1)
-        assert TR._threads(1, 2 * cut - 1) == (1, 1)
+        assert TR._threads(1, 4096, 64) == (1, 2)
+        assert TR._threads(2, 4096, 64) == (2, 1)
+        assert TR._threads(1, 1023, 64) == (1, 1)
         self.cpus(monkeypatch, 10_000)
-        assert TR._threads(1, 8 * cut) == (1, 2)            # one thread per row block
-        assert TR._threads(3, 8 * cut) == (3, 2)
-        assert TR._threads(3, cut) == (3, 1)
+        assert TR._threads(1, 4096, 64) == (1, 8)
+        assert TR._threads(3, 4096, 64) == (3, 8)
+        assert TR._threads(3, 512, 64) == (3, 1)
         self.cpus(monkeypatch, 1)
-        assert TR._threads(1, 8 * cut) == (1, 1)
+        assert TR._threads(1, 4096, 64) == (1, 1)
         assert threading.active_count() == before
 
     def test_plan_reads_the_cpu_set_once(self, monkeypatch):
         reads = []
         monkeypatch.setattr(os, "sched_getaffinity",
                             lambda pid: reads.append(pid) or set(range(4)))
-        assert TR._threads(1, 8 * TR._THREAD_MIN_ACTIVATIONS) == (1, 2)
+        assert TR._threads(1, 4096, 64) == (1, 4)
         assert reads == [0]
         monkeypatch.delattr(os, "sched_getaffinity")
-        assert TR._threads(1, 8 * TR._THREAD_MIN_ACTIVATIONS) == (1, 1)
+        assert TR._threads(1, 4096, 64) == (1, 1)
 
 
 class TestTrainLoop:
