@@ -58,6 +58,9 @@ class TrainConfig:
             raise TrainingError("batch size must be >= 1")
         if not all(0 < x < math.inf for x in (self.lr, self.lr_min, self.clip_norm)):
             raise TrainingError("rates and clip norm must be positive and finite")
+        if self.lr_min > self.lr:
+            raise TrainingError(f"final learning rate lr_min={self.lr_min!r} exceeds "
+                                f"the peak lr={self.lr!r}")
         if not 0 <= self.weight_decay < math.inf:
             raise TrainingError("weight decay must be non-negative and finite")
 

@@ -193,6 +193,13 @@ class TestTrain:
             assert key.replace("_", " ") in err
         assert not (tmp_path / "o" / "report.csv").exists()
 
+    def test_final_rate_above_peak_exits_usage(self, dataset_dir, tmp_path, capsys):
+        # --lr below the default final rate of 1e-5 is rejected, naming both.
+        assert run_train(dataset_dir, tmp_path / "o", ["--lr", "1e-6"]) == EXIT_USAGE
+        err = capsys.readouterr().err
+        assert "lr_min=1e-05" in err and "lr=1e-06" in err
+        assert not (tmp_path / "o" / "report.csv").exists()
+
     def test_config_file_types_kept(self):
         # Ints widen to float fields, and ff_hidden alone takes null.
         tcfg = la2.cli._build(TrainConfig, {"epochs": 1, "lr": 1})

@@ -963,6 +963,32 @@ class TestEngineSurface:
         assert unread == [], f"imported names nothing reads: {unread}"
 
 
+class _StandInLibc:
+    """Records `mallopt` calls and answers each with `ok`."""
+
+    def __init__(self, ok):
+        self.ok, self.calls = ok, []
+
+    def mallopt(self, param, value):
+        self.calls.append((param, value))
+        return self.ok
+
+
+class TestMallocThresholds:
+    MMAP, TRIM = -3, -1   # glibc's M_MMAP_THRESHOLD and M_TRIM_THRESHOLD
+
+    @pytest.mark.parametrize("libc_name, ok, calls", [
+        ("glibc", 1, [(MMAP, 32 << 20), (TRIM, 64 << 20)]),
+        # The trim threshold alone would pin the mmap threshold at 128 KiB.
+        ("glibc", 0, [(MMAP, 32 << 20)]),
+        ("", 1, [])], ids=["glibc", "mmap_rejected", "other_libc"])
+    def test_calls(self, monkeypatch, libc_name, ok, calls):
+        monkeypatch.setattr(T.platform, "libc_ver", lambda: (libc_name, "2.36"))
+        libc = _StandInLibc(ok)
+        T._pin_malloc_thresholds(libc)
+        assert libc.calls == calls
+
+
 class TestDeterminism:
     def test_bit_identical_repeat(self, rng):
         a = Tensor(rng.standard_normal((16, 16)))

@@ -2,8 +2,12 @@
 
 import math
 import os
+import platform
+import subprocess
 import sys
+import textwrap
 import threading
+from pathlib import Path
 
 import numpy as np
 import pytest
@@ -177,6 +181,12 @@ class TestTrainConfig:
     def test_mistyped_field_rejected(self, key, value):
         with pytest.raises(TR.TrainingError, match=f"{key} must be"):
             TR.TrainConfig(**{"epochs": 1, key: value})
+
+    def test_final_rate_above_peak_rejected(self):
+        # lr=1e-6 under the default lr_min=1e-5 would raise the rate each epoch.
+        with pytest.raises(TR.TrainingError, match=r"lr_min=1e-05 .* lr=1e-06"):
+            TR.TrainConfig(epochs=3, lr=1e-6)
+        assert TR.TrainConfig(epochs=3, lr=1e-5).lr_min == 1e-5   # a flat schedule
 
     def test_non_finite_alpha_rejected(self):
         with pytest.raises(TensorError):
@@ -554,6 +564,46 @@ class TestRowSplitEvaluate:
         assert reads == [0]
         monkeypatch.delattr(os, "sched_getaffinity")
         assert TR._threads(1, 4096, 64) == (1, 1)
+
+
+# Run in a fresh interpreter, on the CPUs this process may use: one warm-up
+# epoch, then the fewest minor page faults of two more, in three rounds. A
+# thread that starts while a joined one is still exiting can get a new malloc
+# arena, whose first use faults in about 16 MiB (5 of 30 single rounds on 2
+# CPUs took 844-4370 faults, each with a third arena); the rounds keep that
+# one-off cost out of the count.
+_FAULTS_OF_TRAINING = textwrap.dedent("""
+    import resource
+    from la2 import data, training
+    from la2.model import ModelConfig, init_model
+
+    ds = data.generate_darcy(n=3, g=32, seed=0)
+    m = init_model(ModelConfig(1, 2, 1, layers=2, hidden=64))
+    training.train(m, ds, training.TrainConfig(epochs=1, batch_size=2))
+    faults = []
+    for _ in range(3):
+        before = resource.getrusage(resource.RUSAGE_SELF).ru_minflt
+        training.train(m, ds, training.TrainConfig(epochs=2, batch_size=2))
+        faults.append(resource.getrusage(resource.RUSAGE_SELF).ru_minflt - before)
+    print(min(faults))
+""")
+
+
+@pytest.mark.threads
+@pytest.mark.skipif(not sys.platform.startswith("linux") or platform.libc_ver()[0] != "glibc",
+                    reason="pins glibc's malloc thresholds")
+def test_training_reuses_freed_memory():
+    # With glibc's dynamic thresholds each sample (M=1024, two of them per
+    # batch) returned its freed heap top and faulted it back in: 9500-14200
+    # minor faults per two epochs on 2 CPUs and 5800-7000 on one. With the
+    # thresholds pinned at import (`tensor._pin_malloc_thresholds`), 0-480.
+    env = {k: v for k, v in os.environ.items() if not k.startswith("MALLOC_")}
+    src = str(Path(TR.__file__).parents[1])
+    env["PYTHONPATH"] = os.pathsep.join(filter(None, [src, env.get("PYTHONPATH")]))
+    run = subprocess.run([sys.executable, "-c", _FAULTS_OF_TRAINING], env=env,
+                         capture_output=True, text=True, timeout=300)
+    assert run.returncode == 0, run.stderr
+    assert int(run.stdout) < 1000
 
 
 class TestTrainLoop:
