@@ -123,19 +123,17 @@ def la2_layer(h_prev: Tensor, knn: KnnIndex, p: GlaLayerParams,
 
     A row's arithmetic does not depend on the cut, so the output is the same
     bit for bit on any blocks. Under an active tape each stage with several
-    blocks is one entry whose rule adds the blocks' weight, key and value
-    gradients in block order; the taped blocks depend on M, C and
+    blocks is one entry whose rule adds the blocks' gradients of what they
+    read whole in block order; the taped blocks depend on M, C and
     `split_taped` alone, so the gradients are the same for any `row_workers`.
     """
     c = h_prev.shape[1]
-    params = [t for _, t in p.named_params()]
 
     def project(rows, h):                                       # stage A
         h_bar = layer_norm(h, p.ln1_gamma, p.ln1_beta)
         return _global_qkv(h_bar, p) + _local_qkv(h_bar, p)
 
-    q_g, k_g, v_g, q_l, k_l, v_l = row_stage(project, (h_prev,), params, c, row_workers,
-                                             split_taped)
+    q_g, k_g, v_g, q_l, k_l, v_l = row_stage(project, (h_prev,), c, row_workers, split_taped)
     sums = linear_attention_sums(k_g, v_g, p.heads)
     w = soft_mask(p.mask_s, knn.k, p.alpha)
 
@@ -147,5 +145,4 @@ def la2_layer(h_prev: Tensor, knn: KnnIndex, p: GlaLayerParams,
                                 p.ff_w1, p.ff_b1)), p.ff_w2, p.ff_b2)
         return (add(ff, h),)
 
-    return row_stage(attend, (q_g, q_l, h_prev), [sums, k_l, v_l, w, *params], c,
-                     row_workers, split_taped)[0]
+    return row_stage(attend, (q_g, q_l, h_prev), c, row_workers, split_taped)[0]

@@ -264,7 +264,10 @@ def _positive_int(text: str) -> int:
 
 
 def _int_list(text: str) -> list[int]:
-    return [_positive_int(v) for v in text.split(",") if v.strip()]
+    values = [_positive_int(v) for v in text.split(",") if v.strip()]
+    if not values:
+        raise argparse.ArgumentTypeError(f"no values in list: {text!r}")
+    return values
 
 
 def _run_parser(sub, name: str, text: str, func, *, epochs: int):

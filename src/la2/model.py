@@ -160,7 +160,7 @@ def encode(f_in: Tensor, x: PointSet, m: OperatorModel, row_workers: int = 1,
     """Concatenate coordinates to the input field and lift to width C, each
     point on its own, so as one `row_stage` on the row blocks of [M, C],
     dealt to `row_workers` threads (cut under a tape only with
-    `split_taped`)."""
+    `split_taped`), which finds the weights that `lift` reads itself."""
     if f_in.ndim != 2 or f_in.shape[0] != x.m:
         raise TensorError(
             f"input field rows {f_in.shape} must align with {x.m} points")
@@ -172,8 +172,7 @@ def encode(f_in: Tensor, x: PointSet, m: OperatorModel, row_workers: int = 1,
     def lift(rows, z):
         return (linear(gelu(linear(z, m.enc_w1, m.enc_b1)), m.enc_w2, m.enc_b2),)
 
-    params = [m.enc_w1, m.enc_b1, m.enc_w2, m.enc_b2]
-    return row_stage(lift, (z,), params, m.config.hidden, row_workers, split_taped)[0]
+    return row_stage(lift, (z,), m.config.hidden, row_workers, split_taped)[0]
 
 
 def forward(m: OperatorModel, f_in: Tensor, x: PointSet, knn: KnnIndex,

@@ -223,11 +223,12 @@ def _result(data: np.ndarray, inputs: tuple[Tensor, ...],
 
 
 @contextmanager
-def _tape_suspended():
-    """Run the body with no active tape on this thread, then restore it."""
-    saved, _ACTIVE_TAPE.tape = _ACTIVE_TAPE.tape, None
+def _on_tape(tape: "GradTape | None"):
+    """Run the body with `tape` (None for none, or a fresh sub-tape) as this
+    thread's tape, then restore the thread's own; yields `tape`."""
+    saved, _ACTIVE_TAPE.tape = _ACTIVE_TAPE.tape, tape
     try:
-        yield
+        yield tape
     finally:
         _ACTIVE_TAPE.tape = saved
 
@@ -270,6 +271,14 @@ def _outputs(out) -> tuple[Tensor, ...]:
     return out if isinstance(out, tuple) else (out,)
 
 
+def _reads(tape: GradTape, known: Iterable[Tensor] = ()) -> list[Tensor]:
+    """The tensors that `tape` read, need a gradient, and are neither in
+    `known` nor produced by an entry on the tape, in the order first read."""
+    skip = {id(t) for t in known} | {id(t) for o, _, _ in tape._entries for t in _outputs(o)}
+    return list({id(t): t for _, inputs, _ in tape._entries for t in inputs
+                 if t.requires_grad and id(t) not in skip}.values())
+
+
 def _backprop(tape: GradTape, grads: dict[int, np.ndarray]) -> dict[int, np.ndarray]:
     """Reverse-replay `tape` from the seed gradients `grads`, keyed by tensor
     identity, which it updates and returns. It pops each entry before its
@@ -307,15 +316,13 @@ def backward(loss: Tensor, tape: GradTape) -> dict[Tensor, np.ndarray]:
         raise TensorError(f"loss must be scalar, got shape {loss.shape}")
     if tape._consumed:
         raise TensorError("tape already consumed by backward")
-    produced = {id(t) for out, _, _ in tape._entries for t in _outputs(out)}
-    if id(loss) not in produced:
+    if not any(t is loss for out, _, _ in tape._entries for t in _outputs(out)):
         raise TensorError("loss was not recorded on this tape")
-    leaves = {id(t): t for _, inputs, _ in tape._entries for t in inputs
-              if t.requires_grad and id(t) not in produced}
+    leaves = _reads(tape)
 
     tape._consumed = True
     grads = _backprop(tape, {id(loss): np.ones_like(loss.data)})
-    return {t: grads[i] if i in grads else np.zeros_like(t.data) for i, t in leaves.items()}
+    return {t: grads[id(t)] if id(t) in grads else np.zeros_like(t.data) for t in leaves}
 
 
 def _check_tensor(t, name: str) -> None:
@@ -724,22 +731,25 @@ def recompute(fn: Callable[[Tensor], Tensor], x: Tensor,
               params: Iterable[Tensor]) -> Tensor:
     """``fn(x)`` as one tape entry that keeps only `x` and the output.
 
-    `fn` runs with this thread's tape suspended, so none of its ops are
-    recorded. The backward rule re-runs `fn(x)` on a fresh tape (the caller's
-    active tape, if any, set aside meanwhile) and replays it from the output
-    gradient; it returns the gradients of `x` and of `params`, which must
-    list every tensor besides `x` that `fn` reads and that needs a gradient.
+    `fn` runs untaped, so no tape sees what it reads: `params` must list
+    every tensor besides `x` that `fn` reads and that needs a gradient. The
+    backward rule re-runs `fn(x)` on a fresh tape (`_on_tape`), raises
+    `TensorError` if that tape read one missing from `params`, and replays
+    it from the output gradient into the gradients of `x` and `params`.
     `fn` must be deterministic, so that the re-run reproduces the output and
     the gradients are those of the full tape, bit for bit.
     """
     _check_tensor(x, "x")
     inputs = (x, *params)
-    with _tape_suspended():
+    with _on_tape(None):
         out = fn(x)
 
     def rule(g):
-        with _tape_suspended(), GradTape() as tape:
+        with _on_tape(GradTape()) as tape:
             y = fn(x)
+        if _reads(tape, inputs):
+            raise TensorError("recompute: fn reads a tensor that needs a gradient "
+                              "and is neither x nor in params")
         grads = _backprop(tape, {id(y): g})
         return tuple(grads.get(id(t)) for t in inputs)
 
@@ -747,16 +757,15 @@ def recompute(fn: Callable[[Tensor], Tensor], x: Tensor,
 
 
 def row_stage(fn: Callable[..., tuple[Tensor, ...]], row_inputs: tuple[Tensor, ...],
-              shared: Iterable[Tensor], width: int, workers: int,
-              split_taped: bool = False) -> tuple[Tensor, ...]:
+              width: int, workers: int, split_taped: bool = False) -> tuple[Tensor, ...]:
     """``fn(rows, *xs)`` on each row block of an [M, width] activation, M the
     rows of `row_inputs`, where xs are those rows of each of `row_inputs`;
     returns fn's outputs with the blocks' rows joined in order.
 
     fn returns a tuple of tensors whose rows are `rows`, each row computed
-    from the same rows of `row_inputs` and from tensors shared by every
-    block. The blocks are dealt to `workers` threads, the caller's among
-    them (`_map_in_order`). Untaped, the rows are cut into
+    from the same rows of `row_inputs` and from tensors that every block
+    reads whole. The blocks are dealt to `workers` threads, the caller's
+    among them (`_map_in_order`). Untaped, the rows are cut into
     `row_blocks(M, width, workers)`, one block per thread: a row's bytes do
     not depend on the cut. Under an active tape the blocks may not follow
     the threads: they are `row_blocks(M, width, _MAX_ROW_BLOCKS)` with
@@ -764,15 +773,13 @@ def row_stage(fn: Callable[..., tuple[Tensor, ...]], row_inputs: tuple[Tensor, .
     the caller's tape if one is active, and nothing is copied.
 
     Under an active tape with several blocks, each block records on a
-    sub-tape of its own, and the stage is one entry on the caller's tape,
-    taped on `row_inputs` and `shared`. `shared` must list every other
-    tensor that fn reads and that needs a gradient, as `recompute`'s params.
-    The rule replays the sub-tapes on as many threads, each from its rows of
-    the output gradients. It joins the blocks' gradients of each row input
-    and adds those of each shared tensor in block order, so the gradients
-    are the same for any `workers`.
+    sub-tape of its own (`_on_tape`), and the stage is one entry on the
+    caller's tape, taped on `row_inputs` and on what else the first block
+    read (`_reads`), as every block runs the same ops. The rule replays the
+    sub-tapes on as many threads, each from its rows of the output
+    gradients, joins the blocks' row input gradients and adds the rest in
+    block order, so the gradients are the same for any `workers`.
     """
-    shared = tuple(shared)
     tape = _ACTIVE_TAPE.tape
     if tape is None:
         parts = workers
@@ -784,17 +791,9 @@ def row_stage(fn: Callable[..., tuple[Tensor, ...]], row_inputs: tuple[Tensor, .
 
     def run(rows):
         views = [_take_rows(x, rows) for x in row_inputs]
-        if not split:
-            return views, fn(rows, *views), None
-        with _tape_suspended(), GradTape() as sub:
-            outs = fn(rows, *views)
-        known = {id(t) for t in (*views, *shared)}
-        known.update(id(t) for out, _, _ in sub._entries for t in _outputs(out))
-        if any(t.requires_grad and id(t) not in known
-               for _, inputs, _ in sub._entries for t in inputs):
-            raise TensorError("row_stage: fn reads a tensor that needs a gradient "
-                              "and is neither a row input nor shared")
-        return views, outs, sub
+        # Split, on a sub-tape; else on the caller's tape, or none, as it is.
+        with _on_tape(GradTape() if split else tape) as sub:
+            return views, fn(rows, *views), sub
 
     runs = _map_in_order(run, blocks, workers)
     outs = tuple(_concat_rows([r[1][j] for r in runs]) for j in range(len(runs[0][1])))
@@ -805,13 +804,14 @@ def row_stage(fn: Callable[..., tuple[Tensor, ...]], row_inputs: tuple[Tensor, .
     for (_, parts, _), rows in zip(runs, blocks):
         for part, whole in zip(parts, outs):
             part.data = whole.data[rows]
+    read_whole = _reads(runs[0][2], runs[0][0])                 # besides the row views
 
     def rule(gouts):
         def replay(j):
             views, parts, sub = runs[j]
             grads = _backprop(sub, {id(o): g[blocks[j]] for o, g in zip(parts, gouts)
                                     if g is not None})
-            return [grads.get(id(t)) for t in (*views, *shared)]
+            return [grads.get(id(t)) for t in (*views, *read_whole)]
 
         per_block = _map_in_order(replay, range(len(blocks)), workers)
         # Every block runs the same ops, so an input's gradient is None in
@@ -827,5 +827,5 @@ def row_stage(fn: Callable[..., tuple[Tensor, ...]], row_inputs: tuple[Tensor, .
         return grads
 
     if any(t.requires_grad for t in outs):
-        tape._entries.append((outs, (*row_inputs, *shared), rule))
+        tape._entries.append((outs, (*row_inputs, *read_whole), rule))
     return outs

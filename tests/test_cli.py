@@ -487,6 +487,25 @@ class TestBench:
         assert args.hidden == ModelConfig.hidden
 
 
+@pytest.mark.parametrize("argv", [
+    ["ablate-window", "--k-values", ","],
+    ["scale-study", "--widths", ","],
+    ["scale-study", "--depths", ""],
+    ["bench", "--kind", "global", "--sizes", ","],
+    ["bench", "--kind", "local", "--k-values", " , "],
+], ids=["ablate_k_values", "scale_widths", "scale_depths", "bench_sizes", "bench_k_values"])
+def test_empty_list_flag_exits_usage(dataset_dir, tmp_path, capsys, argv):
+    # An empty list would sweep nothing: a run that writes a header-only
+    # CSV, or fails later with a traceback. The parser rejects it.
+    command, flag = argv[0], argv[-2]
+    data = [] if command == "bench" else ["--data", str(dataset_dir)]
+    out = tmp_path / "out"
+    rc = main([*argv, "--out", str(out), *data])
+    assert rc == EXIT_USAGE
+    assert f"argument {flag}: no values in list" in capsys.readouterr().err
+    assert not out.exists()
+
+
 class TestDumpMask:
     def test_prints_layers(self, dataset_dir, tmp_path, capsys):
         out = tmp_path / "run"

@@ -363,11 +363,11 @@ class TestRowBlocks:
 
 @pytest.mark.threads
 class TestRowStage:
-    """row_stage's blocks under a tape, and the tensors it must be told of."""
+    """row_stage's blocks under a tape, and the tensors its blocks read whole."""
 
     @staticmethod
-    def stage(x, w, b, shared, workers, split_taped):
-        return T.row_stage(lambda rows, x: (T.linear(x, w, b),), (x,), shared, 64, workers,
+    def stage(x, w, b, workers, split_taped):
+        return T.row_stage(lambda rows, x: (T.linear(x, w, b),), (x,), 64, workers,
                            split_taped)[0]
 
     def test_taped_blocks_follow_split_taped_not_workers(self, rng):
@@ -375,23 +375,40 @@ class TestRowStage:
         # workers; one entry then stands for the stage. Untaped, the rows are
         # cut one block per worker; the output bytes never change.
         x, w, b = leaf(None, rng, (1024, 64)), leaf(None, rng, (64, 64)), leaf(None, rng, (64,))
-        whole = self.stage(x, w, b, [w, b], 1, False).data
+        whole = self.stage(x, w, b, 1, False).data
         for workers in (1, 2, 3):
-            assert np.array_equal(self.stage(x, w, b, [w, b], workers, False).data, whole)
+            assert np.array_equal(self.stage(x, w, b, workers, False).data, whole)
             for split_taped in (False, True):
                 with GradTape() as tape:
-                    out = self.stage(x, w, b, [w, b], workers, split_taped)
+                    out = self.stage(x, w, b, workers, split_taped)
                     assert np.array_equal(out.data, whole)
                     assert len(tape) == 1
                     rule = tape._entries[0][2].__qualname__
                     assert ("row_stage" in rule) == split_taped, rule
                     backward(T.relative_l2_loss(out, Tensor(np.ones(out.shape))), tape)
 
-    def test_unlisted_tensor_that_needs_a_gradient_rejected(self, rng):
-        x, w, b = leaf(None, rng, (1024, 64)), leaf(None, rng, (64, 64)), leaf(None, rng, (64,))
-        with GradTape():
-            with pytest.raises(TensorError, match="neither a row input nor shared"):
-                self.stage(x, w, b, [w], 2, True)
+    def test_tensors_read_whole_get_their_gradients(self, rng):
+        # The closure reads w and b, which no argument names; the split stage
+        # tapes them from what its first block read. Small integers and a
+        # target of squared norm 2^16 keep every sum exact, so the two blocks'
+        # gradients, added in block order, equal the one-block tape's.
+        x, w, b = (Tensor(rng.integers(-2, 3, shape), requires_grad=True)
+                   for shape in ((1024, 64), (64, 64), (64,)))
+        target = Tensor(np.ones((1024, 64)))
+
+        def grads(split_taped):
+            with GradTape() as tape:
+                out = self.stage(x, w, b, 2, split_taped)
+                entry_inputs = tape._entries[0][1]
+                grads = backward(T.relative_l2_loss(out, target), tape)
+            assert [id(t) for t in entry_inputs] == [id(x), id(w), id(b)]
+            return grads
+
+        one, split = grads(False), grads(True)
+        assert list(split) == list(one) == [x, w, b]
+        for t in (x, w, b):
+            assert np.any(split[t] != 0)
+            assert np.array_equal(split[t], one[t])
 
 
 class TestLayerNorm:
@@ -831,6 +848,15 @@ class TestRecompute:
                 T.recompute(lambda t: T.add(t, w), x, [w])
             T.add(x, x)
         assert len(tape) == 1
+
+    def test_unlisted_tensor_that_needs_a_gradient_rejected(self, rng):
+        # fn reads b, which params leaves out; the re-run's tape sees it.
+        x, w, b = self.leaves(rng)
+        with GradTape() as tape:
+            loss = T.relative_l2_loss(T.recompute(self.block(w, b), x, [w]),
+                                      Tensor(np.ones((5, 3))))
+            with pytest.raises(TensorError, match="neither x nor in params"):
+                backward(loss, tape)
 
     def test_input_without_gradient(self, rng):
         x, w, b = self.leaves(rng)
