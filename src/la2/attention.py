@@ -20,6 +20,7 @@ from typing import Iterator
 from .geometry import KnnIndex
 from .tensor import (
     Tensor,
+    TensorError,
     add,
     concat_lastdim,
     gelu,
@@ -107,7 +108,8 @@ def local_attention(h_bar: Tensor, knn: KnnIndex, w: Tensor,
 
 
 def la2_layer(h_prev: Tensor, knn: KnnIndex, p: GlaLayerParams,
-              row_workers: int = 1, split_taped: bool = False) -> Tensor:
+              row_workers: int = 1, split_taped: bool = False,
+              samples: int = 1) -> Tensor:
     """Pre-norm block: the fused global and local branches, Linear(Concat(global,
     local)) back to width C, as a residual, then a feed-forward residual.
 
@@ -126,7 +128,13 @@ def la2_layer(h_prev: Tensor, knn: KnnIndex, p: GlaLayerParams,
     blocks is one entry whose rule adds the blocks' gradients of what they
     read whole in block order; the taped blocks depend on M, C and
     `split_taped` alone, so the gradients are the same for any `row_workers`.
+
+    With `samples` S > 1, `h_prev` stacks S samples of M/S rows and `knn`
+    is tiled for them (`KnnIndex.tile`); each sample has global sums of its
+    own, and the block runs untaped on one row block.
     """
+    if samples > 1 and row_workers > 1:
+        raise TensorError(f"{samples} stacked samples run on one row block")
     c = h_prev.shape[1]
 
     def project(rows, h):                                       # stage A
@@ -134,7 +142,7 @@ def la2_layer(h_prev: Tensor, knn: KnnIndex, p: GlaLayerParams,
         return _global_qkv(h_bar, p) + _local_qkv(h_bar, p)
 
     q_g, k_g, v_g, q_l, k_l, v_l = row_stage(project, (h_prev,), c, row_workers, split_taped)
-    sums = linear_attention_sums(k_g, v_g, p.heads)
+    sums = linear_attention_sums(k_g, v_g, p.heads, samples)
     w = soft_mask(p.mask_s, knn.k, p.alpha)
 
     def attend(rows, q_g, q_l, h):                              # stage B

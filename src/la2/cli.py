@@ -82,11 +82,12 @@ def _resolved(args, keys) -> dict:
 
 
 @contextmanager
-def _running():
-    """Numeric failures inside are runtime failures (exit 1), not usage errors."""
+def _running(errors=(TensorError, TrainingError)):
+    """Numeric failures inside, `errors`, are runtime failures (exit 1), not
+    usage errors."""
     try:
         yield
-    except (TensorError, TrainingError) as exc:
+    except errors as exc:
         raise RuntimeError(f"run failed: {exc}") from exc
 
 
@@ -165,7 +166,9 @@ def cmd_eval(args) -> int:
     check_compatible(model.config, ds)
     if args.split != "all" and len(getattr(ds, f"{args.split}_indices")) == 0:
         raise UsageError(f"dataset has an empty {args.split} split")
-    with _running():
+    # evaluate raises TrainingError only for its input, such as a target
+    # field of zero norm: a usage error.
+    with _running(TensorError):
         metrics = evaluate(model, ds, args.split)
     print(f"{args.split} rel L2: {metrics['rel_l2']:.6f} over {metrics['n']} samples "
           f"(normalized-space {metrics['rel_l2_normalized']:.6f})")

@@ -6,6 +6,7 @@ index. Both KNN paths rank by squared distances computed with identical
 arithmetic, so the accelerated variant reproduces the brute-force output
 bit for bit, ties included. The accelerated index is built once per point set
 and K and kept there; coordinates and indices are read-only, so it stays valid.
+An index tiled for a stack of samples (`KnnIndex.tile`) is kept on the index.
 """
 
 from __future__ import annotations
@@ -46,6 +47,7 @@ class KnnIndex:
     """Neighbor index matrix [M, K]; row a starts with a itself."""
 
     idx: np.ndarray
+    _tiles: dict = field(default_factory=dict, init=False, repr=False, compare=False)
 
     def __post_init__(self):
         idx = np.array(self.idx, dtype=np.int64)
@@ -58,7 +60,8 @@ class KnnIndex:
             raise TensorError(f"KnnIndex needs 1 <= K <= M, got K={k}, M={m}")
         if not np.array_equal(idx[:, 0], np.arange(m)):
             raise TensorError("KnnIndex row a must start with index a")
-        if np.any(np.sort(idx, axis=1)[:, :-1] == np.sort(idx, axis=1)[:, 1:]):
+        ranked = np.sort(idx, axis=1)
+        if np.any(ranked[:, :-1] == ranked[:, 1:]):
             raise TensorError("KnnIndex rows must not repeat an index")
 
     @property
@@ -68,6 +71,18 @@ class KnnIndex:
     @property
     def k(self) -> int:
         return self.idx.shape[1]
+
+    def tile(self, samples: int) -> "KnnIndex":
+        """The index of `samples` copies of the point set stacked in order:
+        row j*M + a holds row a's neighbors offset by j*M. Built once per
+        count and kept beside this index; itself for one."""
+        if samples == 1:
+            return self
+        if samples not in self._tiles:
+            offsets = np.arange(0, samples * self.m, self.m)[:, None, None]
+            self._tiles.setdefault(samples,
+                                   KnnIndex((self.idx + offsets).reshape(-1, self.k)))
+        return self._tiles[samples]
 
 
 def _squared_distance_matrix(coords: np.ndarray) -> np.ndarray:

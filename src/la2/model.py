@@ -18,8 +18,8 @@ import numpy as np
 
 from .attention import GlaLayerParams, la2_layer
 from .geometry import KnnIndex, PointSet
-from .tensor import (Tensor, TensorError, _sigmoid, concat_lastdim, gelu, linear,
-                     recompute, row_stage)
+from .tensor import (_ACTIVE_TAPE, Tensor, TensorError, _sigmoid, _untaped,
+                     concat_lastdim, gelu, linear, recompute, row_stage)
 
 __all__ = ["ModelConfig", "OperatorModel", "init_block", "init_model", "encode",
            "forward", "mask_trajectory", "save_checkpoint", "load_checkpoint",
@@ -160,14 +160,22 @@ def encode(f_in: Tensor, x: PointSet, m: OperatorModel, row_workers: int = 1,
     """Concatenate coordinates to the input field and lift to width C, each
     point on its own, so as one `row_stage` on the row blocks of [M, C],
     dealt to `row_workers` threads (cut under a tape only with
-    `split_taped`), which finds the weights that `lift` reads itself."""
-    if f_in.ndim != 2 or f_in.shape[0] != x.m:
+    `split_taped`), which finds the weights that `lift` reads itself.
+    `f_in` [S, M, C_f] stacks S samples on the point set: their rows are
+    lifted as one [S*M, C] array, in sample order, untaped only."""
+    if f_in.ndim == 3 and _ACTIVE_TAPE.tape is not None:
+        raise TensorError("a stacked input runs untaped only")
+    if f_in.ndim not in (2, 3) or f_in.shape[-2] != x.m:
         raise TensorError(
             f"input field rows {f_in.shape} must align with {x.m} points")
-    if f_in.shape[1] != m.config.in_channels:
+    if f_in.shape[-1] != m.config.in_channels:
         raise TensorError(
-            f"expected {m.config.in_channels} input channels, got {f_in.shape[1]}")
-    z = concat_lastdim(f_in, x.coords)
+            f"expected {m.config.in_channels} input channels, got {f_in.shape[-1]}")
+    coords = x.coords
+    if f_in.ndim == 3:
+        coords = Tensor(np.tile(coords.data, (f_in.shape[0], 1)))
+        f_in = _untaped(f_in.data.reshape(-1, f_in.shape[2]), f_in.requires_grad)
+    z = concat_lastdim(f_in, coords)
 
     def lift(rows, z):
         return (linear(gelu(linear(z, m.enc_w1, m.enc_b1)), m.enc_w2, m.enc_b2),)
@@ -189,16 +197,28 @@ def forward(m: OperatorModel, f_in: Tensor, x: PointSet, knn: KnnIndex,
     tape the rows are cut, into blocks that depend on the shape alone, only
     with `split_taped`. The output is the same bit for bit for any
     `row_workers` or `split_taped`, and the gradients for any `row_workers`.
+
+    `f_in` [S, M, C_f] stacks S samples on the point set into one untaped
+    pass, on one row block for S > 1, giving [S, M, C_u]. Row-wise steps
+    see S*M rows and the local branch reads `knn.tile(S)`; the global sums
+    and the output projection (for one channel a BLAS matrix-vector
+    product, whose sum order depends on a row's place) run per sample, so
+    each sample's output is that of its own forward, bit for bit.
     """
     if knn.m != x.m:
         raise TensorError("KNN index does not match the point set")
+    samples = f_in.shape[0] if f_in.ndim == 3 else 1
     h = encode(f_in, x, m, row_workers, split_taped)
+    knn = knn.tile(samples)
     for i, blk in enumerate(m.blocks):
+        args = (knn, blk, row_workers, split_taped, samples)
         if recompute_blocks and i < len(m.blocks) - 1:
-            h = recompute(lambda t, blk=blk: la2_layer(t, knn, blk, row_workers, split_taped),
+            h = recompute(lambda t, args=args: la2_layer(t, *args),
                           h, [p for _, p in blk.named_params()])
         else:
-            h = la2_layer(h, knn, blk, row_workers, split_taped)
+            h = la2_layer(h, *args)
+    if f_in.ndim == 3:
+        h = _untaped(h.data.reshape(samples, x.m, -1), h.requires_grad)
     return linear(h, m.proj_w, m.proj_b)
 
 

@@ -515,14 +515,23 @@ def knn_attention(q: Tensor, k: Tensor, v: Tensor, idx: np.ndarray, w: Tensor,
     return _result((a_mat @ vd).reshape(m, d), (q, k, v, w), rule)
 
 
-def _split_heads(x: np.ndarray, heads: int) -> np.ndarray:
-    """[M, d] -> [H, M, dh], a view."""
-    return x.reshape(x.shape[0], heads, -1).transpose(1, 0, 2)
+def _split_heads(x: np.ndarray, heads: int, samples: int = 1) -> np.ndarray:
+    """[S*M, d] -> [S, H, M, dh], a view."""
+    return x.reshape(samples, -1, heads, x.shape[1] // heads).transpose(0, 2, 1, 3)
 
 
 def _merge_heads(x: np.ndarray) -> np.ndarray:
-    """[H, M, dh] -> [M, d]."""
-    return x.transpose(1, 0, 2).reshape(x.shape[1], -1)
+    """[S, H, M, dh] -> [S*M, d]."""
+    return x.swapaxes(1, 2).reshape(-1, x.shape[1] * x.shape[3])
+
+
+def _check_samples(rows: int, samples: int) -> None:
+    """Raise unless `rows` split into `samples` equal blocks and, for more
+    than one, no tape is active: stacked samples are an inference path."""
+    if samples < 1 or rows % samples:
+        raise TensorError(f"{rows} rows do not split into {samples} samples")
+    if samples > 1 and _ACTIVE_TAPE.tape is not None:
+        raise TensorError(f"{samples} stacked samples run untaped only")
 
 
 def _positive_features(x: np.ndarray):
@@ -537,41 +546,47 @@ def _positive_features(x: np.ndarray):
 
 
 def _features_grad(x, cdf, n, s, gn):
-    """[M, d] gradient of x through n = phi / sum(phi), phi = gelu(x) + 1,
-    from the [H, M, dh] gradient gn of the features n (`_positive_features`)."""
+    """[S*M, d] gradient of x through n = phi / sum(phi), phi = gelu(x) + 1,
+    from the [S, H, M, dh] gradient gn of the features n (`_positive_features`)."""
     gphi = gn - (gn * n).sum(axis=-1, keepdims=True)
     gphi /= s
     return _merge_heads(_gelu_grad(x, cdf, gphi))
 
 
-def linear_attention_sums(k: Tensor, v: Tensor, heads: int) -> Tensor:
+def linear_attention_sums(k: Tensor, v: Tensor, heads: int, samples: int = 1) -> Tensor:
     """The key side of `linear_attention`, formed once over all N rows of
     `k` and `v` [N, d]: each head's key features Kn, and the sums Kn^T V
     stacked over (Kn^T 1)^T, as one [H, dh + 1, dh] tensor. Every query row
     reads the same sums, so any number of query row blocks share one and add
     their gradients of it; the rule turns that small gradient into the keys'
-    and values' gradients once."""
+    and values' gradients once.
+
+    With `samples` S > 1, `k` and `v` stack S samples of N/S rows each in
+    order, each with sums of its own: [S, H, dh + 1, dh]. Such sums are
+    formed untaped only (`TensorError` under an active tape)."""
     for t, name in ((k, "k"), (v, "v")):
         _check_tensor(t, name)
     if k.ndim != 2 or v.shape != k.shape or min(k.shape) < 1:
         raise TensorError(f"linear_attention needs equal [N,d] k and v with N, d >= 1, "
                           f"got {k.shape}, {v.shape}")
+    _check_samples(k.shape[0], samples)
     n, d = k.shape
     _check_heads(heads, d)
     dh = d // heads
-    rows = k.data.reshape(n, heads, dh)                     # [N, H, dh]
-    kcdf, kn, ks = (a.transpose(1, 0, 2) for a in _positive_features(rows))
-    vh = _split_heads(v.data, heads)
+    rows = k.data.reshape(samples, n // samples, heads, dh)        # [S, N, H, dh]
+    kcdf, kn, ks = (a.transpose(0, 2, 1, 3) for a in _positive_features(rows))
+    vh = _split_heads(v.data, heads, samples)
 
     def rule(g):
-        gkv, gzt = np.ascontiguousarray(g[:, :dh]), g[:, dh:]
-        gkn = vh @ gkv.transpose(0, 2, 1) + gzt
-        return (_features_grad(rows.transpose(1, 0, 2), kcdf, kn, ks, gkn),
+        g = g.reshape(samples, heads, dh + 1, dh)
+        gkv, gzt = np.ascontiguousarray(g[:, :, :dh]), g[:, :, dh:]
+        gkn = vh @ gkv.swapaxes(-1, -2) + gzt
+        return (_features_grad(rows.transpose(0, 2, 1, 3), kcdf, kn, ks, gkn),
                 _merge_heads(kn @ gkv))
 
-    sums = np.concatenate([kn.transpose(0, 2, 1) @ vh, kn.sum(axis=1, keepdims=True)],
-                          axis=1)
-    return _result(sums, (k, v), rule)
+    sums = np.concatenate([kn.swapaxes(-1, -2) @ vh, kn.sum(axis=-2, keepdims=True)],
+                          axis=-2)
+    return _result(sums[0] if samples == 1 else sums, (k, v), rule)
 
 
 def linear_attention(q: Tensor, sums: Tensor) -> Tensor:
@@ -586,30 +601,39 @@ def linear_attention(q: Tensor, sums: Tensor) -> Tensor:
     O((M + N)*d*dh): the M x N score matrix is never formed. Each output row
     depends on its own query row and the sums only. The op is taped on
     (q, sums), with a hand-written backward rule.
+
+    Sums of S stacked samples ([S, H, dh + 1, dh]) read `q` as S samples
+    of M/S rows, each against its own sums, untaped only. The denominator,
+    a BLAS matrix-vector product whose sum order depends on a row's place,
+    is formed per sample and head, so each sample's rows are those of its
+    own pass, bit for bit.
     """
     _check_tensor(q, "q")
-    if not (isinstance(sums, Tensor) and sums.ndim == 3
-            and sums.shape[1] == sums.shape[2] + 1):
+    if not (isinstance(sums, Tensor) and sums.ndim in (3, 4)
+            and sums.shape[-2] == sums.shape[-1] + 1):
         raise TensorError("linear_attention needs the [H, dh + 1, dh] sums from "
                           "linear_attention_sums")
-    heads, dh = sums.shape[0], sums.shape[2]
+    samples = sums.shape[0] if sums.ndim == 4 else 1
+    heads, dh = sums.shape[-3], sums.shape[-1]
     if q.ndim != 2 or q.shape[1] != heads * dh:
         raise TensorError(f"linear_attention needs q [M,{heads * dh}], got {q.shape}")
-    kv = np.ascontiguousarray(sums.data[:, :dh])              # [H, dh, dh]: Kn^T V
-    zt = np.ascontiguousarray(sums.data[:, dh:])              # [H, 1, dh]: (Kn^T 1)^T
-    qx = _split_heads(q.data, heads)
+    _check_samples(q.shape[0], samples)
+    sd = sums.data.reshape(samples, heads, dh + 1, dh)
+    kv = np.ascontiguousarray(sd[:, :, :dh])                # [S, H, dh, dh]: Kn^T V
+    zt = np.ascontiguousarray(sd[:, :, dh:])                # [S, H, 1, dh]: (Kn^T 1)^T
+    qx = _split_heads(q.data, heads, samples)
     qcdf, qn, qs = _positive_features(qx)
-    den = qn @ zt.transpose(0, 2, 1)                # [H, M, 1]
+    den = qn @ zt.swapaxes(-1, -2)                  # [S, H, M, 1]
     ratio = (qn @ kv) / den
 
     def rule(g):
-        gh = _split_heads(g, heads)
+        gh = _split_heads(g, heads, samples)
         gnum = gh / den
         gden = -(gh * ratio).sum(axis=-1, keepdims=True) / den
-        gqn = gh + gnum @ kv.transpose(0, 2, 1) + gden * zt
-        gsums = np.concatenate([qn.transpose(0, 2, 1) @ gnum,
-                                gden.transpose(0, 2, 1) @ qn], axis=1)
-        return _features_grad(qx, qcdf, qn, qs, gqn), gsums
+        gqn = gh + gnum @ kv.swapaxes(-1, -2) + gden * zt
+        gsums = np.concatenate([qn.swapaxes(-1, -2) @ gnum,
+                                gden.swapaxes(-1, -2) @ qn], axis=-2)
+        return _features_grad(qx, qcdf, qn, qs, gqn), gsums.reshape(sums.shape)
 
     return _result(_merge_heads(ratio + qn), (q, sums), rule)
 
@@ -708,11 +732,11 @@ def relative_l2_loss(pred: Tensor, target: Tensor) -> Tensor:
     _check_tensor(target, "target")
     if pred.shape != target.shape:
         raise TensorError(f"loss shapes disagree: {pred.shape} vs {target.shape}")
-    den_sq = float(np.sum(target.data * target.data))
-    if den_sq <= 0.0:
-        raise TensorError("relative L2 needs a nonzero target")
-    c = 1.0 / den_sq
     with np.errstate(over="ignore", invalid="ignore"):
+        den_sq = float(np.sum(target.data * target.data))
+        if not 0.0 < den_sq < np.inf:
+            raise TensorError("relative L2 needs a nonzero target of finite norm")
+        c = 1.0 / den_sq
         diff = pred.data - target.data
         loss = (diff * diff).sum() * c
 

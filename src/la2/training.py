@@ -156,18 +156,19 @@ def check_compatible(cfg: ModelConfig, ds: data_mod.Dataset) -> None:
         raise TrainingError(f"patch size {cfg.k} exceeds {ds.geometry.m} points")
 
 
-def _threads(n_samples: int, m: int, width: int) -> tuple[int, int]:
-    """The plan of `evaluate` and `train` for `n_samples` samples of `m`
-    points x hidden `width`: (sample threads, the caller's among them; row
-    threads per sample). (1, 1) below `_THREAD_MIN_ACTIVATIONS` or when the
-    CPU set cannot be read; else one sample thread per CPU, at most one per
-    sample, and the CPUs those leave idle run each sample's row blocks, one
-    thread per block of an untaped pass (`row_blocks`)."""
+def _threads(n_passes: int, m: int, width: int) -> tuple[int, int]:
+    """The plan of `evaluate` and `train` for `n_passes` forward passes of
+    `m` rows x hidden `width` each (a sample, or a group of stacked ones):
+    (pass threads, the caller's among them; row threads per pass). (1, 1)
+    below `_THREAD_MIN_ACTIVATIONS` or when the CPU set cannot be read;
+    else one pass thread per CPU, at most one per pass, and the CPUs those
+    leave idle run each pass's row blocks, one thread per block of an
+    untaped pass (`row_blocks`)."""
     if m * width < _THREAD_MIN_ACTIVATIONS or not hasattr(os, "sched_getaffinity"):
         return 1, 1
     cpus = len(os.sched_getaffinity(0))
-    samples = min(cpus, n_samples)
-    return samples, len(row_blocks(m, width, cpus // samples))
+    passes = min(cpus, n_passes)
+    return passes, len(row_blocks(m, width, cpus // passes))
 
 
 def evaluate(m: OperatorModel, ds: data_mod.Dataset, split: str = "test") -> dict:
@@ -176,14 +177,21 @@ def evaluate(m: OperatorModel, ds: data_mod.Dataset, split: str = "test") -> dic
     Also reports the metric in normalized space (the space the model is
     trained in), useful as a scale-free baseline. `split` is "train", "test",
     "all", or a 1-D integer list of sample indices in [0, N); anything else
-    raises TrainingError. The KNN index is cached on the geometry.
+    raises TrainingError, as does a selected sample whose target field has
+    zero norm, raw or normalized. The KNN index is cached on the geometry.
 
-    Samples run on the sample threads of `_threads`, the caller's among them,
-    and each sample's forward always gets that plan's row blocks, which use
-    the CPUs the sample threads leave idle. numpy releases the GIL in the
-    kernels that dominate a large forward pass. Each sample's result is
-    computed alone and kept in index order, so the output is the same for
-    any thread count.
+    The indices are cut, in order, into groups of the fewest samples whose
+    points x width reach `_THREAD_MIN_ACTIVATIONS`: one sample where one
+    alone reaches it, and pairs on the desk grid (256 points x width 64).
+    Each group is one stacked forward (`forward` of [S, M, C_f]), so a
+    group of small samples holds the GIL for its per-op Python work once,
+    and is large enough for threads. Groups run on the threads of
+    `_threads`, the caller's among them, and each group's forward always
+    gets that plan's row blocks, which use the CPUs the group threads leave
+    idle. numpy releases the GIL in the kernels that dominate a large
+    forward pass. A stacked sample's output is that of its own forward, bit
+    for bit, and results are kept in index order, so the output is the same
+    for any thread count.
     """
     check_compatible(m.config, ds)
     if isinstance(split, str):
@@ -204,20 +212,30 @@ def evaluate(m: OperatorModel, ds: data_mod.Dataset, split: str = "test") -> dic
         raise TrainingError(f"split {split!r} selects no samples")
     knn = knn_indices_accelerated(ds.geometry, m.config.k)
     stats = ds.stats
-    workers, rows = _threads(len(indices), ds.geometry.m, m.config.hidden)
+    width, points = m.config.hidden, ds.geometry.m
+    per_group = -(-_THREAD_MIN_ACTIVATIONS // (points * width))     # at least 1
+    groups = [indices[j:j + per_group] for j in range(0, len(indices), per_group)]
+    workers, rows = _threads(len(groups), per_group * points, width)
 
-    def rel_errors(i):
-        x_norm = data_mod.normalize(ds.inputs.data[i], stats["input_mean"],
+    def rel_errors(group):
+        x_norm = data_mod.normalize(ds.inputs.data[group], stats["input_mean"],
                                     stats["input_std"])
-        pred_norm = forward(m, Tensor(x_norm), ds.geometry, knn, row_workers=rows).data
-        raw = ds.outputs.data[i]
-        pred = data_mod.denormalize(pred_norm, stats["output_mean"],
-                                    stats["output_std"])
-        y_norm = data_mod.normalize(raw, stats["output_mean"], stats["output_std"])
-        return (float(np.linalg.norm(pred - raw) / np.linalg.norm(raw)),
-                float(np.linalg.norm(pred_norm - y_norm) / np.linalg.norm(y_norm)))
+        preds = forward(m, Tensor(x_norm), ds.geometry, knn, row_workers=rows).data
+        pairs = []
+        for i, pred_norm in zip(group, preds):
+            raw = ds.outputs.data[i]
+            y_norm = data_mod.normalize(raw, stats["output_mean"], stats["output_std"])
+            den, den_norm = np.linalg.norm(raw), np.linalg.norm(y_norm)
+            if den == 0.0 or den_norm == 0.0:
+                raise TrainingError(f"sample {i}: the target field has zero norm, so "
+                                    "its relative L2 is undefined")
+            pred = data_mod.denormalize(pred_norm, stats["output_mean"],
+                                        stats["output_std"])
+            pairs.append((float(np.linalg.norm(pred - raw) / den),
+                          float(np.linalg.norm(pred_norm - y_norm) / den_norm)))
+        return pairs
 
-    pairs = _map_in_order(rel_errors, indices, workers)
+    pairs = [p for group in _map_in_order(rel_errors, groups, workers) for p in group]
     per_sample = [raw for raw, _ in pairs]
     per_sample_norm = [norm for _, norm in pairs]
     return {

@@ -13,6 +13,7 @@ import pytest
 from conftest import edit_header
 import la2.bench
 import la2.cli
+from la2 import data as data_mod
 from la2.cli import EXIT_OK, EXIT_RUNTIME, EXIT_USAGE, main
 from la2.model import (CheckpointError, ModelConfig, init_model, load_checkpoint,
                        save_checkpoint)
@@ -258,6 +259,16 @@ class TestEval:
                    str(out / "best.la2c"), "--split", "test"])
         assert rc == EXIT_OK
         assert "rel L2" in capsys.readouterr().out
+
+    def test_zero_target_field_exits_2(self, tmp_path, capsys):
+        ds = data_mod.generate_darcy(n=6, g=8, seed=1)
+        i = int(ds.test_indices[0])
+        ds.outputs.data[i] = 0.0
+        data_mod.write_dataset(ds, tmp_path / "d")
+        rc = main(["eval", "--data", str(tmp_path / "d"), "--checkpoint",
+                   str(tiny_checkpoint(tmp_path / "m.la2c")), "--split", "test"])
+        assert rc == EXIT_USAGE
+        assert f"sample {i}: the target field has zero norm" in capsys.readouterr().err
 
     def test_bad_checkpoint(self, dataset_dir, tmp_path):
         bad = tmp_path / "bad.la2c"

@@ -188,6 +188,14 @@ class TestKnnIndexType:
         with pytest.raises(TensorError):
             KnnIndex(np.array([[0, 0], [1, 0]]))
 
+    def test_tile_offsets_each_copy(self, rng):
+        knn = knn_indices(random_points(rng, 10), 4)
+        tiled = knn.tile(3)
+        assert tiled.idx.shape == (30, 4)
+        for j in range(3):
+            assert np.array_equal(tiled.idx[10 * j:10 * (j + 1)], knn.idx + 10 * j)
+        assert knn.tile(3) is tiled and knn.tile(1) is knn
+
     def test_relabel_consistency(self, rng):
         x = random_points(rng, 24)
         knn = knn_indices(x, 5)

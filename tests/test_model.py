@@ -565,6 +565,47 @@ class TestRowWorkers:
         assert started == []
 
 
+class TestStackedForward:
+    """`forward` of [S, M, C_f] runs S samples as one untaped pass."""
+
+    @pytest.mark.parametrize("g", [11, 16])
+    @pytest.mark.parametrize("heads", [1, 2])
+    def test_each_sample_as_its_own_forward(self, g, heads):
+        # At M=121 a sample's rows start off the BLAS kernels' groups of
+        # rows, so a matrix-vector product over the whole stack shows.
+        ds = generate_darcy(n=5, g=g, seed=8)
+        m = init_model(tiny_config(hidden=16, k=8, heads=heads))
+        knn = knn_indices_accelerated(ds.geometry, 8)
+        x = ds.inputs.data
+        alone = [forward(m, Tensor(x[i]), ds.geometry, knn).data for i in range(5)]
+        for order in ([3], [3, 0, 3, 4, 1]):
+            out = forward(m, Tensor(x[order]), ds.geometry, knn).data
+            assert out.shape == (len(order), ds.geometry.m, 1)
+            assert [y.tobytes() for y in out] == [alone[i].tobytes() for i in order]
+
+    def test_under_a_tape_raises(self, rng):
+        m = init_model(tiny_config())
+        pts, knn, f_in = darcy_like_instance(rng, 12)
+        for samples in (1, 2):
+            stacked = Tensor(np.stack([f_in.data] * samples))
+            with GradTape(), pytest.raises(TensorError, match="untaped"):
+                forward(m, stacked, pts, knn)
+
+    def test_stacked_rows_run_on_one_block(self, rng):
+        cfg = tiny_config(hidden=64, k=8)
+        blk = init_block(rng, cfg)
+        pts, knn, _ = darcy_like_instance(rng, 1024, cfg)
+        h = Tensor(rng.standard_normal((2048, 64)))
+        with pytest.raises(TensorError, match="one row block"):
+            la2_layer(h, knn.tile(2), blk, row_workers=2, samples=2)
+
+    def test_input_rows_must_match_points(self, rng):
+        m = init_model(tiny_config())
+        pts, knn, _ = darcy_like_instance(rng, 12)
+        with pytest.raises(TensorError, match="must align"):
+            forward(m, Tensor(np.ones((2, 13, 1))), pts, knn)
+
+
 class TestMaskTrajectory:
     def test_fresh_model_at_half(self):
         m = init_model(tiny_config(layers=4))

@@ -256,6 +256,40 @@ class TestLinearAttention:
             part = T.linear_attention(Tensor(qk.data[rows]), sums)
             assert np.array_equal(part.data, whole[rows])
 
+    @pytest.mark.parametrize("heads", [1, 2])
+    def test_stacked_samples_are_their_own(self, rng, heads):
+        # Three samples of 13 rows: each reads only its own sums, and comes
+        # out as it does alone, bit for bit.
+        q, k, v = (rng.uniform(-2, 2, (39, 8)) for _ in range(3))
+        sums = T.linear_attention_sums(Tensor(k), Tensor(v), heads, 3)
+        out = T.linear_attention(Tensor(q), sums).data
+        assert sums.shape == (3, heads, 8 // heads + 1, 8 // heads)
+        for j in range(3):
+            rows = slice(13 * j, 13 * (j + 1))
+            alone = T.linear_attention_sums(Tensor(k[rows]), Tensor(v[rows]), heads)
+            assert np.array_equal(sums.data[j], alone.data)
+            assert np.array_equal(out[rows], T.linear_attention(Tensor(q[rows]), alone).data)
+
+    def test_stacked_samples_run_untaped(self, rng):
+        q, k, v = (leaf(None, rng, (6, 4)) for _ in range(3))
+        sums = T.linear_attention_sums(k, v, 2, 2)
+        with GradTape():
+            with pytest.raises(TensorError, match="untaped"):
+                T.linear_attention_sums(k, v, 2, 2)
+            with pytest.raises(TensorError, match="untaped"):
+                T.linear_attention(q, sums)
+
+    @pytest.mark.parametrize("samples", [0, 4])
+    def test_rows_must_split_into_samples(self, rng, samples):
+        k = Tensor(rng.standard_normal((6, 4)))
+        with pytest.raises(TensorError, match="do not split"):
+            T.linear_attention_sums(k, k, 2, samples)
+        if samples:
+            sums = T.linear_attention_sums(Tensor(np.ones((8, 4))), Tensor(np.ones((8, 4))),
+                                           2, samples)
+            with pytest.raises(TensorError, match="do not split"):
+                T.linear_attention(k, sums)
+
     @pytest.mark.parametrize("sums", [None, "tuple"])
     def test_sums_not_from_linear_attention_sums_rejected(self, rng, sums):
         q, k, v = (Tensor(rng.standard_normal((5, 4))) for _ in range(3))

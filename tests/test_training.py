@@ -62,8 +62,11 @@ class TestRelativeL2Loss:
                                                                          abs=1e-12)
 
     def test_zero_norm_target_rejected(self):
-        with pytest.raises(TensorError):
-            TR.relative_l2_loss(Tensor([[1.0]]), Tensor([[0.0]]))
+        # A squared norm that overflows would make the loss and gradient 0.
+        for pred, target in ((1.0, 0.0), (1e200, 1e200)):
+            with pytest.raises(TensorError, match="nonzero target"):
+                TR.relative_l2_loss(Tensor(np.full((3, 1), pred)),
+                                    Tensor(np.full((3, 1), target)))
 
     def test_scale_robustness(self, rng):
         pred = Tensor(rng.standard_normal((5, 1)))
@@ -205,8 +208,9 @@ class TestEvaluate:
         order = iter(tiny_darcy.test_indices)
 
         def fake_forward(model, f_in, pts, knn, row_workers):
-            i = next(order)
-            y = D.normalize(tiny_darcy.outputs.data[i],
+            # One stacked call per group: [S, M, C_f] in, [S, M, C_u] out.
+            group = [next(order) for _ in f_in.data]
+            y = D.normalize(tiny_darcy.outputs.data[group],
                             stats["output_mean"], stats["output_std"])
             return Tensor(y)
 
@@ -236,6 +240,14 @@ class TestEvaluate:
         m = tiny_model(tiny_darcy, in_channels=3)
         with pytest.raises(TR.TrainingError):
             TR.evaluate(m, tiny_darcy, "test")
+
+    def test_zero_target_field_rejected(self):
+        ds = D.generate_darcy(n=6, g=8, seed=1)
+        i = int(ds.test_indices[0])
+        ds.outputs.data[i] = 0.0
+        with pytest.raises(TR.TrainingError, match=f"^sample {i}: the target field "
+                                                   "has zero norm"):
+            TR.evaluate(tiny_model(ds), ds, "test")
 
     @pytest.mark.parametrize("bad", [lambda n: [-1], lambda n: [n],
                                      lambda n: [[0]], lambda n: "val",
@@ -275,9 +287,11 @@ class TestParallelEvaluate:
         seen = set()
         real = TR.forward
 
-        def recording(*args, **kwargs):
+        def recording(model, f_in, *args, **kwargs):
+            # A wide sample reaches the cutoff alone: groups of one.
+            assert f_in.shape == (1, ds.geometry.m, 1)
             seen.add(threading.get_ident())
-            return real(*args, **kwargs)
+            return real(model, f_in, *args, **kwargs)
 
         monkeypatch.setattr(TR, "forward", recording)
         results = {}
@@ -305,9 +319,10 @@ class TestParallelEvaluate:
         where = {}
 
         def failing(model, f_in, pts, knn, row_workers):
+            (x,) = f_in.data                    # a wide sample's group of one
             i = next(i for i in range(ds.n) if np.array_equal(
-                f_in.data, D.normalize(ds.inputs.data[i], ds.stats["input_mean"],
-                                       ds.stats["input_std"])))
+                x, D.normalize(ds.inputs.data[i], ds.stats["input_mean"],
+                               ds.stats["input_std"])))
             where[i] = threading.get_ident()
             if i in (1, 2):
                 raise TensorError(f"overflow in sample {i}")
@@ -374,6 +389,77 @@ class TestParallelEvaluate:
         self.cpus(monkeypatch, 1)
         assert TR._threads(3, 512, 64)[0] == 1
         assert threading.active_count() == before
+
+
+@pytest.mark.threads
+class TestGroupedEvaluate:
+    """evaluate stacks samples below the thread cutoff into groups that reach
+    it, one forward each; its results must not show it."""
+
+    cpus = TestParallelEvaluate.cpus
+
+    @pytest.mark.parametrize("g,size", [(16, 2), (11, 5)])
+    @pytest.mark.parametrize("heads", [1, 2])
+    @pytest.mark.parametrize("n_cpus", [1, 2])
+    def test_same_bytes_as_one_sample_calls(self, monkeypatch, g, size, heads, n_cpus):
+        # At M=121 a sample's rows start off the BLAS kernels' groups of rows,
+        # so a whole-array matrix-vector product shows in the bytes.
+        ds = D.generate_darcy(n=7, g=g, seed=26)
+        m = tiny_model(ds, layers=2, hidden=64, k=8, heads=heads)
+        split = [5, 0, 3, 3, 6, 1, 0, 4, 2, 6, 5]
+        sizes = []
+        preds = {}                  # each sample's forward output, by its input
+        real = TR.forward
+
+        def recording(model, f_in, *args, **kwargs):
+            out = real(model, f_in, *args, **kwargs)
+            sizes.append(f_in.shape[0])
+            for x, y in zip(f_in.data, out.data):
+                assert preds.setdefault(x.tobytes(), y.tobytes()) == y.tobytes()
+            return out
+
+        monkeypatch.setattr(TR, "forward", recording)
+        self.cpus(monkeypatch, n_cpus)
+        res = TR.evaluate(m, ds, split)
+        assert sorted(sizes) == sorted([size] * (len(split) // size) + [len(split) % size])
+        sizes.clear()
+        alone = [TR.evaluate(m, ds, [i]) for i in split]
+        assert sizes == [1] * len(split)
+        per_sample = [r["per_sample"][0] for r in alone]
+        assert result_bytes(res) == result_bytes({
+            "per_sample": per_sample, "rel_l2": float(np.mean(per_sample)),
+            "rel_l2_normalized": float(np.mean([r["rel_l2_normalized"] for r in alone])),
+            "n": len(split)})
+
+    def test_desk_request_starts_one_thread(self, monkeypatch):
+        # On the desk grid 256 points x width 64 is half the thread cutoff:
+        # 16 samples in pairs are 8 forwards, on 2 CPUs the caller's and one
+        # started thread's.
+        ds = D.generate_darcy(n=8, g=16, seed=25)
+        m = tiny_model(ds, layers=1, hidden=64, k=8)
+        self.cpus(monkeypatch, 2)
+        started = []
+        start = threading.Thread.start
+
+        def counted(thread):
+            started.append(thread)
+            start(thread)
+
+        monkeypatch.setattr(threading.Thread, "start", counted)
+        before = threading.active_count()
+        res = TR.evaluate(m, ds, list(range(8)) * 2)
+        assert len(started) == 1
+        assert threading.active_count() == before
+        assert res["per_sample"][:8] == res["per_sample"][8:]
+
+    def test_group_error_reaches_caller(self, monkeypatch):
+        # Groups (0, 1), (6, 2) and (3,): the second and third fail, and the
+        # error of the lower position is raised, as in a serial loop.
+        ds = D.generate_darcy(n=8, g=16, seed=25)
+        ds.outputs.data[[3, 6]] = 0.0
+        self.cpus(monkeypatch, 2)
+        with pytest.raises(TR.TrainingError, match="^sample 6: "):
+            TR.evaluate(tiny_model(ds, layers=1, hidden=64), ds, [0, 1, 6, 2, 3])
 
 
 @pytest.mark.threads
