@@ -20,7 +20,6 @@ from typing import Iterator
 from .geometry import KnnIndex
 from .tensor import (
     Tensor,
-    TensorError,
     add,
     concat_lastdim,
     gelu,
@@ -108,15 +107,14 @@ def local_attention(h_bar: Tensor, knn: KnnIndex, w: Tensor,
 
 
 def la2_layer(h_prev: Tensor, knn: KnnIndex, p: GlaLayerParams,
-              row_workers: int = 1, split_taped: bool = False,
-              samples: int = 1) -> Tensor:
+              row_workers: int = 1, split_taped: bool = False) -> Tensor:
     """Pre-norm block: the fused global and local branches, Linear(Concat(global,
     local)) back to width C, as a residual, then a feed-forward residual.
 
     Only two steps read other rows than their own: the local branch reads
     its neighbors' keys and values, and the global branch sums over all rows
     (Kn^T V, Kn^T 1). So the block runs as two `row_stage`s on the row
-    blocks of [M, C], dealt to `row_workers` threads, the caller's among
+    blocks of [S?, M, C], dealt to `row_workers` threads, the caller's among
     them; under an active tape the rows are cut only with `split_taped`.
     Stage A normalizes each block's rows and projects them six ways. The
     global key side is then formed once, on the calling thread, from the
@@ -129,20 +127,19 @@ def la2_layer(h_prev: Tensor, knn: KnnIndex, p: GlaLayerParams,
     read whole in block order; the taped blocks depend on M, C and
     `split_taped` alone, so the gradients are the same for any `row_workers`.
 
-    With `samples` S > 1, `h_prev` stacks S samples of M/S rows and `knn`
-    is tiled for them (`KnnIndex.tile`); each sample has global sums of its
-    own, and the block runs untaped on one row block.
+    `h_prev` [S, M, C] stacks S samples on one point set: a row block cuts
+    every sample's points alike, each sample reads its own neighbors through
+    `knn` and has global sums of its own, so each sample's rows are those of
+    its own pass, bit for bit.
     """
-    if samples > 1 and row_workers > 1:
-        raise TensorError(f"{samples} stacked samples run on one row block")
-    c = h_prev.shape[1]
+    c = h_prev.shape[-1]
 
     def project(rows, h):                                       # stage A
         h_bar = layer_norm(h, p.ln1_gamma, p.ln1_beta)
         return _global_qkv(h_bar, p) + _local_qkv(h_bar, p)
 
     q_g, k_g, v_g, q_l, k_l, v_l = row_stage(project, (h_prev,), c, row_workers, split_taped)
-    sums = linear_attention_sums(k_g, v_g, p.heads, samples)
+    sums = linear_attention_sums(k_g, v_g, p.heads)
     w = soft_mask(p.mask_s, knn.k, p.alpha)
 
     def attend(rows, q_g, q_l, h):                              # stage B

@@ -323,8 +323,11 @@ def write_tensor_file(arr: np.ndarray, path) -> None:
 
 
 def read_tensor_file(path) -> np.ndarray:
-    with open(path, "rb") as fh:
-        blob = fh.read()
+    try:
+        with open(path, "rb") as fh:
+            blob = fh.read()
+    except OSError as exc:
+        raise FormatError(f"{path}: cannot read: {exc.strerror}") from exc
     if len(blob) < 12 or blob[:4] != TENSOR_MAGIC:
         raise FormatError(f"{path}: not a tensor file (bad magic)")
     (version,) = struct.unpack("<I", blob[4:8])
@@ -358,11 +361,11 @@ def write_dataset(ds: Dataset, path) -> None:
 def read_dataset(path) -> Dataset:
     path = Path(path)
     manifest_path = path / "manifest.json"
-    if not manifest_path.exists():
-        raise FormatError(f"{path}: missing manifest.json")
     try:
         with open(manifest_path, encoding="utf-8") as fh:
             manifest = json.load(fh)
+    except OSError as exc:
+        raise FormatError(f"{manifest_path}: cannot read: {exc.strerror}") from exc
     except ValueError as exc:
         raise FormatError(f"{manifest_path}: not valid JSON: {exc}") from exc
     geometry = PointSet(Tensor(read_tensor_file(path / "geometry.la2t")))

@@ -6,7 +6,7 @@ index. Both KNN paths rank by squared distances computed with identical
 arithmetic, so the accelerated variant reproduces the brute-force output
 bit for bit, ties included. The accelerated index is built once per point set
 and K and kept there; coordinates and indices are read-only, so it stays valid.
-An index tiled for a stack of samples (`KnnIndex.tile`) is kept on the index.
+A stack of samples on one point set shares its one index (`tensor.knn_attention`).
 """
 
 from __future__ import annotations
@@ -47,7 +47,6 @@ class KnnIndex:
     """Neighbor index matrix [M, K]; row a starts with a itself."""
 
     idx: np.ndarray
-    _tiles: dict = field(default_factory=dict, init=False, repr=False, compare=False)
 
     def __post_init__(self):
         idx = np.array(self.idx, dtype=np.int64)
@@ -71,18 +70,6 @@ class KnnIndex:
     @property
     def k(self) -> int:
         return self.idx.shape[1]
-
-    def tile(self, samples: int) -> "KnnIndex":
-        """The index of `samples` copies of the point set stacked in order:
-        row j*M + a holds row a's neighbors offset by j*M. Built once per
-        count and kept beside this index; itself for one."""
-        if samples == 1:
-            return self
-        if samples not in self._tiles:
-            offsets = np.arange(0, samples * self.m, self.m)[:, None, None]
-            self._tiles.setdefault(samples,
-                                   KnnIndex((self.idx + offsets).reshape(-1, self.k)))
-        return self._tiles[samples]
 
 
 def _squared_distance_matrix(coords: np.ndarray) -> np.ndarray:

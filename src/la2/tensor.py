@@ -373,10 +373,10 @@ def concat_lastdim(a: Tensor, b: Tensor) -> Tensor:
 
 
 def row_blocks(m: int, width: int, parts: int) -> list[slice]:
-    """Up to `parts` contiguous ranges that cover the rows of an [m, width]
-    activation, at most one per `_THREAD_MIN_ACTIVATIONS` points x width and
-    at least one, each starting at a multiple of `_ROW_ALIGN`, the last one
-    taking the remainder."""
+    """Up to `parts` contiguous ranges that cover the m rows (points) of an
+    [S?, m, width] activation, at most one per `_THREAD_MIN_ACTIVATIONS`
+    points x width and at least one, each starting at a multiple of
+    `_ROW_ALIGN`, the last one taking the remainder."""
     units = m // _ROW_ALIGN
     parts = min(parts, m * width // _THREAD_MIN_ACTIVATIONS, units)
     if parts <= 1:
@@ -393,18 +393,18 @@ def _untaped(data: np.ndarray, requires_grad: bool) -> Tensor:
 
 
 def _take_rows(x: Tensor, rows: slice) -> Tensor:
-    """The `rows` of `x`, a block from `row_blocks`, as an untaped view;
-    `x` itself for ``slice(None)``."""
+    """The `rows` of `x` on its point axis, -2, a block from `row_blocks`,
+    as an untaped view; `x` itself for ``slice(None)``."""
     _check_tensor(x, "x")
-    return x if rows == slice(None) else _untaped(x.data[rows], x.requires_grad)
+    return x if rows == slice(None) else _untaped(x.data[..., rows, :], x.requires_grad)
 
 
 def _concat_rows(parts: list[Tensor]) -> Tensor:
-    """Row blocks joined in order, untaped; the one block itself if there is
-    only one, so a pass on one block copies nothing."""
+    """Row blocks joined in order on the point axis, untaped; the one block
+    itself if there is only one, so a pass on one block copies nothing."""
     if len(parts) == 1:
         return parts[0]
-    return _untaped(np.concatenate([t.data for t in parts]),
+    return _untaped(np.concatenate([t.data for t in parts], axis=-2),
                     any(t.requires_grad for t in parts))
 
 
@@ -459,28 +459,33 @@ def knn_attention(q: Tensor, k: Tensor, v: Tensor, idx: np.ndarray, w: Tensor,
     out[a] = sum_b att[a, b] * w[b] * v[idx[a, b]], where att[a] is the
     max-subtracted softmax over b of w[b] * q[a] . k[idx[a, b]] / sqrt(dh),
     taken separately in each head's dh = d/heads columns.
-    `q` is [M, d], `k` and `v` are [N, d], `idx` is integer [M, K] into [0, N),
-    `w` is [K]. Head h of row a is row a*H + h of the [M*H, dh] view, so head
-    h's index is idx*H + h. The weighted attention matrix is CSR with that
+    `q` is [S?, M, d], `k` and `v` are [S?, N, d] with the same leading axis,
+    `idx` is integer [M, K] into [0, N) and `w` is [K]; each of S stacked
+    samples reads its own k and v through the one `idx`. Head h of row a of
+    sample s is row (s*M + a)*H + h of the [S*M*H, dh] view, so its index is
+    (s*N + idx)*H + h. The weighted attention matrix is CSR with that
     pattern, so the output and the q, k, v gradients are sparse products; the
-    backward rule keeps [M*H, K] arrays, never an [M, K, d] gather.
+    backward rule keeps [S*M*H, K] arrays, never an [M, K, d] gather.
     """
     for t, name in ((q, "q"), (k, "k"), (v, "v"), (w, "w")):
         _check_tensor(t, name)
     idx = np.asarray(idx)
-    if idx.ndim != 2 or k.ndim != 2 or not np.issubdtype(idx.dtype, np.integer):
-        raise TensorError(f"knn_attention needs k [N,d] and integer idx [M,K], got "
+    if idx.ndim != 2 or k.ndim not in (2, 3) or not np.issubdtype(idx.dtype, np.integer):
+        raise TensorError(f"knn_attention needs k [S?,N,d] and integer idx [M,K], got "
                           f"{k.shape}, {idx.dtype} {idx.shape}")
-    (m, kk), (n, d) = idx.shape, k.shape
-    if q.shape != (m, d) or v.shape != (n, d) or w.shape != (kk,) or kk < 1 or d < 1:
-        raise TensorError(f"knn_attention needs q [{m},{d}], v [{n},{d}], w [{kk}] and "
-                          f"K, d >= 1, got {q.shape}, {v.shape}, {w.shape}")
+    (m, kk), (n, d) = idx.shape, k.shape[-2:]
+    if (q.shape != (*k.shape[:-2], m, d) or v.shape != k.shape or w.shape != (kk,)
+            or kk < 1 or d < 1):
+        raise TensorError(f"knn_attention needs q {(*k.shape[:-2], m, d)}, v {k.shape}, "
+                          f"w ({kk},) and K, d >= 1, got {q.shape}, {v.shape}, {w.shape}")
     _check_heads(heads, d)
     if idx.size and (idx.min() < 0 or idx.max() >= n):
         raise TensorError(f"knn_attention index out of range [0, {n})")
     dh = d // heads
-    rows = m * heads
-    idx = (idx[:, None, :] * heads + np.arange(heads)[:, None]).reshape(rows, kk)
+    samples = k.shape[0] if k.ndim == 3 else 1
+    rows = samples * m * heads
+    starts = np.arange(0, samples * n * heads, n * heads)[:, None, None, None]
+    idx = (idx[:, None, :] * heads + np.arange(heads)[:, None] + starts).reshape(rows, kk)
     qd, kd, vd = (t.data.reshape(-1, dh) for t in (q, k, v))
     wd = w.data
     inv_sqrt_d = 1.0 / np.sqrt(dh)
@@ -500,38 +505,29 @@ def knn_attention(q: Tensor, k: Tensor, v: Tensor, idx: np.ndarray, w: Tensor,
     att = e / e.sum(axis=1, keepdims=True)
     cols = idx.reshape(-1)
     indptr = np.arange(0, rows * kk + 1, kk)
-    a_mat = csr_matrix(((att * wd).reshape(-1), cols, indptr), shape=(rows, n * heads))
+    a_mat = csr_matrix(((att * wd).reshape(-1), cols, indptr), shape=(rows, len(kd)))
 
     def rule(g):
         g = g.reshape(rows, dh)
         gaw = np.einsum("mkd,md->mk", vd[idx], g)     # d out / d (att * w)
         gatt = gaw * wd
         gs = att * (gatt - (gatt * att).sum(axis=1, keepdims=True))
-        r_mat = csr_matrix(((gs * c).reshape(-1), cols, indptr), shape=(rows, n * heads))
+        r_mat = csr_matrix(((gs * c).reshape(-1), cols, indptr), shape=a_mat.shape)
         dw = (gaw * att).sum(axis=0) + (gs * dots).sum(axis=0) * inv_sqrt_d
-        return ((r_mat @ kd).reshape(m, d), (r_mat.T @ qd).reshape(n, d),
-                (a_mat.T @ g).reshape(n, d), dw)
+        return ((r_mat @ kd).reshape(q.shape), (r_mat.T @ qd).reshape(k.shape),
+                (a_mat.T @ g).reshape(v.shape), dw)
 
-    return _result((a_mat @ vd).reshape(m, d), (q, k, v, w), rule)
-
-
-def _split_heads(x: np.ndarray, heads: int, samples: int = 1) -> np.ndarray:
-    """[S*M, d] -> [S, H, M, dh], a view."""
-    return x.reshape(samples, -1, heads, x.shape[1] // heads).transpose(0, 2, 1, 3)
+    return _result((a_mat @ vd).reshape(q.shape), (q, k, v, w), rule)
 
 
-def _merge_heads(x: np.ndarray) -> np.ndarray:
-    """[S, H, M, dh] -> [S*M, d]."""
-    return x.swapaxes(1, 2).reshape(-1, x.shape[1] * x.shape[3])
+def _split_heads(x: np.ndarray, heads: int) -> np.ndarray:
+    """[..., M, d] -> [..., H, M, dh], a view."""
+    return x.reshape(*x.shape[:-1], heads, x.shape[-1] // heads).swapaxes(-2, -3)
 
 
-def _check_samples(rows: int, samples: int) -> None:
-    """Raise unless `rows` split into `samples` equal blocks and, for more
-    than one, no tape is active: stacked samples are an inference path."""
-    if samples < 1 or rows % samples:
-        raise TensorError(f"{rows} rows do not split into {samples} samples")
-    if samples > 1 and _ACTIVE_TAPE.tape is not None:
-        raise TensorError(f"{samples} stacked samples run untaped only")
+def _merge_heads(x: np.ndarray, shape: tuple[int, ...]) -> np.ndarray:
+    """[..., H, M, dh] -> `shape`, [..., M, d]."""
+    return x.swapaxes(-2, -3).reshape(shape)
 
 
 def _positive_features(x: np.ndarray):
@@ -545,97 +541,89 @@ def _positive_features(x: np.ndarray):
     return cdf, phi, s
 
 
-def _features_grad(x, cdf, n, s, gn):
-    """[S*M, d] gradient of x through n = phi / sum(phi), phi = gelu(x) + 1,
-    from the [S, H, M, dh] gradient gn of the features n (`_positive_features`)."""
+def _features_grad(x, cdf, n, s, gn, shape):
+    """Gradient of x, merged to `shape` [..., M, d], through n = phi /
+    sum(phi), phi = gelu(x) + 1, from the [..., H, M, dh] gradient gn of the
+    features n (`_positive_features`)."""
     gphi = gn - (gn * n).sum(axis=-1, keepdims=True)
     gphi /= s
-    return _merge_heads(_gelu_grad(x, cdf, gphi))
+    return _merge_heads(_gelu_grad(x, cdf, gphi), shape)
 
 
-def linear_attention_sums(k: Tensor, v: Tensor, heads: int, samples: int = 1) -> Tensor:
+def linear_attention_sums(k: Tensor, v: Tensor, heads: int) -> Tensor:
     """The key side of `linear_attention`, formed once over all N rows of
-    `k` and `v` [N, d]: each head's key features Kn, and the sums Kn^T V
-    stacked over (Kn^T 1)^T, as one [H, dh + 1, dh] tensor. Every query row
-    reads the same sums, so any number of query row blocks share one and add
-    their gradients of it; the rule turns that small gradient into the keys'
-    and values' gradients once.
-
-    With `samples` S > 1, `k` and `v` stack S samples of N/S rows each in
-    order, each with sums of its own: [S, H, dh + 1, dh]. Such sums are
-    formed untaped only (`TensorError` under an active tape)."""
+    `k` and `v` [S?, N, d]: each head's key features Kn, and the sums Kn^T V
+    stacked over (Kn^T 1)^T, as one [S?, H, dh + 1, dh] tensor, with k's
+    leading axis: each of S stacked samples has sums of its own. Every query
+    row reads the same sums, so any number of query row blocks share one and
+    add their gradients of it; the rule turns that small gradient into the
+    keys' and values' gradients once."""
     for t, name in ((k, "k"), (v, "v")):
         _check_tensor(t, name)
-    if k.ndim != 2 or v.shape != k.shape or min(k.shape) < 1:
-        raise TensorError(f"linear_attention needs equal [N,d] k and v with N, d >= 1, "
+    if k.ndim not in (2, 3) or v.shape != k.shape or min(k.shape) < 1:
+        raise TensorError(f"linear_attention needs equal [S?,N,d] k and v with N, d >= 1, "
                           f"got {k.shape}, {v.shape}")
-    _check_samples(k.shape[0], samples)
-    n, d = k.shape
+    d = k.shape[-1]
     _check_heads(heads, d)
     dh = d // heads
-    rows = k.data.reshape(samples, n // samples, heads, dh)        # [S, N, H, dh]
-    kcdf, kn, ks = (a.transpose(0, 2, 1, 3) for a in _positive_features(rows))
-    vh = _split_heads(v.data, heads, samples)
+    rows = k.data.reshape(*k.shape[:-1], heads, dh)                  # [S?, N, H, dh]
+    kcdf, kn, ks = (a.swapaxes(-2, -3) for a in _positive_features(rows))
+    vh = _split_heads(v.data, heads)
 
     def rule(g):
-        g = g.reshape(samples, heads, dh + 1, dh)
-        gkv, gzt = np.ascontiguousarray(g[:, :, :dh]), g[:, :, dh:]
+        gkv, gzt = np.ascontiguousarray(g[..., :dh, :]), g[..., dh:, :]
         gkn = vh @ gkv.swapaxes(-1, -2) + gzt
-        return (_features_grad(rows.transpose(0, 2, 1, 3), kcdf, kn, ks, gkn),
-                _merge_heads(kn @ gkv))
+        return (_features_grad(rows.swapaxes(-2, -3), kcdf, kn, ks, gkn, k.shape),
+                _merge_heads(kn @ gkv, v.shape))
 
     sums = np.concatenate([kn.swapaxes(-1, -2) @ vh, kn.sum(axis=-2, keepdims=True)],
                           axis=-2)
-    return _result(sums[0] if samples == 1 else sums, (k, v), rule)
+    return _result(sums, (k, v), rule)
 
 
 def linear_attention(q: Tensor, sums: Tensor) -> Tensor:
     """Positive-feature linear attention per head: Qn (Kn^T V) / (Qn Kn^T 1) + Qn.
 
-    `q` is [M, d]; `sums`, from `linear_attention_sums(k, v, heads)`, is the
-    key side, over the keys and values [N, d]. Head h owns columns
-    [h*dh, (h+1)*dh) with dh = d/heads, viewed as [H, M, dh]. Qn and Kn are
-    the rows of gelu(x) + 1 of each head's queries and keys, each normalized
-    to sum 1. gelu is bounded below by about -0.17, so every feature is at
-    least 0.83 and the denominator is positive by construction. Cost
-    O((M + N)*d*dh): the M x N score matrix is never formed. Each output row
-    depends on its own query row and the sums only. The op is taped on
+    `q` is [S?, M, d]; `sums`, from `linear_attention_sums(k, v, heads)`, is
+    the key side, over the keys and values [S?, N, d], and its leading axis
+    must be q's: each of S stacked samples reads its own sums. Head h owns
+    columns [h*dh, (h+1)*dh) with dh = d/heads, viewed as [S?, H, M, dh]. Qn
+    and Kn are the rows of gelu(x) + 1 of each head's queries and keys, each
+    normalized to sum 1. gelu is bounded below by about -0.17, so every
+    feature is at least 0.83 and the denominator is positive by
+    construction. Cost O((M + N)*d*dh): the M x N score matrix is never
+    formed. Each output row depends on its own query row and the sums only.
+    The denominator, a BLAS matrix-vector product whose sum order depends on
+    a row's place, is formed per sample and head. The op is taped on
     (q, sums), with a hand-written backward rule.
-
-    Sums of S stacked samples ([S, H, dh + 1, dh]) read `q` as S samples
-    of M/S rows, each against its own sums, untaped only. The denominator,
-    a BLAS matrix-vector product whose sum order depends on a row's place,
-    is formed per sample and head, so each sample's rows are those of its
-    own pass, bit for bit.
     """
     _check_tensor(q, "q")
     if not (isinstance(sums, Tensor) and sums.ndim in (3, 4)
             and sums.shape[-2] == sums.shape[-1] + 1):
-        raise TensorError("linear_attention needs the [H, dh + 1, dh] sums from "
+        raise TensorError("linear_attention needs the [S?, H, dh + 1, dh] sums from "
                           "linear_attention_sums")
-    samples = sums.shape[0] if sums.ndim == 4 else 1
     heads, dh = sums.shape[-3], sums.shape[-1]
-    if q.ndim != 2 or q.shape[1] != heads * dh:
-        raise TensorError(f"linear_attention needs q [M,{heads * dh}], got {q.shape}")
-    _check_samples(q.shape[0], samples)
-    sd = sums.data.reshape(samples, heads, dh + 1, dh)
-    kv = np.ascontiguousarray(sd[:, :, :dh])                # [S, H, dh, dh]: Kn^T V
-    zt = np.ascontiguousarray(sd[:, :, dh:])                # [S, H, 1, dh]: (Kn^T 1)^T
-    qx = _split_heads(q.data, heads, samples)
+    if q.ndim != sums.ndim - 1 or q.shape[:-2] != sums.shape[:-3] \
+            or q.shape[-1] != heads * dh:
+        lead = "".join(f"{s}," for s in sums.shape[:-3])
+        raise TensorError(f"linear_attention needs q [{lead}M,{heads * dh}], got {q.shape}")
+    kv = np.ascontiguousarray(sums.data[..., :dh, :])        # [S?, H, dh, dh]: Kn^T V
+    zt = np.ascontiguousarray(sums.data[..., dh:, :])        # [S?, H, 1, dh]: (Kn^T 1)^T
+    qx = _split_heads(q.data, heads)
     qcdf, qn, qs = _positive_features(qx)
-    den = qn @ zt.swapaxes(-1, -2)                  # [S, H, M, 1]
+    den = qn @ zt.swapaxes(-1, -2)                  # [S?, H, M, 1]
     ratio = (qn @ kv) / den
 
     def rule(g):
-        gh = _split_heads(g, heads, samples)
+        gh = _split_heads(g, heads)
         gnum = gh / den
         gden = -(gh * ratio).sum(axis=-1, keepdims=True) / den
         gqn = gh + gnum @ kv.swapaxes(-1, -2) + gden * zt
         gsums = np.concatenate([qn.swapaxes(-1, -2) @ gnum,
                                 gden.swapaxes(-1, -2) @ qn], axis=-2)
-        return _features_grad(qx, qcdf, qn, qs, gqn), gsums.reshape(sums.shape)
+        return _features_grad(qx, qcdf, qn, qs, gqn, q.shape), gsums
 
-    return _result(_merge_heads(ratio + qn), (q, sums), rule)
+    return _result(_merge_heads(ratio + qn, q.shape), (q, sums), rule)
 
 
 # ---------------------------------------------------------------------------
@@ -782,9 +770,10 @@ def recompute(fn: Callable[[Tensor], Tensor], x: Tensor,
 
 def row_stage(fn: Callable[..., tuple[Tensor, ...]], row_inputs: tuple[Tensor, ...],
               width: int, workers: int, split_taped: bool = False) -> tuple[Tensor, ...]:
-    """``fn(rows, *xs)`` on each row block of an [M, width] activation, M the
-    rows of `row_inputs`, where xs are those rows of each of `row_inputs`;
-    returns fn's outputs with the blocks' rows joined in order.
+    """``fn(rows, *xs)`` on each row block of an [S?, M, width] activation, M
+    the rows (points) of `row_inputs`, where xs are those rows of each of
+    `row_inputs`, of every stacked sample alike; returns fn's outputs with
+    the blocks' rows joined in order.
 
     fn returns a tuple of tensors whose rows are `rows`, each row computed
     from the same rows of `row_inputs` and from tensors that every block
@@ -809,7 +798,7 @@ def row_stage(fn: Callable[..., tuple[Tensor, ...]], row_inputs: tuple[Tensor, .
         parts = workers
     else:
         parts = _MAX_ROW_BLOCKS if split_taped else 1
-    blocks = row_blocks(row_inputs[0].shape[0], width, parts)
+    blocks = row_blocks(row_inputs[0].shape[-2], width, parts)
     workers = min(workers, len(blocks))
     split = tape is not None and len(blocks) > 1
 
@@ -827,14 +816,14 @@ def row_stage(fn: Callable[..., tuple[Tensor, ...]], row_inputs: tuple[Tensor, .
     # outputs only to key the seed gradients, and no rule reads an output.
     for (_, parts, _), rows in zip(runs, blocks):
         for part, whole in zip(parts, outs):
-            part.data = whole.data[rows]
+            part.data = whole.data[..., rows, :]
     read_whole = _reads(runs[0][2], runs[0][0])                 # besides the row views
 
     def rule(gouts):
         def replay(j):
             views, parts, sub = runs[j]
-            grads = _backprop(sub, {id(o): g[blocks[j]] for o, g in zip(parts, gouts)
-                                    if g is not None})
+            grads = _backprop(sub, {id(o): g[..., blocks[j], :]
+                                    for o, g in zip(parts, gouts) if g is not None})
             return [grads.get(id(t)) for t in (*views, *read_whole)]
 
         per_block = _map_in_order(replay, range(len(blocks)), workers)
@@ -845,7 +834,7 @@ def row_stage(fn: Callable[..., tuple[Tensor, ...]], row_inputs: tuple[Tensor, .
             if gs[0] is None:
                 grads.append(None)
             elif i < len(row_inputs):
-                grads.append(np.concatenate(gs))
+                grads.append(np.concatenate(gs, axis=-2))
             else:
                 grads.append(functools.reduce(np.add, gs))          # in block order
         return grads

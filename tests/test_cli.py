@@ -498,6 +498,31 @@ class TestBench:
         assert args.hidden == ModelConfig.hidden
 
 
+@pytest.mark.parametrize("case", ["eval_checkpoint", "train_inputs", "train_manifest_dir",
+                                  "dump_mask_dir"])
+def test_missing_input_file_exits_usage(dataset_dir, tmp_path, capsys, case):
+    # A file that cannot be opened is a usage error naming it, as a missing
+    # --config file or dataset directory is, not a runtime traceback.
+    if case == "eval_checkpoint":
+        path = tmp_path / "nope.la2c"
+        argv = ["eval", "--data", str(dataset_dir), "--checkpoint", str(path)]
+    elif case.startswith("train"):
+        data = tmp_path / "d"
+        shutil.copytree(dataset_dir, data)
+        path = data / ("inputs.la2t" if case == "train_inputs" else "manifest.json")
+        path.unlink()
+        if case == "train_manifest_dir":
+            path.mkdir()
+        argv = ["train", "--data", str(data), "--out", str(tmp_path / "o"), "--epochs", "1"]
+    else:
+        path = tmp_path
+        argv = ["dump-mask", "--checkpoint", str(path)]
+    rc = main(argv)
+    err = capsys.readouterr().err
+    assert rc == EXIT_USAGE
+    assert err.startswith(f"error: {path}: cannot read: ") and "Traceback" not in err
+
+
 @pytest.mark.parametrize("argv", [
     ["ablate-window", "--k-values", ","],
     ["scale-study", "--widths", ","],

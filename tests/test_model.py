@@ -591,13 +591,19 @@ class TestStackedForward:
             with GradTape(), pytest.raises(TensorError, match="untaped"):
                 forward(m, stacked, pts, knn)
 
-    def test_stacked_rows_run_on_one_block(self, rng):
-        cfg = tiny_config(hidden=64, k=8)
-        blk = init_block(rng, cfg)
-        pts, knn, _ = darcy_like_instance(rng, 1024, cfg)
-        h = Tensor(rng.standard_normal((2048, 64)))
-        with pytest.raises(TensorError, match="one row block"):
-            la2_layer(h, knn.tile(2), blk, row_workers=2, samples=2)
+    @pytest.mark.threads
+    def test_stacked_rows_on_row_blocks(self):
+        # At M=1089 two row workers cut [0, 512) and [512, 1089) of every
+        # sample's points alike, and sample 1 comes twice.
+        ds = generate_darcy(n=2, g=33, seed=8)
+        m = init_model(tiny_config(hidden=64, k=8))
+        knn = knn_indices_accelerated(ds.geometry, 8)
+        assert T.row_blocks(ds.geometry.m, 64, 2) == [slice(0, 512), slice(512, 1089)]
+        x = ds.inputs.data
+        alone = [forward(m, Tensor(x[i]), ds.geometry, knn).data for i in range(2)]
+        order = [1, 0, 1]
+        out = forward(m, Tensor(x[order]), ds.geometry, knn, row_workers=2).data
+        assert [y.tobytes() for y in out] == [alone[i].tobytes() for i in order]
 
     def test_input_rows_must_match_points(self, rng):
         m = init_model(tiny_config())

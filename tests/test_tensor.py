@@ -183,6 +183,26 @@ class TestKnnAttention:
         for g, expect in zip(got, parts):
             assert np.abs(g - expect).max() <= 1e-12 * np.abs(expect).max()
 
+    @pytest.mark.parametrize("heads", [1, 2])
+    def test_stacked_gradcheck(self, rng, heads):
+        q = leaf(None, rng, (2, 4, 4))
+        k, v = (leaf(None, rng, (2, 6, 4)) for _ in range(2))
+        w = leaf(rng.uniform(0.2, 1.0, 3))
+        gradcheck_op(lambda: T.knn_attention(q, k, v, self.IDX, w, heads), [q, k, v, w], rng)
+
+    @pytest.mark.parametrize("heads", [1, 2])
+    def test_stacked_samples_are_their_own(self, rng, monkeypatch, heads):
+        # Score blocks of 5 rows cross from one sample's rows into the next.
+        q = rng.standard_normal((3, 4, 6))
+        k, v = (rng.standard_normal((3, 6, 6)) for _ in range(2))
+        w = Tensor(rng.uniform(0.2, 1.0, 3))
+        monkeypatch.setattr(T, "_SCORE_BLOCK_ROWS", 5)
+        out = T.knn_attention(Tensor(q), Tensor(k), Tensor(v), self.IDX, w, heads).data
+        for j in range(3):
+            alone = T.knn_attention(Tensor(q[j]), Tensor(k[j]), Tensor(v[j]), self.IDX, w,
+                                    heads)
+            assert out[j].tobytes() == alone.data.tobytes()
+
     def test_score_blocks_leave_output_bit_equal(self, rng, monkeypatch):
         # Scores are gathered a block of rows at a time; a block edge inside
         # the rows (and inside one row's heads) must not change a bit.
@@ -197,8 +217,8 @@ class TestKnnAttention:
 
     @pytest.mark.parametrize("case", [
         "index_too_large", "index_negative", "float_index", "index_1d",
-        "q_rows", "q_width", "kv_shape", "k_1d", "w_length", "w_2d", "no_neighbors",
-        "not_a_tensor", "heads_not_dividing"])
+        "q_rows", "q_width", "q_samples", "kv_shape", "k_1d", "w_length", "w_2d",
+        "no_neighbors", "not_a_tensor", "heads_not_dividing"])
     def test_validation(self, rng, case):
         q, k, v, w = self.inputs(rng)
         idx = self.IDX
@@ -215,6 +235,8 @@ class TestKnnAttention:
             q = Tensor(np.ones((5, 3)))
         elif case == "q_width":
             q = Tensor(np.ones((4, 2)))
+        elif case == "q_samples":
+            q = Tensor(np.ones((2, 4, 3)))
         elif case == "kv_shape":
             v = Tensor(np.ones((5, 3)))
         elif case == "k_1d":
@@ -260,35 +282,28 @@ class TestLinearAttention:
     def test_stacked_samples_are_their_own(self, rng, heads):
         # Three samples of 13 rows: each reads only its own sums, and comes
         # out as it does alone, bit for bit.
-        q, k, v = (rng.uniform(-2, 2, (39, 8)) for _ in range(3))
-        sums = T.linear_attention_sums(Tensor(k), Tensor(v), heads, 3)
+        q, k, v = (rng.uniform(-2, 2, (3, 13, 8)) for _ in range(3))
+        sums = T.linear_attention_sums(Tensor(k), Tensor(v), heads)
         out = T.linear_attention(Tensor(q), sums).data
         assert sums.shape == (3, heads, 8 // heads + 1, 8 // heads)
         for j in range(3):
-            rows = slice(13 * j, 13 * (j + 1))
-            alone = T.linear_attention_sums(Tensor(k[rows]), Tensor(v[rows]), heads)
+            alone = T.linear_attention_sums(Tensor(k[j]), Tensor(v[j]), heads)
             assert np.array_equal(sums.data[j], alone.data)
-            assert np.array_equal(out[rows], T.linear_attention(Tensor(q[rows]), alone).data)
+            assert np.array_equal(out[j], T.linear_attention(Tensor(q[j]), alone).data)
 
-    def test_stacked_samples_run_untaped(self, rng):
-        q, k, v = (leaf(None, rng, (6, 4)) for _ in range(3))
-        sums = T.linear_attention_sums(k, v, 2, 2)
-        with GradTape():
-            with pytest.raises(TensorError, match="untaped"):
-                T.linear_attention_sums(k, v, 2, 2)
-            with pytest.raises(TensorError, match="untaped"):
-                T.linear_attention(q, sums)
+    @pytest.mark.parametrize("heads", [1, 2])
+    def test_stacked_gradcheck(self, rng, heads):
+        q, k, v = (leaf(None, rng, (2, m, 4)) for m in (3, 5, 5))
+        gradcheck_op(lambda: T.linear_attention(q, T.linear_attention_sums(k, v, heads)),
+                     [q, k, v], rng)
 
-    @pytest.mark.parametrize("samples", [0, 4])
-    def test_rows_must_split_into_samples(self, rng, samples):
-        k = Tensor(rng.standard_normal((6, 4)))
-        with pytest.raises(TensorError, match="do not split"):
-            T.linear_attention_sums(k, k, 2, samples)
-        if samples:
-            sums = T.linear_attention_sums(Tensor(np.ones((8, 4))), Tensor(np.ones((8, 4))),
-                                           2, samples)
-            with pytest.raises(TensorError, match="do not split"):
-                T.linear_attention(k, sums)
+    @pytest.mark.parametrize("kv_shape, q_shape", [
+        ((2, 5, 4), (5, 4)), ((2, 5, 4), (3, 5, 4)), ((5, 4), (1, 5, 4))])
+    def test_query_samples_must_be_the_sums(self, rng, kv_shape, q_shape):
+        k = Tensor(rng.standard_normal(kv_shape))
+        sums = T.linear_attention_sums(k, k, 2)
+        with pytest.raises(TensorError, match="linear_attention needs q"):
+            T.linear_attention(Tensor(rng.standard_normal(q_shape)), sums)
 
     @pytest.mark.parametrize("sums", [None, "tuple"])
     def test_sums_not_from_linear_attention_sums_rejected(self, rng, sums):
