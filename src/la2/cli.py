@@ -266,6 +266,12 @@ def _positive_int(text: str) -> int:
     return int(text)
 
 
+def _non_negative_int(text: str) -> int:
+    if not text.strip().isdecimal():
+        raise argparse.ArgumentTypeError(f"not a non-negative integer: {text}")
+    return int(text)
+
+
 def _int_list(text: str) -> list[int]:
     values = [_positive_int(v) for v in text.split(",") if v.strip()]
     if not values:
@@ -281,7 +287,7 @@ def _run_parser(sub, name: str, text: str, func, *, epochs: int):
     p.add_argument("--data", required=True)
     p.add_argument("--out", required=True)
     p.add_argument("--config", default=None, help="JSON run config; flags override it")
-    p.add_argument("--seed", type=int, default=0, help="RNG seed")
+    p.add_argument("--seed", type=_non_negative_int, default=0, help="RNG seed")
     for title, cls, keys in (("model", ModelConfig, MODEL_KEYS),
                              ("training", TrainConfig, TRAIN_KEYS)):
         g = p.add_argument_group(title)
@@ -309,7 +315,7 @@ def build_parser() -> argparse.ArgumentParser:
     p.add_argument("--n", type=int, required=True, help="sample count")
     p.add_argument("--grid", type=int, default=16, help="darcy grid side (>= 8)")
     p.add_argument("--points", type=int, default=512, help="pointcloud size (>= 16)")
-    p.add_argument("--seed", type=int, default=0)
+    p.add_argument("--seed", type=_non_negative_int, default=0)
     p.add_argument("--out", required=True)
     p.set_defaults(func=cmd_generate)
 

@@ -83,6 +83,8 @@ class ModelConfig:
             raise TensorError(f"feed-forward width must be >= 1, got {self.ff_hidden}")
         if not 0 < self.alpha < math.inf:
             raise TensorError("alpha must be positive and finite")
+        if self.seed < 0:
+            raise TensorError(f"seed must be non-negative, got {self.seed}")
 
 
 @dataclass

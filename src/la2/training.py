@@ -63,6 +63,8 @@ class TrainConfig:
                                 f"the peak lr={self.lr!r}")
         if not 0 <= self.weight_decay < math.inf:
             raise TrainingError("weight decay must be non-negative and finite")
+        if self.seed < 0:
+            raise TrainingError(f"seed must be non-negative, got {self.seed}")
 
 
 @dataclass

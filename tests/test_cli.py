@@ -66,6 +66,17 @@ class TestGenerate:
                      "manifest.json"):
             assert (dataset_dir / name).read_bytes() == (other / name).read_bytes()
 
+    @pytest.mark.parametrize("command", ["generate", "train", "ablate-window"])
+    def test_negative_seed_exits_usage(self, dataset_dir, tmp_path, capsys, command):
+        # numpy's seeding used to fail with a traceback and exit 1.
+        out = tmp_path / "o"
+        args = (["--task", "darcy", "--n", "1", "--grid", "8"] if command == "generate"
+                else ["--data", str(dataset_dir), "--epochs", "1"])
+        assert main([command, *args, "--seed", "-1", "--out", str(out)]) == EXIT_USAGE
+        assert "error: argument --seed: not a non-negative integer: -1" \
+            in capsys.readouterr().err
+        assert not out.exists()
+
     def test_small_grid_rejected(self, tmp_path):
         rc = main(["generate", "--task", "darcy", "--n", "2", "--grid", "4",
                    "--seed", "0", "--out", str(tmp_path / "x")])

@@ -1,10 +1,18 @@
 """Darcy oracle behavior, generators, normalization, and the file format."""
 
 import json
+import os
 import struct
+import subprocess
+import sys
+import warnings
+from pathlib import Path
 
 import numpy as np
 import pytest
+from scipy.linalg import LinAlgError
+from scipy.sparse import csr_matrix
+from scipy.sparse.linalg import spsolve
 
 from la2 import data as D
 from la2.geometry import knn_indices
@@ -20,6 +28,45 @@ def mms_error(g):
     u = D.solve_darcy_fd(a, f).data
     exact = np.sin(np.pi * xx) * np.sin(np.pi * yy)
     return np.abs(u - exact).max()
+
+
+def stencil(a):
+    """The five-point operator over the interior nodes, written out node by
+    node as a dense matrix: harmonic-mean faces, u = 0 on the boundary."""
+    g = a.shape[0]
+    gi = g - 2
+    h2 = (g - 1.0) ** 2
+    mat = np.zeros((gi * gi, gi * gi))
+    for i in range(1, g - 1):
+        for j in range(1, g - 1):
+            row = (i - 1) * gi + (j - 1)
+            diag = 0.0
+            for ni, nj in ((i - 1, j), (i + 1, j), (i, j - 1), (i, j + 1)):
+                p, q = a[i, j], a[ni, nj]
+                face = 2.0 * p * q / (p + q)
+                diag += face
+                if 0 < ni < g - 1 and 0 < nj < g - 1:
+                    mat[row, (ni - 1) * gi + (nj - 1)] = -face * h2
+            mat[row, row] = diag * h2
+    return mat
+
+
+def expand_bands(bands):
+    """Dense symmetric matrix from LAPACK upper banded storage."""
+    kd, n = bands.shape[0] - 1, bands.shape[1]
+    mat = np.zeros((n, n))
+    for r in range(kd + 1):
+        off = kd - r
+        cols = np.arange(off, n)
+        mat[cols - off, cols] = bands[r, off:]
+        mat[cols, cols - off] = bands[r, off:]
+    return mat
+
+
+def darcy_field(kind, g):
+    if kind == "random":
+        return np.random.default_rng(g).uniform(0.5, 5.0, (g, g))
+    return D.generate_darcy(n=1, g=g, seed=g).inputs.data[0, :, 0].reshape(g, g)
 
 
 class TestDarcySolver:
@@ -59,6 +106,54 @@ class TestDarcySolver:
         u = D.solve_darcy_fd(Tensor(a), Tensor(f))
         assert D.darcy_residual(Tensor(a), Tensor(f), u) < 1e-10
 
+    @pytest.mark.parametrize("g", [8, 13])
+    @pytest.mark.parametrize("kind", ["two-valued", "random"])
+    def test_bands_are_the_stencil(self, kind, g):
+        a = darcy_field(kind, g)
+        assert np.array_equal(expand_bands(D._darcy_bands(a)), stencil(a))
+
+    @pytest.mark.parametrize("g", [8, 13])
+    @pytest.mark.parametrize("kind", ["two-valued", "random"])
+    def test_matches_sparse_reference(self, kind, g, rng):
+        # The sparse LU solve is a test-only reference, as brute-force KNN is.
+        a = darcy_field(kind, g)
+        f = rng.uniform(0.5, 1.5, (g, g))
+        ref = spsolve(csr_matrix(stencil(a)), f[1:-1, 1:-1].ravel())
+        u = D.solve_darcy_fd(Tensor(a), Tensor(f)).data
+        assert np.abs(u[1:-1, 1:-1].ravel() - ref).max() <= 1e-12 * np.abs(ref).max()
+        assert not u[[0, -1], :].any() and not u[:, [0, -1]].any()
+
+    @pytest.mark.parametrize("field", ["huge", "subnormal", "mixed"])
+    def test_degenerate_operator_rejected(self, field):
+        # Positive coefficients whose harmonic faces overflow (1e300) or
+        # underflow to zero (1e-320): the old path warned, then failed as
+        # "non-finite values" or with the sparse solver's rank warning.
+        g = 8
+        a = np.full((g, g), 1e-320 if field == "subnormal" else 1e300)
+        if field == "mixed":
+            a[:g // 2] = 1e-300
+        with warnings.catch_warnings():
+            warnings.simplefilter("error")
+            with pytest.raises(TensorError, match="overflow or become singular"):
+                D.solve_darcy_fd(Tensor(a), Tensor(np.ones((g, g))))
+
+    def test_factorization_failure_is_tensor_error(self, monkeypatch):
+        def fail(*args, **kwargs):
+            raise LinAlgError("3-th leading minor not positive definite")
+
+        monkeypatch.setattr(D, "solveh_banded", fail)
+        with pytest.raises(TensorError, match="not positive definite"):
+            D.solve_darcy_fd(Tensor(np.ones((8, 8))), Tensor(np.ones((8, 8))))
+
+    @pytest.mark.parametrize("g", [64, 128])
+    def test_residual_on_large_grids(self, g):
+        ds = D.generate_darcy(n=2, g=g, seed=4)
+        f = Tensor(np.ones((g, g)))
+        for i in range(ds.n):
+            a = Tensor(ds.inputs.data[i, :, 0].reshape(g, g))
+            u = Tensor(ds.outputs.data[i, :, 0].reshape(g, g))
+            assert D.darcy_residual(a, f, u) <= 1e-10
+
 
 class TestGenerateDarcy:
     def test_shapes(self):
@@ -93,6 +188,23 @@ class TestGenerateDarcy:
             D.generate_darcy(n=0, g=16, seed=0)
         with pytest.raises(TensorError):
             D.generate_darcy(n=2, g=4, seed=0)
+        with pytest.raises(TensorError, match="seed"):
+            D.generate_darcy(n=2, g=8, seed=-1)
+
+    def test_outputs_independent_of_blas_threads(self):
+        code = ("import sys; from la2.data import generate_darcy; "
+                "sys.stdout.buffer.write(generate_darcy(n=3, g=64, seed=5)"
+                ".outputs.data.tobytes())")
+        src = str(Path(D.__file__).parents[1])
+        outs = []
+        for threads in ("1", "2"):
+            env = {**os.environ, "OPENBLAS_NUM_THREADS": threads}
+            env["PYTHONPATH"] = os.pathsep.join(filter(None, [src, env.get("PYTHONPATH")]))
+            run = subprocess.run([sys.executable, "-c", code], env=env,
+                                 capture_output=True, timeout=120)
+            assert run.returncode == 0, run.stderr.decode()
+            outs.append(run.stdout)
+        assert len(outs[0]) == 3 * 64 * 64 * 8 and outs[0] == outs[1]
 
     def test_split_and_stats(self):
         ds = D.generate_darcy(n=10, g=8, seed=1)
@@ -137,6 +249,10 @@ class TestGeneratePointcloud:
     def test_too_few_points(self):
         with pytest.raises(TensorError):
             D.generate_pointcloud_task(n=1, m=8, seed=0)
+
+    def test_negative_seed(self):
+        with pytest.raises(TensorError, match="seed"):
+            D.generate_pointcloud_task(n=1, m=32, seed=-1)
 
 
 class TestFileFormat:

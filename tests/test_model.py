@@ -83,6 +83,8 @@ class TestConfig:
             tiny_config(k=0)
         with pytest.raises(TensorError):
             tiny_config(ff_hidden=0)
+        with pytest.raises(TensorError, match="seed must be non-negative"):
+            tiny_config(seed=-1)
 
 
 class TestInit:
@@ -709,6 +711,13 @@ class TestCheckpoint:
         save_checkpoint(init_model(tiny_config()), path)
         edit_header(path, lambda header: header["config"].update(layers=value))
         with pytest.raises(CheckpointError, match="layers must be an integer"):
+            load_checkpoint(path)
+
+    def test_rejects_negative_seed(self, tmp_path):
+        path = tmp_path / "model.la2c"
+        save_checkpoint(init_model(tiny_config()), path)
+        edit_header(path, lambda header: header["config"].update(seed=-1))
+        with pytest.raises(CheckpointError, match="seed must be non-negative"):
             load_checkpoint(path)
 
     @pytest.mark.parametrize("shape", [[], [1, 1]])

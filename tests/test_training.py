@@ -172,6 +172,10 @@ class TestTrainConfig:
         with pytest.raises(TR.TrainingError):
             TR.TrainConfig(epochs=0)
 
+    def test_negative_seed_rejected(self):
+        with pytest.raises(TR.TrainingError, match="seed must be non-negative"):
+            TR.TrainConfig(epochs=1, seed=-1)
+
     @pytest.mark.parametrize("key", ["lr", "lr_min", "weight_decay", "clip_norm"])
     @pytest.mark.parametrize("value", [math.nan, math.inf])
     def test_non_finite_rejected(self, key, value):
