@@ -106,16 +106,15 @@ def local_attention(h_bar: Tensor, knn: KnnIndex, w: Tensor,
     return knn_attention(*_local_qkv(h_bar, p), knn.idx, w, p.heads)
 
 
-def la2_layer(h_prev: Tensor, knn: KnnIndex, p: GlaLayerParams,
-              row_workers: int = 1, split_taped: bool = False) -> Tensor:
+def la2_layer(h_prev: Tensor, knn: KnnIndex, p: GlaLayerParams) -> Tensor:
     """Pre-norm block: the fused global and local branches, Linear(Concat(global,
     local)) back to width C, as a residual, then a feed-forward residual.
 
     Only two steps read other rows than their own: the local branch reads
     its neighbors' keys and values, and the global branch sums over all rows
     (Kn^T V, Kn^T 1). So the block runs as two `row_stage`s on the row
-    blocks of [S?, M, C], dealt to `row_workers` threads, the caller's among
-    them; under an active tape the rows are cut only with `split_taped`.
+    blocks of [S?, M, C], one per CPU of the calling thread; under an active
+    tape the rows are cut only if the tape says `split_rows`.
     Stage A normalizes each block's rows and projects them six ways. The
     global key side is then formed once, on the calling thread, from the
     joined keys and values. Stage B runs the row side of both branches,
@@ -125,7 +124,7 @@ def la2_layer(h_prev: Tensor, knn: KnnIndex, p: GlaLayerParams,
     bit for bit on any blocks. Under an active tape each stage with several
     blocks is one entry whose rule adds the blocks' gradients of what they
     read whole in block order; the taped blocks depend on M, C and
-    `split_taped` alone, so the gradients are the same for any `row_workers`.
+    `split_rows` alone, so the gradients are the same for any CPU count.
 
     `h_prev` [S, M, C] stacks S samples on one point set: a row block cuts
     every sample's points alike, each sample reads its own neighbors through
@@ -138,7 +137,7 @@ def la2_layer(h_prev: Tensor, knn: KnnIndex, p: GlaLayerParams,
         h_bar = layer_norm(h, p.ln1_gamma, p.ln1_beta)
         return _global_qkv(h_bar, p) + _local_qkv(h_bar, p)
 
-    q_g, k_g, v_g, q_l, k_l, v_l = row_stage(project, (h_prev,), c, row_workers, split_taped)
+    q_g, k_g, v_g, q_l, k_l, v_l = row_stage(project, (h_prev,), c)
     sums = linear_attention_sums(k_g, v_g, p.heads)
     w = soft_mask(p.mask_s, knn.k, p.alpha)
 
@@ -150,4 +149,4 @@ def la2_layer(h_prev: Tensor, knn: KnnIndex, p: GlaLayerParams,
                                 p.ff_w1, p.ff_b1)), p.ff_w2, p.ff_b2)
         return (add(ff, h),)
 
-    return row_stage(attend, (q_g, q_l, h_prev), c, row_workers, split_taped)[0]
+    return row_stage(attend, (q_g, q_l, h_prev), c)[0]

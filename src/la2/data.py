@@ -138,11 +138,15 @@ def solve_darcy_fd(a: Tensor, f: Tensor) -> Tensor:
                                  overwrite_ab=True)
     except LinAlgError as exc:
         raise TensorError(f"Darcy operator is not positive definite: {exc}") from exc
+    if not np.all(np.isfinite(interior)):
+        raise TensorError("Darcy solution overflows for this coefficient and forcing range")
     u = np.pad(interior.reshape(g - 2, g - 2), 1)       # u = 0 on the boundary
 
+    # Relative to the forcing where it exceeds 1: the sums carry its scale.
+    bound = 1e-10 * max(1.0, float(np.abs(fd[1:-1, 1:-1]).max()))
     res = darcy_residual(a, f, Tensor(u))
-    if not res <= 1e-10:
-        raise TensorError(f"solver residual {res:.3e} exceeds 1e-10")
+    if not res <= bound:
+        raise TensorError(f"solver residual {res:.3e} exceeds {bound:.3e}")
     return Tensor(u)
 
 

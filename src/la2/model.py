@@ -157,14 +157,12 @@ def init_model(cfg: ModelConfig) -> OperatorModel:
     )
 
 
-def encode(f_in: Tensor, x: PointSet, m: OperatorModel, row_workers: int = 1,
-           split_taped: bool = False) -> Tensor:
+def encode(f_in: Tensor, x: PointSet, m: OperatorModel) -> Tensor:
     """Concatenate coordinates to the input field and lift to width C, each
     point on its own, so as one `row_stage` on the row blocks of [S?, M, C],
-    dealt to `row_workers` threads (cut under a tape only with
-    `split_taped`), which finds the weights that `lift` reads itself.
-    `f_in` [S, M, C_f] stacks S samples on the point set, each with the
-    coordinates beside it, untaped only."""
+    which finds the weights that `lift` reads itself. `f_in` [S, M, C_f]
+    stacks S samples on the point set, each with the coordinates beside it,
+    untaped only."""
     if f_in.ndim == 3 and _ACTIVE_TAPE.tape is not None:
         raise TensorError("a stacked input runs untaped only")
     if f_in.ndim not in (2, 3) or f_in.shape[-2] != x.m:
@@ -181,23 +179,20 @@ def encode(f_in: Tensor, x: PointSet, m: OperatorModel, row_workers: int = 1,
     def lift(rows, z):
         return (linear(gelu(linear(z, m.enc_w1, m.enc_b1)), m.enc_w2, m.enc_b2),)
 
-    return row_stage(lift, (z,), m.config.hidden, row_workers, split_taped)[0]
+    return row_stage(lift, (z,), m.config.hidden)[0]
 
 
-def forward(m: OperatorModel, f_in: Tensor, x: PointSet, knn: KnnIndex,
-            recompute_blocks: bool = False, row_workers: int = 1,
-            split_taped: bool = False) -> Tensor:
+def forward(m: OperatorModel, f_in: Tensor, x: PointSet, knn: KnnIndex) -> Tensor:
     """Apply encoder, the L blocks in order, and the output projection.
 
-    With `recompute_blocks`, each block but the last is one `recompute` tape
-    entry, re-run in backward: an active tape then holds such a block's input
-    and output instead of its intermediates. The last block is taped in
-    full, since its backward starts as soon as the forward ends. The
-    gradients are the same bit for bit. The encoder and each block deal
-    their row blocks to `row_workers` threads (`la2_layer`); under an active
-    tape the rows are cut, into blocks that depend on the shape alone, only
-    with `split_taped`. The output is the same bit for bit for any
-    `row_workers` or `split_taped`, and the gradients for any `row_workers`.
+    Under an active tape that says `recompute`, each block but the last is
+    one `recompute` tape entry, re-run in backward: the tape then holds such
+    a block's input and output instead of its intermediates. The last block
+    is taped in full, since its backward starts as soon as the forward ends.
+    The gradients are the same bit for bit. The encoder and each block run
+    their rows as `row_stage`s (`la2_layer`), cut by the CPUs of the calling
+    thread, or under a tape by its `split_rows`; the output is the same bit
+    for bit on any cut, and the gradients for any CPU count.
 
     `f_in` [S, M, C_f] stacks S samples on the point set into one untaped
     pass, giving [S, M, C_u]. Every activation carries the sample axis in
@@ -209,14 +204,14 @@ def forward(m: OperatorModel, f_in: Tensor, x: PointSet, knn: KnnIndex,
     """
     if knn.m != x.m:
         raise TensorError("KNN index does not match the point set")
-    h = encode(f_in, x, m, row_workers, split_taped)
+    tape = _ACTIVE_TAPE.tape
+    h = encode(f_in, x, m)
     for i, blk in enumerate(m.blocks):
-        args = (knn, blk, row_workers, split_taped)
-        if recompute_blocks and i < len(m.blocks) - 1:
-            h = recompute(lambda t, args=args: la2_layer(t, *args),
+        if tape is not None and tape.recompute and i < len(m.blocks) - 1:
+            h = recompute(lambda t, blk=blk: la2_layer(t, knn, blk),
                           h, [p for _, p in blk.named_params()])
         else:
-            h = la2_layer(h, *args)
+            h = la2_layer(h, knn, blk)
     return linear(h, m.proj_w, m.proj_b)
 
 

@@ -24,6 +24,7 @@ from __future__ import annotations
 
 import ctypes
 import functools
+import os
 import platform
 import threading
 from contextlib import contextmanager
@@ -46,7 +47,6 @@ __all__ = [
     "gelu",
     "add",
     "concat_lastdim",
-    "row_blocks",
     "row_stage",
     "relative_l2_loss",
     "recompute",
@@ -64,8 +64,9 @@ _LN_EPS = 1e-5  # added to layer_norm's variance
 # row's place in a group of rows, 4 in OpenBLAS's Haswell kernel; a block that
 # starts on a group boundary sees every row in the place the whole array does.
 _ROW_ALIGN = 64
-# Points x width that each row block holds at least (`row_blocks`), and of
-# one sample from which `training._threads` runs samples on threads.
+# Points x width that each row block holds at least (`_row_blocks`), that
+# one sample reaches for `training.train` to run samples on threads, and that
+# `training.evaluate` stacks samples up to.
 # Two threads against one at C=64 (2 CPUs, 1 BLAS thread): forward
 # passes (two sweeps, BENCH_12.json) ran 0.92-1.16x at M=256, where the GIL
 # dominates and the tail latency of 16-sample calls rose; 1.28-1.58x at
@@ -78,7 +79,7 @@ _ROW_ALIGN = 64
 # 1.12-1.14x at 1024, 1.26-1.34x at 1600, 1.37-1.46x at 2304 and
 # 1.67-1.76x at 4096; so rows split in two from M=1024.
 _THREAD_MIN_ACTIVATIONS = 512 * 64
-# Row blocks under a tape with `row_stage`'s split_taped. A taped M=4096 step
+# Row blocks under a tape that says `split_rows` (`row_stage`). A taped M=4096 step
 # (L=4, C=64, K=8, forward, loss and backward) on 1, 2, 4 and 8 blocks,
 # medians of 10 interleaved runs in two sweeps: on 2 threads 517/516,
 # 334/313, 331/327 and 325/323 ms; on one CPU (taskset -c 0) 505/490,
@@ -86,8 +87,8 @@ _THREAD_MIN_ACTIVATIONS = 512 * 64
 # gained nothing there; each adds its own Python ops, and its own full-size
 # key and value gradients for the stage to add. A taped pass adds its
 # blocks' gradients in block order, so this count may not follow the CPUs;
-# an untaped pass cuts one block per row thread, as its bytes do not depend
-# on the cut.
+# an untaped pass cuts one block per CPU (`_cpus`), as its bytes do not
+# depend on the cut.
 _MAX_ROW_BLOCKS = 2
 # glibc's malloc thresholds for the process (`_pin_malloc_thresholds`).
 # Left dynamic, glibc returns a freed heap top to the kernel past a trim
@@ -171,9 +172,12 @@ class Tensor:
 # ---------------------------------------------------------------------------
 
 class _ActiveTape(threading.local):
-    """Each thread's active tape: ops record only on their own thread's tape."""
+    """Each thread's active tape: ops record only on their own thread's tape.
+    And the CPUs that `_map_in_order` handed the thread's job (`_cpus`),
+    None outside any job."""
 
     tape: "GradTape | None" = None
+    cpus: "int | None" = None
 
 
 _ACTIVE_TAPE = _ActiveTape()
@@ -189,11 +193,16 @@ class GradTape:
     that entered it, and at most one tape is active per thread. `backward`
     consumes the tape, popping each entry and so freeing what it saved as it
     goes; a second backward on it is an error.
+
+    Two flags, which change no gradient's bytes, say how a pass records:
+    `recompute` (`model.forward`) and `split_rows` (`row_stage`).
     """
 
-    def __init__(self):
+    def __init__(self, recompute: bool = False, split_rows: bool = False):
         self._entries: list[tuple[Tensor, tuple[Tensor, ...], Callable]] = []
         self._consumed = False
+        self.recompute = recompute
+        self.split_rows = split_rows
 
     def __len__(self) -> int:
         return len(self._entries)
@@ -233,9 +242,20 @@ def _on_tape(tape: "GradTape | None"):
         _ACTIVE_TAPE.tape = saved
 
 
+def _cpus() -> int:
+    """The CPUs this thread's work may use: the share `_map_in_order` handed
+    its job; outside any job, the CPUs the process may run on, or 1 where
+    that set cannot be read."""
+    if _ACTIVE_TAPE.cpus is None:
+        return len(os.sched_getaffinity(0)) if hasattr(os, "sched_getaffinity") else 1
+    return _ACTIVE_TAPE.cpus
+
+
 def _map_in_order(fn, items, workers: int) -> list:
     """``[fn(x) for x in items]``, with the items dealt round-robin to
-    `workers` threads, the calling thread among them.
+    `workers` threads, the calling thread among them, and no more threads
+    than items. Each job gets ``max(1, _cpus() // workers)`` of the caller's
+    CPUs as its `_cpus`; the caller's share is restored afterwards.
 
     Every thread is joined before this returns or raises. A thread stops at
     its first error, and the error of the lowest failing position is raised,
@@ -243,8 +263,10 @@ def _map_in_order(fn, items, workers: int) -> list:
     """
     results = [None] * len(items)
     errors = {}
+    share = max(1, _cpus() // workers)
 
     def run(first):
+        _ACTIVE_TAPE.cpus = share
         for j in range(first, len(items), workers):
             try:
                 results[j] = fn(items[j])
@@ -253,12 +275,14 @@ def _map_in_order(fn, items, workers: int) -> list:
                 return
 
     threads = []
+    saved = _ACTIVE_TAPE.cpus
     try:
-        for w in range(1, workers):
+        for w in range(1, min(workers, len(items))):
             threads.append(threading.Thread(target=run, args=(w,)))
             threads[-1].start()
         run(0)
     finally:
+        _ACTIVE_TAPE.cpus = saved
         for t in threads:
             t.join()
     if errors:
@@ -372,7 +396,7 @@ def concat_lastdim(a: Tensor, b: Tensor) -> Tensor:
     return _result(np.concatenate([a.data, b.data], axis=-1), (a, b), rule)
 
 
-def row_blocks(m: int, width: int, parts: int) -> list[slice]:
+def _row_blocks(m: int, width: int, parts: int) -> list[slice]:
     """Up to `parts` contiguous ranges that cover the m rows (points) of an
     [S?, m, width] activation, at most one per `_THREAD_MIN_ACTIVATIONS`
     points x width and at least one, each starting at a multiple of
@@ -393,7 +417,7 @@ def _untaped(data: np.ndarray, requires_grad: bool) -> Tensor:
 
 
 def _take_rows(x: Tensor, rows: slice) -> Tensor:
-    """The `rows` of `x` on its point axis, -2, a block from `row_blocks`,
+    """The `rows` of `x` on its point axis, -2, a block from `_row_blocks`,
     as an untaped view; `x` itself for ``slice(None)``."""
     _check_tensor(x, "x")
     return x if rows == slice(None) else _untaped(x.data[..., rows, :], x.requires_grad)
@@ -745,19 +769,21 @@ def recompute(fn: Callable[[Tensor], Tensor], x: Tensor,
 
     `fn` runs untaped, so no tape sees what it reads: `params` must list
     every tensor besides `x` that `fn` reads and that needs a gradient. The
-    backward rule re-runs `fn(x)` on a fresh tape (`_on_tape`), raises
-    `TensorError` if that tape read one missing from `params`, and replays
-    it from the output gradient into the gradients of `x` and `params`.
-    `fn` must be deterministic, so that the re-run reproduces the output and
-    the gradients are those of the full tape, bit for bit.
+    backward rule re-runs `fn(x)` on a fresh tape (`_on_tape`) with the
+    caller's `split_rows`, raises `TensorError` if that tape read one missing
+    from `params`, and replays it from the output gradient into the
+    gradients of `x` and `params`. `fn` must be deterministic, so that the
+    re-run reproduces the output and the gradients are those of the full
+    tape, bit for bit.
     """
     _check_tensor(x, "x")
     inputs = (x, *params)
+    outer = _ACTIVE_TAPE.tape
     with _on_tape(None):
         out = fn(x)
 
     def rule(g):
-        with _on_tape(GradTape()) as tape:
+        with _on_tape(GradTape(split_rows=outer.split_rows)) as tape:
             y = fn(x)
         if _reads(tape, inputs):
             raise TensorError("recompute: fn reads a tensor that needs a gradient "
@@ -769,7 +795,7 @@ def recompute(fn: Callable[[Tensor], Tensor], x: Tensor,
 
 
 def row_stage(fn: Callable[..., tuple[Tensor, ...]], row_inputs: tuple[Tensor, ...],
-              width: int, workers: int, split_taped: bool = False) -> tuple[Tensor, ...]:
+              width: int) -> tuple[Tensor, ...]:
     """``fn(rows, *xs)`` on each row block of an [S?, M, width] activation, M
     the rows (points) of `row_inputs`, where xs are those rows of each of
     `row_inputs`, of every stacked sample alike; returns fn's outputs with
@@ -777,13 +803,13 @@ def row_stage(fn: Callable[..., tuple[Tensor, ...]], row_inputs: tuple[Tensor, .
 
     fn returns a tuple of tensors whose rows are `rows`, each row computed
     from the same rows of `row_inputs` and from tensors that every block
-    reads whole. The blocks are dealt to `workers` threads, the caller's
-    among them (`_map_in_order`). Untaped, the rows are cut into
-    `row_blocks(M, width, workers)`, one block per thread: a row's bytes do
-    not depend on the cut. Under an active tape the blocks may not follow
-    the threads: they are `row_blocks(M, width, _MAX_ROW_BLOCKS)` with
-    `split_taped`, else one. On one block fn runs on the caller as it is, on
-    the caller's tape if one is active, and nothing is copied.
+    reads whole. The blocks run on one thread per block, up to `_cpus()`,
+    the caller's among them (`_map_in_order`). Untaped, the rows are cut
+    into `_row_blocks(M, width, _cpus())`, one block per CPU: a row's bytes
+    do not depend on the cut. Under an active tape the blocks may not follow
+    the CPUs: they are `_row_blocks(M, width, _MAX_ROW_BLOCKS)` if the tape
+    says `split_rows`, else one. On one block fn runs on the caller as it
+    is, on the caller's tape if one is active, and nothing is copied.
 
     Under an active tape with several blocks, each block records on a
     sub-tape of its own (`_on_tape`), and the stage is one entry on the
@@ -791,15 +817,12 @@ def row_stage(fn: Callable[..., tuple[Tensor, ...]], row_inputs: tuple[Tensor, .
     read (`_reads`), as every block runs the same ops. The rule replays the
     sub-tapes on as many threads, each from its rows of the output
     gradients, joins the blocks' row input gradients and adds the rest in
-    block order, so the gradients are the same for any `workers`.
+    block order, so the gradients are the same for any CPU count.
     """
-    tape = _ACTIVE_TAPE.tape
-    if tape is None:
-        parts = workers
-    else:
-        parts = _MAX_ROW_BLOCKS if split_taped else 1
-    blocks = row_blocks(row_inputs[0].shape[-2], width, parts)
-    workers = min(workers, len(blocks))
+    tape, cpus = _ACTIVE_TAPE.tape, _cpus()
+    parts = cpus if tape is None else _MAX_ROW_BLOCKS if tape.split_rows else 1
+    blocks = _row_blocks(row_inputs[0].shape[-2], width, parts)
+    workers = min(cpus, len(blocks))
     split = tape is not None and len(blocks) > 1
 
     def run(rows):

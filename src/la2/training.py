@@ -11,7 +11,6 @@ Large samples run on parallel threads, in `train` as in `evaluate`.
 from __future__ import annotations
 
 import math
-import os
 import time
 from dataclasses import dataclass, field
 
@@ -23,8 +22,8 @@ from .model import (ModelConfig, OperatorModel, _check_field_types, forward,
                     mask_trajectory, save_checkpoint)
 # `train` calls the loss through this module's global name, which a caller may
 # rebind to observe each training sample.
-from .tensor import (_THREAD_MIN_ACTIVATIONS, GradTape, Tensor, _map_in_order,
-                     backward, relative_l2_loss, row_blocks)
+from .tensor import (_THREAD_MIN_ACTIVATIONS, GradTape, Tensor, _cpus, _map_in_order,
+                     backward, relative_l2_loss)
 
 __all__ = ["TrainConfig", "TrainReport", "TrainingError",
            "AdamState", "adam_step", "clip_gradients", "cosine_lr",
@@ -158,21 +157,6 @@ def check_compatible(cfg: ModelConfig, ds: data_mod.Dataset) -> None:
         raise TrainingError(f"patch size {cfg.k} exceeds {ds.geometry.m} points")
 
 
-def _threads(n_passes: int, m: int, width: int) -> tuple[int, int]:
-    """The plan of `evaluate` and `train` for `n_passes` forward passes of
-    `m` rows x hidden `width` each (a sample, or a group of stacked ones):
-    (pass threads, the caller's among them; row threads per pass). (1, 1)
-    below `_THREAD_MIN_ACTIVATIONS` or when the CPU set cannot be read;
-    else one pass thread per CPU, at most one per pass, and the CPUs those
-    leave idle run each pass's row blocks, one thread per block of an
-    untaped pass (`row_blocks`)."""
-    if m * width < _THREAD_MIN_ACTIVATIONS or not hasattr(os, "sched_getaffinity"):
-        return 1, 1
-    cpus = len(os.sched_getaffinity(0))
-    passes = min(cpus, n_passes)
-    return passes, len(row_blocks(m, width, cpus // passes))
-
-
 def evaluate(m: OperatorModel, ds: data_mod.Dataset, split: str = "test") -> dict:
     """Mean and per-sample root-ratio relative L2 on de-normalized fields.
 
@@ -187,13 +171,13 @@ def evaluate(m: OperatorModel, ds: data_mod.Dataset, split: str = "test") -> dic
     alone reaches it, and pairs on the desk grid (256 points x width 64).
     Each group is one stacked forward (`forward` of [S, M, C_f]), so a
     group of small samples holds the GIL for its per-op Python work once,
-    and is large enough for threads. Groups run on the threads of
-    `_threads`, the caller's among them, and each group's forward always
-    gets that plan's row blocks, which use the CPUs the group threads leave
-    idle. numpy releases the GIL in the kernels that dominate a large
-    forward pass. A stacked sample's output is that of its own forward, bit
-    for bit, and results are kept in index order, so the output is the same
-    for any thread count.
+    and is large enough for threads. Groups run on one thread per CPU
+    (`_cpus`), at most one per group, the caller's among them, and each
+    group's forward cuts its rows for the CPUs its thread is handed
+    (`_map_in_order`), those the group threads leave idle. numpy releases
+    the GIL in the kernels that dominate a large forward pass. A stacked
+    sample's output is that of its own forward, bit for bit, and results
+    are kept in index order, so the output is the same for any thread count.
     """
     check_compatible(m.config, ds)
     if isinstance(split, str):
@@ -214,15 +198,13 @@ def evaluate(m: OperatorModel, ds: data_mod.Dataset, split: str = "test") -> dic
         raise TrainingError(f"split {split!r} selects no samples")
     knn = knn_indices_accelerated(ds.geometry, m.config.k)
     stats = ds.stats
-    width, points = m.config.hidden, ds.geometry.m
-    per_group = -(-_THREAD_MIN_ACTIVATIONS // (points * width))     # at least 1
+    per_group = -(-_THREAD_MIN_ACTIVATIONS // (ds.geometry.m * m.config.hidden))  # >= 1
     groups = [indices[j:j + per_group] for j in range(0, len(indices), per_group)]
-    workers, rows = _threads(len(groups), per_group * points, width)
 
     def rel_errors(group):
         x_norm = data_mod.normalize(ds.inputs.data[group], stats["input_mean"],
                                     stats["input_std"])
-        preds = forward(m, Tensor(x_norm), ds.geometry, knn, row_workers=rows).data
+        preds = forward(m, Tensor(x_norm), ds.geometry, knn).data
         pairs = []
         for i, pred_norm in zip(group, preds):
             raw = ds.outputs.data[i]
@@ -237,7 +219,8 @@ def evaluate(m: OperatorModel, ds: data_mod.Dataset, split: str = "test") -> dic
                           float(np.linalg.norm(pred_norm - y_norm) / den_norm)))
         return pairs
 
-    pairs = [p for group in _map_in_order(rel_errors, groups, workers) for p in group]
+    pairs = [p for group in _map_in_order(rel_errors, groups, min(_cpus(), len(groups)))
+             for p in group]
     per_sample = [raw for raw, _ in pairs]
     per_sample_norm = [norm for _, norm in pairs]
     return {
@@ -258,18 +241,18 @@ def train(m: OperatorModel, ds: data_mod.Dataset, cfg: TrainConfig,
     (lowest test metric) is written to `checkpoint_path` when given. Every
     step and per-epoch evaluation uses the geometry's one cached KNN index.
 
-    A batch's samples run on the sample threads of `_threads`, the caller's
-    among them, in waves of one sample per thread. With more than one
-    sample thread each block but the last is recomputed in backward
-    (`forward(..., recompute_blocks=True)`), so the concurrent tapes together
+    A batch's samples run on one thread per CPU (`_cpus`), at most one per
+    sample, the caller's among them, in waves of one sample per thread; on
+    one thread where a sample is below `_THREAD_MIN_ACTIVATIONS`. With more
+    than one sample thread each block but the last is recomputed in
+    backward (`GradTape(recompute=True)`), so the concurrent tapes together
     hold less than one full tape. A one-sample batch has no sample to run
-    beside it, so its rows are cut (`forward(..., split_taped=True)`) and
-    run on that plan's row threads, forward and backward; a larger batch
-    keeps each sample's tape whole, as cutting rows that then run one after
-    the other only adds work. Each wave's gradients and losses are added in
-    sample order once the wave has ended, and the taped row blocks depend on
-    the shape and the batch size alone, so every result is the same for any
-    thread count.
+    beside it, so its rows are cut (`GradTape(split_rows=True)`) and run on
+    the CPUs, forward and backward; a larger batch keeps each sample's tape
+    whole, as cutting rows that then run one after the other only adds
+    work. Each wave's gradients and losses are added in sample order once
+    the wave has ended, and the taped row blocks depend on the shape and
+    the batch size alone, so every result is the same for any thread count.
     """
     check_compatible(m.config, ds)
     train_idx = ds.train_indices
@@ -287,12 +270,10 @@ def train(m: OperatorModel, ds: data_mod.Dataset, cfg: TrainConfig,
 
     def sample_grads(i):
         """Sample i's loss value and per-parameter gradients (None if unreached),
-        in the loop's current `epoch` and with its current `workers`, `rows`
-        and `batch`."""
-        with GradTape() as tape:
-            pred = forward(m, Tensor(x_norm[i]), ds.geometry, knn,
-                           recompute_blocks=workers > 1, row_workers=rows,
-                           split_taped=len(batch) == 1)
+        in the loop's current `epoch` and with its current `workers` and
+        `batch`."""
+        with GradTape(recompute=workers > 1, split_rows=len(batch) == 1) as tape:
+            pred = forward(m, Tensor(x_norm[i]), ds.geometry, knn)
             loss = relative_l2_loss(pred, Tensor(y_norm[i]))
             value = loss.item()
             if not math.isfinite(value):
@@ -311,11 +292,12 @@ def train(m: OperatorModel, ds: data_mod.Dataset, cfg: TrainConfig,
             batch = order[start:start + cfg.batch_size]
             grads = [np.zeros_like(p.data) for p in params]
             batch_loss = 0.0
-            workers, rows = _threads(len(batch), ds.geometry.m, m.config.hidden)
+            workers = (1 if ds.geometry.m * m.config.hidden < _THREAD_MIN_ACTIVATIONS
+                       else min(_cpus(), len(batch)))
             # One wave at a time bounds the gradient maps held at once.
             for first in range(0, len(batch), workers):
                 wave = batch[first:first + workers]
-                for value, sample in _map_in_order(sample_grads, wave, len(wave)):
+                for value, sample in _map_in_order(sample_grads, wave, workers):
                     for g_acc, g in zip(grads, sample):
                         if g is not None:
                             g_acc += g

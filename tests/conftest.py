@@ -1,6 +1,7 @@
 """Shared test helpers: the central finite-difference gradient oracle."""
 
 import json
+import os
 import struct
 
 import numpy as np
@@ -37,14 +38,15 @@ def rel_error(analytic, numeric):
     return float(np.abs(analytic - numeric).max(initial=0.0)) / denom
 
 
-def gradcheck(build_loss, wrt, step=1e-6, tol=1e-5):
+def gradcheck(build_loss, wrt, step=1e-6, tol=1e-5, tape=None):
     """Compare tape gradients of build_loss() against the FD oracle.
 
     build_loss constructs the loss tensor from current parameter contents;
-    `wrt` lists the tensors to check (all must have requires_grad).
+    `wrt` lists the tensors to check (all must have requires_grad). `tape`
+    is the fresh tape to record on, a plain `GradTape()` by default.
     Returns the worst relative error, asserting it is within tol.
     """
-    with GradTape() as tape:
+    with (GradTape() if tape is None else tape) as tape:
         grads = backward(build_loss(), tape)
     analytic = [grads[t] for t in wrt]
 
@@ -64,6 +66,11 @@ def gradcheck_op(op, wrt, rng, **kwargs):
     op()'s shape: a scalar loss that every output entry reaches."""
     r = Tensor(rng.uniform(-1.0, 1.0, op().shape))
     return gradcheck(lambda: relative_l2_loss(op(), r), wrt, **kwargs)
+
+
+def cpus(monkeypatch, n):
+    """Fake the process's CPU set (`os.sched_getaffinity`) as n CPUs."""
+    monkeypatch.setattr(os, "sched_getaffinity", lambda pid: set(range(n)))
 
 
 def edit_header(path, edit):

@@ -145,6 +145,45 @@ class TestDarcySolver:
         with pytest.raises(TensorError, match="not positive definite"):
             D.solve_darcy_fd(Tensor(np.ones((8, 8))), Tensor(np.ones((8, 8))))
 
+    @pytest.mark.parametrize("a_value, f_value", [(1.0, 1e12), (1e150, 1e300)])
+    def test_large_forcing_solved(self, a_value, f_value):
+        # An absolute 1e-10 bound refused these at relative errors of 1e-15:
+        # the residual is checked against 1e-10 of the largest interior |f|.
+        g = 8
+        a, f = Tensor(np.full((g, g), a_value)), Tensor(np.full((g, g), f_value))
+        u = D.solve_darcy_fd(a, f)
+        assert 0 < D.darcy_residual(a, f, u) <= 1e-10 * f_value
+        unit = D.solve_darcy_fd(Tensor(np.ones((g, g))), Tensor(np.ones((g, g)))).data
+        assert np.allclose(u.data, unit * (f_value / a_value), rtol=1e-12, atol=0.0)
+
+    @pytest.mark.parametrize("f_value", [1.0, 1e12])
+    def test_corrupted_solution_fails_the_residual_check(self, monkeypatch, f_value):
+        real = D.solveh_banded
+
+        def corrupted(*args, **kwargs):
+            u = real(*args, **kwargs)
+            u[len(u) // 2] *= 1 + 1e-6
+            return u
+
+        monkeypatch.setattr(D, "solveh_banded", corrupted)
+        g = 8
+        with pytest.raises(TensorError, match="solver residual"):
+            D.solve_darcy_fd(Tensor(np.ones((g, g))), Tensor(np.full((g, g), f_value)))
+
+    @pytest.mark.parametrize("field", ["uniform", "two-valued"])
+    def test_overflowing_solution_rejected(self, field):
+        # u grows as f / a: past the largest float the solve gives inf, which
+        # failed as "tensor constructed from non-finite values".
+        g = 8
+        a = np.full((g, g), 1e-150)
+        if field == "two-valued":
+            a = np.full((g, g), 1e100)
+            a[:, :g // 2] = 1e-100
+        with warnings.catch_warnings():
+            warnings.simplefilter("error")
+            with pytest.raises(TensorError, match="^Darcy solution overflows"):
+                D.solve_darcy_fd(Tensor(a), Tensor(np.full((g, g), 1e300)))
+
     @pytest.mark.parametrize("g", [64, 128])
     def test_residual_on_large_grids(self, g):
         ds = D.generate_darcy(n=2, g=g, seed=4)

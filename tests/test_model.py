@@ -9,7 +9,7 @@ import tracemalloc
 import numpy as np
 import pytest
 
-from conftest import edit_header, gradcheck_op
+from conftest import cpus, edit_header, gradcheck_op
 from la2.data import generate_darcy
 from la2.geometry import PointSet, knn_indices, knn_indices_accelerated, relabel_knn
 import la2.attention
@@ -206,24 +206,22 @@ class TestForward:
         assert lengths[0] == lengths[1] == 5 + 19 * cfg.layers
 
     @staticmethod
-    def taped_bytes(recompute_blocks, split_taped=False, row_workers=1):
+    def taped_bytes(recompute, split_rows=False):
         """Tape length and live bytes after one forward pass and loss, L=2,
-        C=64, M=1024 (two row blocks with `split_taped`), the peak bytes
+        C=64, M=1024 (two row blocks with `split_rows`), the peak bytes
         through the backward that follows, the bytes of one [M, C] float64
         array, and the live bytes of numpy array data alone."""
         ds = generate_darcy(n=1, g=32, seed=3)
         cfg = ModelConfig(in_channels=1, coord_channels=2, out_channels=1, k=8,
                           layers=2, hidden=64, seed=0)
-        assert len(T.row_blocks(ds.geometry.m, cfg.hidden, T._MAX_ROW_BLOCKS)) == 2
+        assert len(T._row_blocks(ds.geometry.m, cfg.hidden, T._MAX_ROW_BLOCKS)) == 2
         m = init_model(cfg)
         knn = knn_indices_accelerated(ds.geometry, cfg.k)
         f_in, target = Tensor(ds.inputs.data[0]), Tensor(ds.outputs.data[0])
         tracemalloc.start()
         try:
-            with GradTape() as tape:
-                loss = relative_l2_loss(forward(m, f_in, ds.geometry, knn, row_workers=row_workers,
-                                                recompute_blocks=recompute_blocks,
-                                                split_taped=split_taped), target)
+            with GradTape(recompute=recompute, split_rows=split_rows) as tape:
+                loss = relative_l2_loss(forward(m, f_in, ds.geometry, knn), target)
                 entries = len(tape)
                 live, _ = tracemalloc.get_traced_memory()
                 arrays = tracemalloc.take_snapshot().filter_traces(
@@ -247,8 +245,8 @@ class TestForward:
         assert entries == 5 + 19 * layers
 
     @pytest.mark.threads
-    @pytest.mark.parametrize("row_workers", [1, 2])
-    def test_split_tape_footprint(self, row_workers):
+    @pytest.mark.parametrize("n_cpus", [1, 2])
+    def test_split_tape_footprint(self, monkeypatch, n_cpus):
         # On two row blocks each stage keeps its blocks' sub-tapes, which
         # together hold the one-block tape's arrays: the joined outputs take
         # over the blocks' output rows. Measured: 152 more bytes of array data
@@ -257,14 +255,15 @@ class TestForward:
         # per block (stages A and B, the global key sums and the mask), 1 for
         # the encoder, 1 for the projection and 1 for the loss.
         layers = 2
+        cpus(monkeypatch, n_cpus)
         one = self.taped_bytes(False)
-        split = self.taped_bytes(False, split_taped=True, row_workers=row_workers)
+        split = self.taped_bytes(False, split_rows=True)
         assert split[4] <= one[4] + 1024, split[4] - one[4]
         assert split[1] <= one[1] + 128 * 1024, split[1] - one[1]
         assert split[0] == 3 + 4 * layers
 
     def test_recomputed_tape_footprint(self):
-        # With recompute_blocks each block but the last is one entry that
+        # Under a tape that says recompute each block but the last is one entry that
         # keeps its input and output, one [M, C] array, where the full tape
         # keeps about 22.3; the encoder's entries hold 4 more, and the last
         # block is taped in full. Measured: 25.3 arrays at L=2 after the
@@ -323,10 +322,9 @@ class TestRecompute:
         pts, knn, f_in = darcy_like_instance(rng, 40, cfg)
         target = Tensor(rng.standard_normal((40, 1)))
         runs = []
-        for recompute_blocks in (False, True):
-            with GradTape() as tape:
-                loss = relative_l2_loss(forward(m, f_in, pts, knn,
-                                                recompute_blocks=recompute_blocks), target)
+        for recomputed in (False, True):
+            with GradTape(recompute=recomputed) as tape:
+                loss = relative_l2_loss(forward(m, f_in, pts, knn), target)
                 rules = [rule.__qualname__ for _, _, rule in tape._entries]
                 grads = backward(loss, tape)
             runs.append((rules, loss.data, [grads[p] for _, p in m.named_parameters()]))
@@ -353,7 +351,7 @@ class TestRowWorkers:
 
     @pytest.mark.parametrize("g, heads", [(33, 1), (33, 2), (64, 2)],
                              ids=["M1089", "M1089-heads2", "M4096-heads2"])
-    def test_any_row_workers_give_the_same_bytes(self, g, heads):
+    def test_any_row_workers_give_the_same_bytes(self, monkeypatch, g, heads):
         # M=1089 is odd, so no cut is even; both sizes are above the 2 x 512
         # x 64 points x width from which evaluate splits rows.
         ds = generate_darcy(n=1, g=g, seed=6)
@@ -362,16 +360,18 @@ class TestRowWorkers:
         knn = knn_indices_accelerated(ds.geometry, 8)
         f_in = Tensor(ds.inputs.data[0])
         before = threading.active_count()
+        cpus(monkeypatch, 1)
         one = forward(m, f_in, ds.geometry, knn).data
-        for workers in (2, 3):
-            out = forward(m, f_in, ds.geometry, knn, row_workers=workers).data
-            assert np.array_equal(out, one), workers
+        for n in (2, 3):
+            cpus(monkeypatch, n)
+            out = forward(m, f_in, ds.geometry, knn).data
+            assert np.array_equal(out, one), n
         assert threading.active_count() == before
 
     # numpy's overflow warnings: np.errstate would not reach the started thread.
     @pytest.mark.filterwarnings("ignore::RuntimeWarning")
     @pytest.mark.parametrize("stage", ["A", "B"])
-    def test_non_finite_in_second_block_raises_the_serial_error(self, stage):
+    def test_non_finite_in_second_block_raises_the_serial_error(self, monkeypatch, stage):
         # Row 3000 is in the second of two blocks. Stage A: its layer_norm
         # mean overflows. Stage B: the attention residual overflows there,
         # and nowhere else, since only that row is near the largest float.
@@ -386,12 +386,13 @@ class TestRowWorkers:
             p.b_out.data[0] = 1e308
         h = Tensor(h)
         errors = {}
-        for workers in (1, 2):
+        for n in (1, 2):
+            cpus(monkeypatch, n)
             before = threading.active_count()
             with pytest.raises(TensorError) as info:
-                la2_layer(h, knn, p, row_workers=workers)
+                la2_layer(h, knn, p)
             assert threading.active_count() == before
-            errors[workers] = (type(info.value), str(info.value))
+            errors[n] = (type(info.value), str(info.value))
         assert errors[1] == errors[2]
         assert errors[1][0] is TensorError
 
@@ -409,29 +410,29 @@ class TestRowWorkers:
         return started
 
     def test_taped_split_same_bytes_on_any_row_workers(self, monkeypatch):
-        # With split_taped, M=1089 x C=64 cuts into two row blocks under a
-        # tape for any row_workers; the row threads only run them, so loss and
-        # gradients keep their bytes. Entries: 4 per block, 1 each for
+        # Under a tape that says split_rows, M=1089 x C=64 cuts into two row
+        # blocks for any CPU count; the row threads only run them, so loss
+        # and gradients keep their bytes. Entries: 4 per block, 1 each for
         # encoder, projection, loss.
         ds = generate_darcy(n=1, g=33, seed=6)
         m = self.perturbed_model(1)
         knn = knn_indices_accelerated(ds.geometry, 8)
         started = self.counted_starts(monkeypatch)
         runs = []
-        for workers in (1, 2, 3):
+        for n in (1, 2, 3):
+            cpus(monkeypatch, n)
             started.clear()
             before = threading.active_count()
             x = Tensor(ds.inputs.data[0])
-            with GradTape() as tape:
-                loss = relative_l2_loss(forward(m, x, ds.geometry, knn, row_workers=workers,
-                                                split_taped=True),
+            with GradTape(split_rows=True) as tape:
+                loss = relative_l2_loss(forward(m, x, ds.geometry, knn),
                                         Tensor(ds.outputs.data[0]))
                 entries = len(tape)
                 grads = backward(loss, tape)
             assert threading.active_count() == before
             # Forward and backward each fan out once per stage: the encoder
             # and stages A and B of the two layers.
-            assert len(started) == (0 if workers == 1 else 2 * (1 + 2 * 2))
+            assert len(started) == (0 if n == 1 else 2 * (1 + 2 * 2))
             runs.append((entries, loss.data, [grads[p] for _, p in m.named_parameters()]))
         assert runs[0][0] == 3 + 4 * 2
         for run in runs[1:]:
@@ -439,18 +440,19 @@ class TestRowWorkers:
             assert all(np.array_equal(a, b) for a, b in zip(run[2], runs[0][2]))
 
     def test_rows_never_split_under_a_tape(self, monkeypatch):
-        # Without split_taped (a sample of a larger batch) a tape keeps the
-        # rows whole whatever row_workers says: no thread starts, and the tape
-        # is the one-block tape, 19 entries per block.
+        # Without split_rows (a sample of a larger batch) a tape keeps the
+        # rows whole whatever the CPUs: no thread starts, and the tape is the
+        # one-block tape, 19 entries per block.
         ds = generate_darcy(n=1, g=33, seed=6)
         m = self.perturbed_model(1)
         knn = knn_indices_accelerated(ds.geometry, 8)
         started = self.counted_starts(monkeypatch)
         runs = []
-        for workers in (1, 3):
+        for n in (1, 3):
+            cpus(monkeypatch, n)
             x = Tensor(ds.inputs.data[0])
             with GradTape() as tape:
-                loss = relative_l2_loss(forward(m, x, ds.geometry, knn, row_workers=workers),
+                loss = relative_l2_loss(forward(m, x, ds.geometry, knn),
                                         Tensor(ds.outputs.data[0]))
                 entries = len(tape)
                 grads = backward(loss, tape)
@@ -459,6 +461,46 @@ class TestRowWorkers:
         assert runs[0][0] == runs[1][0] == 5 + 19 * 2
         assert np.array_equal(runs[0][1], runs[1][1])
         assert all(np.array_equal(a, b) for a, b in zip(runs[0][2], runs[1][2]))
+
+    def test_direct_forward_runs_its_rows_on_the_cpus(self, monkeypatch):
+        # Outside any fan-out an untaped forward cuts its rows for the
+        # process's CPUs: 1600 points x width 64 holds three blocks, so on n
+        # CPUs n - 1 threads start for the encoder and for each block's
+        # stages A and B, and the bytes never change.
+        ds = generate_darcy(n=1, g=40, seed=24)
+        layers = 2
+        m = self.perturbed_model(1, layers)
+        knn = knn_indices_accelerated(ds.geometry, 8)
+        started = self.counted_starts(monkeypatch)
+        outs = []
+        for n in (1, 2, 3):
+            cpus(monkeypatch, n)
+            started.clear()
+            outs.append(forward(m, Tensor(ds.inputs.data[0]), ds.geometry, knn).data.tobytes())
+            assert len(started) == (1 + 2 * layers) * (n - 1)
+        assert outs[0] == outs[1] == outs[2]
+
+    def test_recomputed_split_tape_equals_the_split_tape(self, monkeypatch):
+        # A recomputed block re-runs in backward on a tape that carries the
+        # outer tape's split_rows, so the gradients are the split tape's bit
+        # for bit. Re-run whole, a block adds its row blocks' weight, key and
+        # value gradients in another order, and the bytes show it.
+        ds = generate_darcy(n=1, g=33, seed=6)
+        m = self.perturbed_model(2)
+        knn = knn_indices_accelerated(ds.geometry, 8)
+        cpus(monkeypatch, 2)
+
+        def run(**flags):
+            with GradTape(**flags) as tape:
+                loss = relative_l2_loss(forward(m, Tensor(ds.inputs.data[0]), ds.geometry, knn),
+                                        Tensor(ds.outputs.data[0]))
+                grads = backward(loss, tape)
+            return loss.data.tobytes(), [grads[p].tobytes() for _, p in m.named_parameters()]
+
+        split = run(split_rows=True)
+        assert run(recompute=True, split_rows=True) == split
+        whole = run(recompute=True)
+        assert whole[0] == split[0] and whole[1] != split[1]
 
     @staticmethod
     def split_layer(heads):
@@ -470,24 +512,24 @@ class TestRowWorkers:
         for _, p in blk.named_params():
             p.data += 0.05 * rng.standard_normal(p.shape)
         x = Tensor(rng.standard_normal((ds.geometry.m, 64)), requires_grad=True)
-        assert len(T.row_blocks(*x.shape, T._MAX_ROW_BLOCKS)) == 2
+        assert len(T._row_blocks(*x.shape, T._MAX_ROW_BLOCKS)) == 2
         return blk, x, knn_indices_accelerated(ds.geometry, 8), [x, *(p for _, p in
                                                                      blk.named_params())]
 
     @pytest.mark.parametrize("heads", [1, 2])
-    def test_split_layer_gradcheck(self, rng, heads):
+    def test_split_layer_gradcheck(self, rng, monkeypatch, heads):
         # M=1089 cuts into blocks of 512 and 577 rows: the tail is not
         # aligned. Central differences along one random direction per tensor
         # check every gradient, the blocks' added weight, key and value
         # gradients among them; the mask logit is checked entry by entry.
         blk, x, knn, tensors = self.split_layer(heads)
         target = Tensor(rng.standard_normal(x.shape))
+        cpus(monkeypatch, 2)
 
         def loss():
-            return relative_l2_loss(la2_layer(x, knn, blk, row_workers=2, split_taped=True),
-                                    target)
+            return relative_l2_loss(la2_layer(x, knn, blk), target)
 
-        with GradTape() as tape:
+        with GradTape(split_rows=True) as tape:
             grads = backward(loss(), tape)
         step = 1e-6
         for t in tensors:
@@ -500,20 +542,21 @@ class TestRowWorkers:
             t.data = base
             fd, tape_dd = (up - down) / (2 * step), float(np.sum(grads[t] * u))
             assert abs(fd - tape_dd) <= 1e-6 * max(1.0, abs(fd)), (fd, tape_dd)
-        gradcheck_op(lambda: la2_layer(x, knn, blk, row_workers=2, split_taped=True),
-                     [blk.mask_s], rng)
+        gradcheck_op(lambda: la2_layer(x, knn, blk), [blk.mask_s], rng,
+                     tape=GradTape(split_rows=True))
 
     @pytest.mark.parametrize("heads", [1, 2])
-    def test_split_tape_matches_one_block(self, rng, heads):
+    def test_split_tape_matches_one_block(self, rng, monkeypatch, heads):
         # The split forward is the one-block forward bit for bit; its
         # gradients add the blocks' weight, key and value gradients in
         # another order, within SPLIT_GRAD_RTOL of each tensor's largest.
         blk, x, knn, tensors = self.split_layer(heads)
         target = Tensor(rng.standard_normal(x.shape))
+        cpus(monkeypatch, 2)
 
-        def run(split_taped):
-            with GradTape() as tape:
-                out = la2_layer(x, knn, blk, row_workers=2, split_taped=split_taped)
+        def run(split_rows):
+            with GradTape(split_rows=split_rows) as tape:
+                out = la2_layer(x, knn, blk)
                 grads = backward(relative_l2_loss(out, target), tape)
             return out.data, [grads[t] for t in tensors]
 
@@ -535,14 +578,15 @@ class TestRowWorkers:
             raise TensorError(f"block of {q.shape[0]} rows")
 
         monkeypatch.setattr(la2.attention, "knn_attention", failing)
+        cpus(monkeypatch, 2)
         before = threading.active_count()
-        with GradTape() as tape:
+        with GradTape(split_rows=True) as tape:
             with pytest.raises(TensorError, match="^block of 512 rows$"):
-                la2_layer(x, knn, blk, row_workers=2, split_taped=True)
+                la2_layer(x, knn, blk)
             assert threading.active_count() == before
             assert T._ACTIVE_TAPE.tape is tape
         monkeypatch.setattr(la2.attention, "knn_attention", real)
-        la2_layer(x, knn, blk, row_workers=2, split_taped=True)
+        la2_layer(x, knn, blk)
 
     def test_threads_started_by_a_split_forward(self, monkeypatch):
         # On 2 row blocks one thread starts for the encoder and one for each
@@ -559,7 +603,8 @@ class TestRowWorkers:
             start(thread)
 
         monkeypatch.setattr(threading.Thread, "start", counted)
-        forward(m, Tensor(ds.inputs.data[0]), ds.geometry, knn, row_workers=2)
+        cpus(monkeypatch, 2)
+        forward(m, Tensor(ds.inputs.data[0]), ds.geometry, knn)
         assert len(started) == 1 + 2 * layers
         started.clear()
         k, v = (Tensor(np.ones((4096, 32))) for _ in range(2))
@@ -594,17 +639,18 @@ class TestStackedForward:
                 forward(m, stacked, pts, knn)
 
     @pytest.mark.threads
-    def test_stacked_rows_on_row_blocks(self):
-        # At M=1089 two row workers cut [0, 512) and [512, 1089) of every
+    def test_stacked_rows_on_row_blocks(self, monkeypatch):
+        # At M=1089 two CPUs cut [0, 512) and [512, 1089) of every
         # sample's points alike, and sample 1 comes twice.
         ds = generate_darcy(n=2, g=33, seed=8)
         m = init_model(tiny_config(hidden=64, k=8))
         knn = knn_indices_accelerated(ds.geometry, 8)
-        assert T.row_blocks(ds.geometry.m, 64, 2) == [slice(0, 512), slice(512, 1089)]
+        assert T._row_blocks(ds.geometry.m, 64, 2) == [slice(0, 512), slice(512, 1089)]
         x = ds.inputs.data
         alone = [forward(m, Tensor(x[i]), ds.geometry, knn).data for i in range(2)]
         order = [1, 0, 1]
-        out = forward(m, Tensor(x[order]), ds.geometry, knn, row_workers=2).data
+        cpus(monkeypatch, 2)
+        out = forward(m, Tensor(x[order]), ds.geometry, knn).data
         assert [y.tobytes() for y in out] == [alone[i].tobytes() for i in order]
 
     def test_input_rows_must_match_points(self, rng):

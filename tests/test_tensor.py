@@ -9,7 +9,7 @@ from pathlib import Path
 import numpy as np
 import pytest
 
-from conftest import fd_gradient, gradcheck, gradcheck_op, rel_error
+from conftest import cpus, fd_gradient, gradcheck, gradcheck_op, rel_error
 from la2 import tensor as T
 from la2.tensor import GradTape, Tensor, TensorError, backward
 
@@ -358,7 +358,7 @@ class TestRowBlocks:
         rng = np.random.default_rng(m + heads)
         c, d = 64, 32
         dh = d // heads
-        cuts = [T.row_blocks(m, c, parts) for parts in (2, 4)]
+        cuts = [T._row_blocks(m, c, parts) for parts in (2, 4)]
         assert len(cuts[0]) == 2
         x = rng.standard_normal((m, c))
         wide = rng.standard_normal((m, 2 * c))
@@ -381,28 +381,28 @@ class TestRowBlocks:
 
     def test_blocks_cover_rows_in_aligned_starts(self):
         for m, parts in [(4096, 2), (4097, 3), (1089, 2), (130, 5)]:
-            blocks = T.row_blocks(m, 10**6, parts)
+            blocks = T._row_blocks(m, 10**6, parts)
             assert blocks[0].start == 0 and blocks[-1].stop == m
             assert all(a.stop == b.start for a, b in zip(blocks, blocks[1:]))
             assert all(r.start % T._ROW_ALIGN == 0 for r in blocks)
-        assert len(T.row_blocks(4097, 10**6, 3)) == 3
-        assert len(T.row_blocks(130, 10**6, 5)) == 2             # two aligned starts
-        assert T.row_blocks(127, 10**6, 2) == T.row_blocks(4096, 64, 1) == [slice(None)]
+        assert len(T._row_blocks(4097, 10**6, 3)) == 3
+        assert len(T._row_blocks(130, 10**6, 5)) == 2             # two aligned starts
+        assert T._row_blocks(127, 10**6, 2) == T._row_blocks(4096, 64, 1) == [slice(None)]
 
     def test_at_most_one_block_per_min_activations(self):
         # M x width over _THREAD_MIN_ACTIVATIONS (512 x 64) caps the count.
-        assert T.row_blocks(4096, 64, 2) == [slice(0, 2048), slice(2048, 4096)]
-        assert len(T.row_blocks(4096, 64, 100)) == 8
-        assert len(T.row_blocks(1600, 64, 100)) == 3
-        assert T.row_blocks(1024, 63, 8) == [slice(None)]
+        assert T._row_blocks(4096, 64, 2) == [slice(0, 2048), slice(2048, 4096)]
+        assert len(T._row_blocks(4096, 64, 100)) == 8
+        assert len(T._row_blocks(1600, 64, 100)) == 3
+        assert T._row_blocks(1024, 63, 8) == [slice(None)]
 
     def test_one_block_and_any_tape_leave_tensors_as_they_are(self, rng):
         # The blocks follow their arguments alone; a tape does not change them.
         x = leaf(None, rng, (256, 3))
         quarters = [slice(0, 64), slice(64, 128), slice(128, 192), slice(192, 256)]
-        assert T.row_blocks(256, 512, 4) == quarters
+        assert T._row_blocks(256, 512, 4) == quarters
         with GradTape():
-            assert T.row_blocks(256, 512, 4) == quarters
+            assert T._row_blocks(256, 512, 4) == quarters
         assert T._take_rows(x, slice(None)) is x
         assert T._concat_rows([x]) is x
         parts = [T._take_rows(x, r) for r in quarters]
@@ -415,28 +415,29 @@ class TestRowStage:
     """row_stage's blocks under a tape, and the tensors its blocks read whole."""
 
     @staticmethod
-    def stage(x, w, b, workers, split_taped):
-        return T.row_stage(lambda rows, x: (T.linear(x, w, b),), (x,), 64, workers,
-                           split_taped)[0]
+    def stage(x, w, b):
+        return T.row_stage(lambda rows, x: (T.linear(x, w, b),), (x,), 64)[0]
 
-    def test_taped_blocks_follow_split_taped_not_workers(self, rng):
-        # 1024 x 64 is two blocks under a tape with split_taped, whatever the
-        # workers; one entry then stands for the stage. Untaped, the rows are
-        # cut one block per worker; the output bytes never change.
+    def test_taped_blocks_follow_split_taped_not_workers(self, rng, monkeypatch):
+        # 1024 x 64 is two blocks under a tape that says split_rows, whatever
+        # the CPUs; one entry then stands for the stage. Untaped, the rows are
+        # cut one block per CPU; the output bytes never change.
         x, w, b = leaf(None, rng, (1024, 64)), leaf(None, rng, (64, 64)), leaf(None, rng, (64,))
-        whole = self.stage(x, w, b, 1, False).data
-        for workers in (1, 2, 3):
-            assert np.array_equal(self.stage(x, w, b, workers, False).data, whole)
-            for split_taped in (False, True):
-                with GradTape() as tape:
-                    out = self.stage(x, w, b, workers, split_taped)
+        cpus(monkeypatch, 1)
+        whole = self.stage(x, w, b).data
+        for n in (1, 2, 3):
+            cpus(monkeypatch, n)
+            assert np.array_equal(self.stage(x, w, b).data, whole)
+            for split_rows in (False, True):
+                with GradTape(split_rows=split_rows) as tape:
+                    out = self.stage(x, w, b)
                     assert np.array_equal(out.data, whole)
                     assert len(tape) == 1
                     rule = tape._entries[0][2].__qualname__
-                    assert ("row_stage" in rule) == split_taped, rule
+                    assert ("row_stage" in rule) == split_rows, rule
                     backward(T.relative_l2_loss(out, Tensor(np.ones(out.shape))), tape)
 
-    def test_tensors_read_whole_get_their_gradients(self, rng):
+    def test_tensors_read_whole_get_their_gradients(self, rng, monkeypatch):
         # The closure reads w and b, which no argument names; the split stage
         # tapes them from what its first block read. Small integers and a
         # target of squared norm 2^16 keep every sum exact, so the two blocks'
@@ -444,10 +445,11 @@ class TestRowStage:
         x, w, b = (Tensor(rng.integers(-2, 3, shape), requires_grad=True)
                    for shape in ((1024, 64), (64, 64), (64,)))
         target = Tensor(np.ones((1024, 64)))
+        cpus(monkeypatch, 2)
 
-        def grads(split_taped):
-            with GradTape() as tape:
-                out = self.stage(x, w, b, 2, split_taped)
+        def grads(split_rows):
+            with GradTape(split_rows=split_rows) as tape:
+                out = self.stage(x, w, b)
                 entry_inputs = tape._entries[0][1]
                 grads = backward(T.relative_l2_loss(out, target), tape)
             assert [id(t) for t in entry_inputs] == [id(x), id(w), id(b)]
@@ -458,6 +460,75 @@ class TestRowStage:
         for t in (x, w, b):
             assert np.any(split[t] != 0)
             assert np.array_equal(split[t], one[t])
+
+    def test_untaped_stage_runs_a_thread_per_block(self, monkeypatch):
+        # One block per 512 x 64 points x width, up to one per CPU, each on
+        # a thread of its own: at 4096 x 64, 2 blocks on 2 CPUs and 8 on
+        # 10000; none below 1024 rows.
+        started = []
+        start = threading.Thread.start
+        monkeypatch.setattr(threading.Thread, "start",
+                            lambda t: started.append(t) or start(t))
+        blocks = []
+
+        def fn(rows, x):
+            blocks.append(rows)
+            return (x,)
+
+        for n, m, n_blocks in [(2, 4096, 2), (10_000, 4096, 8), (10_000, 1023, 1),
+                               (1, 4096, 1)]:
+            cpus(monkeypatch, n)
+            started.clear()
+            blocks.clear()
+            T.row_stage(fn, (Tensor(np.zeros((m, 64))),), 64)
+            assert len(blocks) == n_blocks and len(started) == n_blocks - 1
+
+
+@pytest.mark.threads
+class TestCpuShare:
+    """`_map_in_order` hands each job its share of the caller's CPUs (`_cpus`)."""
+
+    def test_each_job_gets_its_share(self, monkeypatch):
+        cpus(monkeypatch, 4)
+        assert T._map_in_order(lambda _: T._cpus(), range(4), 2) == [2] * 4
+        assert T._map_in_order(lambda _: T._cpus(), range(3), 3) == [1] * 3
+        assert T._map_in_order(lambda _: T._cpus(), range(5), 8) == [1] * 5
+        # A fan-out inside a job splits that job's share again.
+        nested = T._map_in_order(
+            lambda _: T._map_in_order(lambda _: T._cpus(), range(2), 2), range(2), 2)
+        assert nested == [[1, 1], [1, 1]]
+        inner = T._map_in_order(
+            lambda _: (T._map_in_order(lambda _: T._cpus(), range(1), 1), T._cpus()),
+            range(2), 2)
+        assert inner == [([2], 2), ([2], 2)]
+        assert T._ACTIVE_TAPE.cpus is None and T._cpus() == 4
+
+    def test_caller_share_restored_after_a_raise(self, monkeypatch):
+        cpus(monkeypatch, 4)
+
+        def job(x):
+            if x == 1:
+                raise TensorError("job 1")
+            return T._cpus()
+
+        def outer(_):
+            with pytest.raises(TensorError, match="^job 1$"):
+                T._map_in_order(job, range(3), 3)
+            return T._cpus()
+
+        assert T._map_in_order(outer, range(2), 2) == [2, 2]
+        with pytest.raises(TensorError, match="^job 1$"):
+            T._map_in_order(job, range(3), 3)
+        assert T._ACTIVE_TAPE.cpus is None and T._cpus() == 4
+
+    def test_no_thread_for_a_worker_without_items(self, monkeypatch):
+        started = []
+        start = threading.Thread.start
+        monkeypatch.setattr(threading.Thread, "start",
+                            lambda t: started.append(t) or start(t))
+        cpus(monkeypatch, 4)
+        assert T._map_in_order(lambda _: T._cpus(), range(1), 4) == [1]
+        assert started == []
 
 
 class TestLayerNorm:

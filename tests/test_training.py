@@ -12,6 +12,7 @@ from pathlib import Path
 import numpy as np
 import pytest
 
+from conftest import cpus
 from la2 import data as D
 from la2 import training as TR
 from la2 import geometry as G
@@ -211,7 +212,7 @@ class TestEvaluate:
         stats = tiny_darcy.stats
         order = iter(tiny_darcy.test_indices)
 
-        def fake_forward(model, f_in, pts, knn, row_workers):
+        def fake_forward(model, f_in, pts, knn):
             # One stacked call per group: [S, M, C_f] in, [S, M, C_u] out.
             group = [next(order) for _ in f_in.data]
             y = D.normalize(tiny_darcy.outputs.data[group],
@@ -283,9 +284,6 @@ def result_bytes(res):
 class TestParallelEvaluate:
     """evaluate spreads samples over threads; its results must not show it."""
 
-    def cpus(self, monkeypatch, n):
-        monkeypatch.setattr(os, "sched_getaffinity", lambda pid: set(range(n)))
-
     def test_one_and_two_cpus_give_the_same_bytes(self, wide_darcy, monkeypatch):
         ds, m = wide_darcy
         seen = set()
@@ -300,7 +298,7 @@ class TestParallelEvaluate:
         monkeypatch.setattr(TR, "forward", recording)
         results = {}
         for n in (1, 2):
-            self.cpus(monkeypatch, n)
+            cpus(monkeypatch, n)
             seen.clear()
             results[n] = result_bytes(TR.evaluate(m, ds, "all"))
             assert len(seen) == n
@@ -318,11 +316,11 @@ class TestParallelEvaluate:
         # Positions 1 and 2 fail; position 1 runs on the started thread and is
         # the error a serial loop would raise first.
         ds, m = wide_darcy
-        self.cpus(monkeypatch, 2)
+        cpus(monkeypatch, 2)
         real = TR.forward
         where = {}
 
-        def failing(model, f_in, pts, knn, row_workers):
+        def failing(model, f_in, pts, knn):
             (x,) = f_in.data                    # a wide sample's group of one
             i = next(i for i in range(ds.n) if np.array_equal(
                 x, D.normalize(ds.inputs.data[i], ds.stats["input_mean"],
@@ -330,7 +328,7 @@ class TestParallelEvaluate:
             where[i] = threading.get_ident()
             if i in (1, 2):
                 raise TensorError(f"overflow in sample {i}")
-            return real(model, f_in, pts, knn, row_workers=row_workers)
+            return real(model, f_in, pts, knn)
 
         monkeypatch.setattr(TR, "forward", failing)
         before = threading.active_count()
@@ -343,14 +341,14 @@ class TestParallelEvaluate:
 
     def test_no_thread_outlives_the_call(self, wide_darcy, monkeypatch):
         ds, m = wide_darcy
-        self.cpus(monkeypatch, 2)
+        cpus(monkeypatch, 2)
         before = threading.active_count()
         TR.evaluate(m, ds, "all")
         assert threading.active_count() == before
 
     def test_threads_started_are_capped_by_samples(self, wide_darcy, monkeypatch):
         ds, m = wide_darcy
-        self.cpus(monkeypatch, 10_000)
+        cpus(monkeypatch, 10_000)
         started = []
         start = threading.Thread.start
 
@@ -382,25 +380,42 @@ class TestParallelEvaluate:
         finally:
             sys.setswitchinterval(old)
 
-    def test_worker_count(self, monkeypatch):
-        # Pure arithmetic: computing the plan starts no thread.
-        self.cpus(monkeypatch, 10_000)
+    def test_worker_count(self, tiny_darcy, wide_darcy, monkeypatch):
+        # The (items, threads) that train and evaluate ask `_map_in_order`
+        # for: one thread per CPU, at most one per sample of a batch (in
+        # waves) or per group of evaluate, and one where a sample is below the
+        # thread cutoff (64 points x width 8 on tiny_darcy).
         assert TR._THREAD_MIN_ACTIVATIONS == 512 * 64
-        before = threading.active_count()
-        assert TR._threads(3, 512, 64)[0] == 3
-        assert TR._threads(20_000, 512, 64)[0] == 10_000
-        assert TR._threads(16, 511, 64) == (1, 1)
-        self.cpus(monkeypatch, 1)
-        assert TR._threads(3, 512, 64)[0] == 1
-        assert threading.active_count() == before
+        plans = []
+        real = TR._map_in_order
+
+        def recording(fn, items, workers):
+            plans.append((len(items), workers))
+            return real(fn, items, workers)
+
+        monkeypatch.setattr(TR, "_map_in_order", recording)
+        ds, _ = wide_darcy
+        # 4 training samples in batches of 3 and 1, then the test sample.
+        for n, expected in [(10_000, [(3, 3), (1, 1), (1, 1)]),
+                            (2, [(2, 2), (1, 2), (1, 1), (1, 1)]),
+                            (1, [(1, 1)] * 5)]:
+            cpus(monkeypatch, n)
+            plans.clear()
+            TR.train(tiny_model(ds, layers=1, hidden=64), ds,
+                     TR.TrainConfig(epochs=1, batch_size=3, seed=4))
+            assert plans == expected, n
+        # 10 training samples in batches of 4, 4 and 2, then the two test
+        # samples as one group.
+        plans.clear()
+        cpus(monkeypatch, 10_000)
+        TR.train(tiny_model(tiny_darcy), tiny_darcy, TR.TrainConfig(epochs=1, batch_size=4))
+        assert plans == [(1, 1)] * 11
 
 
 @pytest.mark.threads
 class TestGroupedEvaluate:
     """evaluate stacks samples below the thread cutoff into groups that reach
     it, one forward each; its results must not show it."""
-
-    cpus = TestParallelEvaluate.cpus
 
     @pytest.mark.parametrize("g,size", [(16, 2), (11, 5)])
     @pytest.mark.parametrize("heads", [1, 2])
@@ -423,7 +438,7 @@ class TestGroupedEvaluate:
             return out
 
         monkeypatch.setattr(TR, "forward", recording)
-        self.cpus(monkeypatch, n_cpus)
+        cpus(monkeypatch, n_cpus)
         res = TR.evaluate(m, ds, split)
         assert sorted(sizes) == sorted([size] * (len(split) // size) + [len(split) % size])
         sizes.clear()
@@ -441,7 +456,7 @@ class TestGroupedEvaluate:
         # started thread's.
         ds = D.generate_darcy(n=8, g=16, seed=25)
         m = tiny_model(ds, layers=1, hidden=64, k=8)
-        self.cpus(monkeypatch, 2)
+        cpus(monkeypatch, 2)
         started = []
         start = threading.Thread.start
 
@@ -461,7 +476,7 @@ class TestGroupedEvaluate:
         # error of the lower position is raised, as in a serial loop.
         ds = D.generate_darcy(n=8, g=16, seed=25)
         ds.outputs.data[[3, 6]] = 0.0
-        self.cpus(monkeypatch, 2)
+        cpus(monkeypatch, 2)
         with pytest.raises(TR.TrainingError, match="^sample 6: "):
             TR.evaluate(tiny_model(ds, layers=1, hidden=64), ds, [0, 1, 6, 2, 3])
 
@@ -471,13 +486,11 @@ class TestParallelTrain:
     """train spreads a batch's samples over threads, recomputing each block in
     backward; its results must not show it."""
 
-    cpus = TestParallelEvaluate.cpus
-
     def run(self, ds, monkeypatch, n, tmp_path=None):
         # Batches of 3 from 4 train samples, then a one-sample batch. On 2 CPUs
         # the first batch is a wave of 2 and a partial wave of 1; on 3 CPUs it
         # is one wave of 3, whose sum is the first that is not commutative.
-        self.cpus(monkeypatch, n)
+        cpus(monkeypatch, n)
         m = tiny_model(ds, layers=1, hidden=64)
         ckpt = None if tmp_path is None else tmp_path / f"best{n}.la2c"
         report = TR.train(m, ds, TR.TrainConfig(epochs=2, batch_size=3, seed=4),
@@ -491,9 +504,10 @@ class TestParallelTrain:
         seen = []
         real = TR.forward
 
-        def recording(*args, recompute_blocks=False, **kwargs):
-            seen.append((threading.get_ident(), recompute_blocks))
-            return real(*args, recompute_blocks=recompute_blocks, **kwargs)
+        def recording(*args):
+            tape = T._ACTIVE_TAPE.tape
+            seen.append((threading.get_ident(), tape is not None and tape.recompute))
+            return real(*args)
 
         monkeypatch.setattr(TR, "forward", recording)
         results = {}
@@ -560,29 +574,27 @@ class TestRowSplitTrain:
     """One large sample's taped step runs its row blocks on the CPUs that
     sample threads leave idle; the results must not show it."""
 
-    cpus = TestParallelEvaluate.cpus
-
     @pytest.mark.parametrize("batch_size", [1, 2])
     def test_same_bytes_on_one_two_and_three_cpus(self, monkeypatch, tmp_path, batch_size):
-        # 1024 points x width 64 cuts into two row blocks under a tape with
-        # split_taped, which only a batch of one sample asks for: it leaves
-        # every CPU but one to its rows. A batch of two runs its samples on
-        # sample threads, each on one block.
+        # 1024 points x width 64 cuts into two row blocks under a tape that
+        # says split_rows, which only a batch of one sample asks for: it
+        # leaves every CPU to its rows. A batch of two runs its samples on
+        # sample threads, each on one block and its share of the CPUs.
         ds = D.generate_darcy(n=3, g=32, seed=25)
         assert len(ds.train_indices) == 2
         plans = []
         real = TR.forward
 
-        def recording(*args, recompute_blocks=False, row_workers=1, split_taped=False,
-                      **kwargs):
-            plans.append((recompute_blocks, row_workers, split_taped))
-            return real(*args, recompute_blocks=recompute_blocks, row_workers=row_workers,
-                        split_taped=split_taped, **kwargs)
+        def recording(*args):
+            tape = T._ACTIVE_TAPE.tape
+            flags = (False, False) if tape is None else (tape.recompute, tape.split_rows)
+            plans.append((*flags, T._cpus()))
+            return real(*args)
 
         monkeypatch.setattr(TR, "forward", recording)
         results = {}
         for n in (1, 2, 3):
-            self.cpus(monkeypatch, n)
+            cpus(monkeypatch, n)
             plans.clear()
             m = tiny_model(ds, layers=2, hidden=64, k=8)
             before = threading.active_count()
@@ -590,8 +602,8 @@ class TestRowSplitTrain:
                               checkpoint_path=tmp_path / f"best{n}.la2c")
             assert threading.active_count() == before
             # Per epoch: the two training samples, then evaluate's test sample.
-            step = (False, min(n, 2), True) if batch_size == 1 else (n > 1, 1, False)
-            assert plans == ([step] * 2 + [(False, min(n, 2), False)]) * 2
+            step = (False, True, n) if batch_size == 1 else (n > 1, False, max(1, n // 2))
+            assert plans == ([step] * 2 + [(False, False, n)]) * 2
             results[n] = (b"".join(p.data.tobytes() for _, p in m.named_parameters()),
                           np.array(report.train_loss + report.test_rel_l2).tobytes(),
                           (tmp_path / f"best{n}.la2c").read_bytes())
@@ -602,8 +614,6 @@ class TestRowSplitTrain:
 class TestRowSplitEvaluate:
     """One large sample's rows are split across the CPUs that sample threads
     leave idle; the results must not show it."""
-
-    cpus = TestParallelEvaluate.cpus
 
     def test_one_large_sample_same_bytes_on_one_two_and_three_cpus(self, monkeypatch):
         # 1600 points x width 64 is three times the cutoff, room for three
@@ -620,7 +630,7 @@ class TestRowSplitEvaluate:
         monkeypatch.setattr(threading.Thread, "start", counted)
         results = {}
         for n in (1, 2, 3):
-            self.cpus(monkeypatch, n)
+            cpus(monkeypatch, n)
             started.clear()
             before = threading.active_count()
             results[n] = result_bytes(TR.evaluate(m, ds, [1]))
@@ -631,29 +641,47 @@ class TestRowSplitEvaluate:
         assert results[1] == results[2] == results[3]
 
     def test_row_worker_count(self, monkeypatch):
-        # Pure arithmetic: computing the plan starts no thread. One row thread
-        # per 512 x 64 points x width, as many as the CPUs left idle.
-        before = threading.active_count()
-        self.cpus(monkeypatch, 2)
-        assert TR._threads(1, 4096, 64) == (1, 2)
-        assert TR._threads(2, 4096, 64) == (2, 1)
-        assert TR._threads(1, 1023, 64) == (1, 1)
-        self.cpus(monkeypatch, 10_000)
-        assert TR._threads(1, 4096, 64) == (1, 8)
-        assert TR._threads(3, 4096, 64) == (3, 8)
-        assert TR._threads(3, 512, 64) == (3, 1)
-        self.cpus(monkeypatch, 1)
-        assert TR._threads(1, 4096, 64) == (1, 1)
-        assert threading.active_count() == before
+        # Each group's forward gets the CPUs its group threads leave idle and
+        # runs a row thread per block of 512 x 64 points x width on them, in
+        # the encoder and in stages A and B of its one block: at M=4096, two
+        # blocks on 2 CPUs and eight on 10000.
+        ds = D.generate_darcy(n=3, g=64, seed=24)
+        m = tiny_model(ds, layers=1, hidden=64, k=8)
+        shares = []
+        real = TR.forward
 
-    def test_plan_reads_the_cpu_set_once(self, monkeypatch):
+        def recording(*args):
+            shares.append(T._cpus())
+            return real(*args)
+
+        monkeypatch.setattr(TR, "forward", recording)
+        started = []
+        start = threading.Thread.start
+        monkeypatch.setattr(threading.Thread, "start",
+                            lambda t: started.append(t) or start(t))
+        for n, split, share, n_started in [(2, [0], 2, 3), (2, [0, 1], 1, 1),
+                                           (10_000, [0], 10_000, 3 * 7),
+                                           (10_000, [0, 1, 2], 3333, 2 + 3 * 3 * 7),
+                                           (1, [0, 1], 1, 0)]:
+            cpus(monkeypatch, n)
+            shares.clear()
+            started.clear()
+            TR.evaluate(m, ds, split)
+            assert shares == [share] * len(split) and len(started) == n_started, n
+
+    def test_plan_reads_the_cpu_set_once(self, wide_darcy, monkeypatch):
+        # `_cpus` reads the CPU set once a call, on the calling thread only:
+        # a job reads the share it was handed.
+        ds, m = wide_darcy
         reads = []
         monkeypatch.setattr(os, "sched_getaffinity",
-                            lambda pid: reads.append(pid) or set(range(4)))
-        assert TR._threads(1, 4096, 64) == (1, 4)
-        assert reads == [0]
+                            lambda pid: reads.append(threading.get_ident()) or set(range(4)))
+        assert T._cpus() == 4
+        assert reads == [threading.get_ident()]
+        TR.evaluate(m, ds, "all")
+        assert set(reads) == {threading.get_ident()}
         monkeypatch.delattr(os, "sched_getaffinity")
-        assert TR._threads(1, 4096, 64) == (1, 1)
+        assert T._cpus() == 1
 
 
 # Run in a fresh interpreter, on the CPUs this process may use: one warm-up
