@@ -1,5 +1,6 @@
 """Darcy oracle behavior, generators, normalization, and the file format."""
 
+import itertools
 import json
 import os
 import struct
@@ -10,7 +11,8 @@ from pathlib import Path
 
 import numpy as np
 import pytest
-from scipy.linalg import LinAlgError
+from scipy.linalg import solveh_banded
+from scipy.ndimage import gaussian_filter
 from scipy.sparse import csr_matrix
 from scipy.sparse.linalg import spsolve
 
@@ -110,7 +112,7 @@ class TestDarcySolver:
     @pytest.mark.parametrize("kind", ["two-valued", "random"])
     def test_bands_are_the_stencil(self, kind, g):
         a = darcy_field(kind, g)
-        assert np.array_equal(expand_bands(D._darcy_bands(a)), stencil(a))
+        assert np.array_equal(expand_bands(D._darcy_bands(D._faces(a))), stencil(a))
 
     @pytest.mark.parametrize("g", [8, 13])
     @pytest.mark.parametrize("kind", ["two-valued", "random"])
@@ -138,17 +140,14 @@ class TestDarcySolver:
                 D.solve_darcy_fd(Tensor(a), Tensor(np.ones((g, g))))
 
     def test_factorization_failure_is_tensor_error(self, monkeypatch):
-        def fail(*args, **kwargs):
-            raise LinAlgError("3-th leading minor not positive definite")
-
-        monkeypatch.setattr(D, "solveh_banded", fail)
+        faulty_dpbsv(monkeypatch, 0, info=3)    # the 3rd leading minor is not positive
         with pytest.raises(TensorError, match="not positive definite"):
             D.solve_darcy_fd(Tensor(np.ones((8, 8))), Tensor(np.ones((8, 8))))
 
     @pytest.mark.parametrize("a_value, f_value", [(1.0, 1e12), (1e150, 1e300)])
     def test_large_forcing_solved(self, a_value, f_value):
         # An absolute 1e-10 bound refused these at relative errors of 1e-15:
-        # the residual is checked against 1e-10 of the largest interior |f|.
+        # the check bounds each residual by the sizes of the terms it sums.
         g = 8
         a, f = Tensor(np.full((g, g), a_value)), Tensor(np.full((g, g), f_value))
         u = D.solve_darcy_fd(a, f)
@@ -158,14 +157,7 @@ class TestDarcySolver:
 
     @pytest.mark.parametrize("f_value", [1.0, 1e12])
     def test_corrupted_solution_fails_the_residual_check(self, monkeypatch, f_value):
-        real = D.solveh_banded
-
-        def corrupted(*args, **kwargs):
-            u = real(*args, **kwargs)
-            u[len(u) // 2] *= 1 + 1e-6
-            return u
-
-        monkeypatch.setattr(D, "solveh_banded", corrupted)
+        faulty_dpbsv(monkeypatch, 0)
         g = 8
         with pytest.raises(TensorError, match="solver residual"):
             D.solve_darcy_fd(Tensor(np.ones((g, g))), Tensor(np.full((g, g), f_value)))
@@ -192,6 +184,109 @@ class TestDarcySolver:
             a = Tensor(ds.inputs.data[i, :, 0].reshape(g, g))
             u = Tensor(ds.outputs.data[i, :, 0].reshape(g, g))
             assert D.darcy_residual(a, f, u) <= 1e-10
+
+    @pytest.mark.slow
+    def test_large_grid_is_not_refused(self):
+        # An absolute 1e-10 residual bound refused this at g=320 (1.17e-10),
+        # where the backward error is near 1e-15.
+        ds = D.generate_darcy(n=4, g=320, seed=0)
+        assert ds.outputs.shape == (4, 320 * 320, 1)
+
+
+def faulty_dpbsv(monkeypatch, call, info=0):
+    """Patch `dpbsv` so that its call number `call` (from 0) reports `info`
+    or, where that is 0, returns one unknown scaled by 1 + 1e-6."""
+    real, calls = D.dpbsv, itertools.count()
+
+    def solve(*args, **kwargs):
+        c, x, ok = real(*args, **kwargs)
+        if next(calls) != call:
+            return c, x, ok
+        if not info:
+            x[len(x) // 2] *= 1 + 1e-6
+        return c, x, info
+    monkeypatch.setattr(D, "dpbsv", solve)
+
+
+def reference_darcy(n, g, seed):
+    """Per-sample generator loop: each field filtered on its own and solved
+    through `solveh_banded`, which wraps LAPACK's `pbsv` too."""
+    a_all, u_all = [], []
+    for i in range(n):
+        noise = np.random.default_rng([seed, i]).standard_normal((g, g))
+        field = gaussian_filter(noise, sigma=g / 8.0, mode="reflect")
+        a = np.where(field >= 0.0, D.DARCY_A_HI, D.DARCY_A_LO)
+        x = solveh_banded(D._darcy_bands(D._faces(a)), np.ones((g - 2) ** 2))
+        a_all.append(a)
+        u_all.append(np.pad(x.reshape(g - 2, g - 2), 1))
+    return np.stack(a_all), np.stack(u_all)
+
+
+class TestStackedSolve:
+    def stack(self, n=3, g=64):
+        return np.stack([darcy_field("random", g) * (i + 1) for i in range(n)])
+
+    def test_stack_equals_per_sample_solves(self, rng):
+        # g=64: two samples a chunk, so sample 2 is the second chunk's first.
+        a = self.stack()
+        f = rng.uniform(0.5, 1.5, a.shape[1:])
+        u = D.solve_darcy_fd(Tensor(a), Tensor(f)).data
+        assert u.shape == a.shape
+        for i in range(len(a)):
+            assert np.array_equal(u[i], D.solve_darcy_fd(Tensor(a[i]), Tensor(f)).data)
+
+    @pytest.mark.parametrize("n, g", [(5, 8), (180, 16), (5, 33)])
+    def test_generator_equals_per_sample_loop(self, n, g):
+        # 180 samples at g=16 fill a 178-sample chunk and start another.
+        ds = D.generate_darcy(n=n, g=g, seed=7)
+        a, u = reference_darcy(n, g, seed=7)
+        assert np.array_equal(ds.inputs.data, a.reshape(n, g * g, 1))
+        assert np.array_equal(ds.outputs.data, u.reshape(n, g * g, 1))
+
+    @pytest.mark.parametrize("bad", [1, 2])
+    @pytest.mark.parametrize("fault, match", [
+        ("zero", "strictly positive"),
+        ("huge", "overflow or become singular"),
+        ("overflow", "^Darcy solution overflows"),
+        ("not-definite", "not positive definite"),
+        ("corrupted", "solver residual")])
+    def test_bad_sample_is_named(self, monkeypatch, fault, match, bad):
+        a, f = self.stack(), np.ones((64, 64))
+        if fault == "zero":
+            a[bad, 5, 7] = 0.0
+        elif fault == "huge":
+            a[bad] = 1e300
+        elif fault == "overflow":
+            a[bad], f = 1e-150, np.full((64, 64), 1e300)
+        else:
+            faulty_dpbsv(monkeypatch, bad, info=5 if fault == "not-definite" else 0)
+        with warnings.catch_warnings():
+            warnings.simplefilter("error")
+            with pytest.raises(TensorError, match=match) as err:
+                D.solve_darcy_fd(Tensor(a), Tensor(f))
+        assert f"(sample {bad}" in str(err.value)
+
+    @pytest.mark.parametrize("n, g, sizes", [
+        (200, 16, [178, 22]), (5, 64, [2, 2, 1]), (2, 128, [1, 1])])
+    def test_bands_stay_within_a_chunk(self, monkeypatch, n, g, sizes):
+        seen = []
+        real = D._darcy_bands
+
+        def spy(faces):
+            bands = real(faces)
+            seen.append(bands.shape[0])
+            assert bands.nbytes <= D._CHUNK_BAND_BYTES or bands.shape[0] == 1
+            return bands
+
+        monkeypatch.setattr(D, "_darcy_bands", spy)
+        D.generate_darcy(n=n, g=g, seed=1)
+        assert seen == sizes
+
+    def test_rejects_mismatched_stack(self):
+        with pytest.raises(TensorError, match="square matching"):
+            D.solve_darcy_fd(Tensor(np.ones((2, 8, 8))), Tensor(np.ones((9, 9))))
+        with pytest.raises(TensorError, match="square matching"):
+            D.solve_darcy_fd(Tensor(np.ones((1, 2, 8, 8))), Tensor(np.ones((8, 8))))
 
 
 class TestGenerateDarcy:
